@@ -378,10 +378,16 @@ def appell_sum(m: int, k: int) -> CliffordPolynomial:
     factors in this order the sum is monogenic and matches the axial
     extension of x0^k; the transposed order fails monogenicity under the
     left Cauchy-Riemann operator.
+
+    Evaluated in Horner form in conj(x): starting from T_k, each step
+    multiplies the sum by conj(x), raises the running power of x by one,
+    and adds T_j x^(k-j).
     """
     x = CliffordPolynomial.paravector_variable(m)
     xbar = CliffordPolynomial.variable(m, 0) - CliffordPolynomial.vector_variable(m)
-    out = CliffordPolynomial.zero(m)
-    for j in range(k + 1):
-        out = out + (x ** (k - j) * xbar**j).scale(appell_weight(m, k, j))
+    out = CliffordPolynomial.one(m).scale(appell_weight(m, k, k))
+    xpow = CliffordPolynomial.one(m)
+    for j in range(k - 1, -1, -1):
+        xpow = xpow * x
+        out = out * xbar + xpow.scale(appell_weight(m, k, j))
     return out

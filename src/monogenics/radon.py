@@ -4,7 +4,8 @@ and the plane-wave decompositions it induces.
 On a slice function f the transform is
     R*[f](x0, x) = (1/sigma_m) int_{S^(m-1)} f(x0, <x,w> w) dS_w ,
 computed exactly on polynomials by substituting x_j -> w_j <x,w> and
-integrating the resulting omega-polynomial with the exact monomial rule.
+averaging the resulting omega-polynomial with the rational sphere moments
+of ``sphere.sphere_moment``, so the exact transform runs over Q.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 import numpy as np
 
 from .clifford import CliffordElement
@@ -19,60 +21,56 @@ from .constants import sphere_area
 from .extensions import SliceFunction, gck_extension, slice_extension
 from .laurent import LaurentPoly
 from .poly import CliffordPolynomial
-from .scalars import canon, to_complex
-from .sphere import ExactMonomialRule, MonteCarloRule, ProductGaussRule
+from .scalars import to_complex
+from .sphere import ExactMonomialRule, MonteCarloRule, ProductGaussRule, sphere_moment
 
 
-def dual_radon(f: CliffordPolynomial, rule: ExactMonomialRule | None = None) -> CliffordPolynomial:
+def dual_radon(f: CliffordPolynomial) -> CliffordPolynomial:
     """Exact dual Radon transform of a polynomial; output is again polynomial.
 
-    Each term c * x0^e0 * prod_j xj^ej becomes, after substitution,
-    c * x0^e0 * w^e <x,w>^E with E = sum ej; expanding the bracket and
-    integrating in w leaves rational coefficients once sigma_m is divided
-    out.
+    Each term c * x0^e0 * x^a becomes, after substitution, c * x0^e0 *
+    w^a <x,w>^|a|.  Expanding the bracket gives the monomials x^b with
+    |b| = |a|, each weighted by its multinomial coefficient and the
+    normalized sphere moment of w^(a+b); only the b with a+b all even, the
+    moments that do not vanish, are visited.  All weights are rational.
     """
     m = f.m
-    if rule is None:
-        rule = ExactMonomialRule(m)
-    sigma = sphere_area(m)
-    out: dict[tuple, CliffordElement] = {}
+    # images of sorted exponents, shared by every permutation of them
+    images: dict[tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]] = {}
+    sums: dict[tuple[int, ...], dict[int, object]] = {}
     for exps, coeff in f.terms.items():
         e0, vec = exps[0], exps[1:]
-        bigE = sum(vec)
-        if bigE == 0:
-            _accum(out, exps, coeff)
-            continue
-        for combo, mult in _multinomial(m, bigE):
-            w_exp = tuple(v + b for v, b in zip(vec, combo))
-            integral = rule.integrate_monomial(w_exp)
-            if integral.is_zero():
-                continue
-            weight = canon(integral / sigma * mult)
-            key = (e0, *combo)
-            _accum(out, key, coeff.scale(weight))
-    return CliffordPolynomial(m, out)
+        order = sorted(range(m), key=vec.__getitem__)
+        key = tuple(vec[i] for i in order)
+        image = images.get(key)
+        if image is None:
+            image = images[key] = _monomial_image(m, key)
+        place = sorted(range(m), key=order.__getitem__)   # inverse of order
+        for combo, weight in image:
+            blades = sums.setdefault((e0, *map(combo.__getitem__, place)), {})
+            for mask, c in coeff.coeffs.items():
+                term = c * weight
+                blades[mask] = blades[mask] + term if mask in blades else term
+    return CliffordPolynomial(m, {key: CliffordElement(m, blades) for key, blades in sums.items()})
 
 
-def _accum(store: dict, key, coeff: CliffordElement) -> None:
-    store[key] = store[key] + coeff if key in store else coeff
-
-
-def _multinomial(m: int, total: int):
-    """(exponent combo, multinomial coefficient) pairs with sum = total."""
-    def rec(slots: int, rem: int):
-        if slots == 1:
-            yield (rem,)
-            return
-        for head in range(rem + 1):
-            for tail in rec(slots - 1, rem - head):
-                yield (head, *tail)
-
+def _monomial_image(m: int, vec: tuple[int, ...]) -> list[tuple[tuple[int, ...], Fraction]]:
+    """(combo, weight) pairs of the sphere mean of w^vec <x,w>^|vec|."""
+    total = sum(vec)
     fact = math.factorial(total)
-    for combo in rec(m, total):
-        denom = 1
-        for c in combo:
-            denom *= math.factorial(c)
-        yield combo, Fraction(fact, denom)
+    return [(combo, sphere_moment(m, tuple(map(add, vec, combo)))
+             * (fact // math.prod(map(math.factorial, combo))))
+            for combo in _same_parity(vec, total)]
+
+
+def _same_parity(vec: tuple[int, ...], total: int):
+    """Every combo with the parities of ``vec`` whose entries sum to ``total``."""
+    if len(vec) == 1:
+        yield (total,)
+        return
+    for head in range(vec[0] % 2, total + 1, 2):
+        for tail in _same_parity(vec[1:], total - head):
+            yield (head, *tail)
 
 
 def dual_radon_pointwise(sf: SliceFunction, rule: ProductGaussRule, x0, xv) -> CliffordElement:
@@ -121,7 +119,7 @@ def plane_wave_gck_check(f0: LaurentPoly, m: int, rule,
     sf = slice_extension(f0, m)
     gck_poly = gck_extension(f0, m).to_polynomial()
     if isinstance(rule, ExactMonomialRule):
-        lhs = dual_radon(sf.to_polynomial(), rule)
+        lhs = dual_radon(sf.to_polynomial())
         ok = lhs == gck_poly
         gap = 0.0 if ok else (lhs.map_coeffs(lambda c: c.to_numeric())
                               - gck_poly.map_coeffs(lambda c: c.to_numeric())).norm_inf()

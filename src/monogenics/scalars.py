@@ -15,8 +15,12 @@ Two small number types cover every constant the extension maps produce:
     algebra exact.
 
 Rationals themselves are plain ``fractions.Fraction``; both classes coerce
-``int`` and ``Fraction`` operands.  Mixing with floats is refused so that
-exactness cannot be lost silently; convert with ``to_complex`` instead.
+``int`` and ``Fraction`` operands.  Exactness is not enforced against
+floats: a ``PiScalar`` meeting a ``float`` or ``complex`` operand in
+``+``, ``-``, ``*`` or ``/`` demotes to a numeric value, just as
+``Fraction * float`` becomes a ``float``.  A float divided by a
+``PiScalar`` and any float operand of a ``Radical`` raise ``TypeError``.
+Convert on purpose with ``to_complex``.
 """
 
 from __future__ import annotations

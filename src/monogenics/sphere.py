@@ -8,19 +8,29 @@ The monomial rule uses the classical closed form
 for all-even multi-indices (zero otherwise), carried exactly with the pi
 powers symbolic; it is validated against Monte Carlo in the test suite
 before anything downstream relies on it.
+
+Divided by sigma_m = |S^(m-1)| the pi powers cancel, and the normalized
+moment is the plain rational
+
+    (1/sigma_m) int_{S^(m-1)} w^a dS = prod_i (a_i-1)!! / prod_{j<|a|/2} (m+2j)
+
+(Folland, "How to integrate a polynomial over a sphere", Amer. Math.
+Monthly 108, 2001).  ``sphere_moment`` computes it over Q; the dual Radon
+transform runs on it, and the tests tie it to the validated rule exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 from .clifford import CliffordElement
 from .constants import sphere_area
-from .scalars import PiScalar, gamma_half
+from .scalars import PiScalar, double_factorial, gamma_half
 
 
 def monomial_sphere_integral(m: int, exps: tuple[int, ...]) -> PiScalar:
@@ -35,6 +45,23 @@ def monomial_sphere_integral(m: int, exps: tuple[int, ...]) -> PiScalar:
     for e in exps:
         num = num * gamma_half(e + 1)
     return num / gamma_half(sum(exps) + m)
+
+
+def sphere_moment(m: int, exps: tuple[int, ...]) -> Fraction:
+    """Mean of prod_i w_i^(a_i) over S^(m-1), exactly; zero unless all even."""
+    if len(exps) != m:
+        raise ValueError("need one exponent per component")
+    if any(e < 0 for e in exps):
+        raise ValueError("negative exponent")
+    if any(e % 2 for e in exps):
+        return Fraction(0)
+    num = 1
+    for e in exps:
+        num *= double_factorial(e - 1)
+    den = 1
+    for j in range(sum(exps) // 2):
+        den *= m + 2 * j
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

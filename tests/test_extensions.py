@@ -186,6 +186,13 @@ def test_appell_family_properties(m):
         assert appell_sum(m, k) == q
 
 
+@pytest.mark.parametrize("k", [8, 9])
+def test_appell_sum_matches_axial_extension_at_m6(k):
+    s = appell_sum(6, k)
+    assert s == appell_Q(6, k)
+    assert is_monogenic(s)
+
+
 def test_transposed_factor_order_fails_monogenicity():
     # with the factors the other way around the k=1 sum is not monogenic,
     # which is what pins the convention used in appell_sum
