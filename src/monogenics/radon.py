@@ -6,6 +6,11 @@ On a slice function f the transform is
 computed exactly on polynomials by substituting x_j -> w_j <x,w> and
 averaging the resulting omega-polynomial with the rational sphere moments
 of ``sphere.sphere_moment``, so the exact transform runs over Q.
+
+The numeric routes (pointwise transform, plane-wave forms of the kernels)
+are evaluated on the rule's node arrays: ``t = nodes @ x`` once, the
+in-plane power of ``x0 + i t`` on the whole array, and the weighted sums
+of its real part and of its imaginary part times the nodes.
 """
 
 from __future__ import annotations
@@ -74,14 +79,27 @@ def _same_parity(vec: tuple[int, ...], total: int):
 
 
 def dual_radon_pointwise(sf: SliceFunction, rule: ProductGaussRule, x0, xv) -> CliffordElement:
-    """Numeric dual Radon transform of an evaluable slice function at a point."""
+    """Numeric dual Radon transform of a slice function at a point.
+
+    Along w the term c x^n takes the value Re(z^n) c + w Im(z^n) c at
+    z = x0 + i<x,w>, the signed <x,w> carrying the orientation of w.  The
+    sphere mean is linear in c, so each term adds c times the weighted sum
+    of Re z^n and e_j c times that of w_j Im z^n, all on the rule's nodes
+    at once.
+    """
     m = sf.m
+    z = float(x0) + 1j * (rule.nodes @ np.asarray(xv, dtype=float))
+    if sf.f0.min_exp() < 0 and not z.all():
+        raise ZeroDivisionError("negative powers require x0 + <x,w> w != 0")
+    sig = rule.sigma()
     acc = CliffordElement.zero(m)
-    for w, omega in zip(rule.weights, rule.nodes):
-        t = float(np.dot(omega, xv))
-        val = sf.evaluate(x0, tuple(t * o for o in omega))
-        acc = acc + val.scale(float(w))
-    return acc.scale(1.0 / rule.sigma())
+    for n, c in sf.f0.terms.items():
+        zn = z**n
+        vec = (rule.weights * zn.imag) @ rule.nodes / sig
+        wave = CliffordElement(m, {0: float(rule.weights @ zn.real) / sig,
+                                   **{1 << j: float(vec[j]) for j in range(m)}})
+        acc = acc + (wave * c if isinstance(c, CliffordElement) else wave.scale(c))
+    return acc
 
 
 @dataclass(frozen=True)
@@ -163,29 +181,17 @@ def _check_points(m: int) -> list[tuple[float, tuple]]:
     ]
 
 
-def in_plane_power(x0: float, t: float, n: int) -> complex:
-    """(x0 + t w)^n inside the commutative plane spanned by 1 and w."""
-    z = complex(x0, t)
-    if n < 0 and z == 0:
-        raise ZeroDivisionError("paravector power singular at 0")
-    return z**n
-
-
 def _plane_wave_vs_closed(m: int, exponent: int, const: float, closed, point: tuple,
                           rule: ProductGaussRule) -> float:
-    x0, xv = point[0], tuple(point[1:])
+    x0, xv = point[0], list(point[1:])
     if x0 == 0:
         raise ValueError("plane-wave form needs x0 != 0 on the chosen points")
-    acc_s = 0.0
-    acc_v = np.zeros(m)
-    for w, omega in zip(rule.weights, rule.nodes):
-        t = float(np.dot(omega, xv))
-        z = in_plane_power(x0, t, exponent)
-        acc_s += float(w) * z.real
-        acc_v += float(w) * z.imag * omega
-    quad = CliffordElement(m, {0: const * acc_s,
-                               **{1 << j: const * acc_v[j] for j in range(m)}})
-    closed_val = closed.evaluate(x0, list(xv)).to_numeric()
+    # inside the plane of 1 and w, (x0 + <x,w> w)^n = Re z^n + w Im z^n
+    z = (float(x0) + 1j * (rule.nodes @ np.asarray(xv, dtype=float))) ** exponent
+    vec = (rule.weights * z.imag) @ rule.nodes
+    quad = CliffordElement(m, {0: const * float(rule.weights @ z.real),
+                               **{1 << j: const * float(vec[j]) for j in range(m)}})
+    closed_val = closed.evaluate(x0, xv).to_numeric()
     return (quad - closed_val).norm_inf()
 
 

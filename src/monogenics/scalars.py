@@ -16,11 +16,10 @@ Two small number types cover every constant the extension maps produce:
 
 Rationals themselves are plain ``fractions.Fraction``; both classes coerce
 ``int`` and ``Fraction`` operands.  Exactness is not enforced against
-floats: a ``PiScalar`` meeting a ``float`` or ``complex`` operand in
-``+``, ``-``, ``*`` or ``/`` demotes to a numeric value, just as
-``Fraction * float`` becomes a ``float``.  A float divided by a
-``PiScalar`` and any float operand of a ``Radical`` raise ``TypeError``.
-Convert on purpose with ``to_complex``.
+floats: a ``PiScalar`` meeting a ``float`` or ``complex`` operand on
+either side of ``+``, ``-``, ``*`` or ``/`` demotes to a numeric value,
+just as ``Fraction * float`` becomes a ``float``.  Any float operand of a
+``Radical`` raises ``TypeError``.  Convert on purpose with ``to_complex``.
 """
 
 from __future__ import annotations
@@ -195,7 +194,9 @@ class PiScalar:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other) -> "PiScalar":
+    def __rtruediv__(self, other):
+        if isinstance(other, (float, complex)):
+            return other / self._numeric()
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -98,13 +98,6 @@ class ProductGaussRule:
     def sigma(self) -> float:
         return float(self.weights.sum())
 
-    def integrate(self, fn) -> CliffordElement:
-        """Integrate a pointwise CliffordElement-valued function."""
-        acc = CliffordElement.zero(self.m)
-        for w, omega in zip(self.weights, self.nodes):
-            acc = acc + fn(tuple(omega)).scale(float(w))
-        return acc
-
     def integrate_scalar(self, values: np.ndarray):
         return np.tensordot(self.weights, values, axes=(0, 0))
 
@@ -163,16 +156,11 @@ class MonteCarloRule:
         return float(est), float(se)
 
 
-SphereRule = ExactMonomialRule | ProductGaussRule | MonteCarloRule
-
-
 def sphere_integrate(poly_terms: dict, rule) -> object:
-    """Integrate an omega-polynomial given as {exponent tuple: coefficient}.
-
-    Exact under the monomial rule (coefficients may be scalars or
-    CliffordElements); numeric rules evaluate pointwise.
+    """Integrate an omega-polynomial given as {exponent tuple: coefficient}
+    exactly under the monomial rule (coefficients may be scalars or
+    CliffordElements).
     """
-    m = rule.m
     if not isinstance(poly_terms, dict):
         raise TypeError("sphere_integrate needs an omega-polynomial term table")
     if isinstance(rule, ExactMonomialRule):
@@ -186,24 +174,7 @@ def sphere_integrate(poly_terms: dict, rule) -> object:
         if out is None:
             return PiScalar()
         return out
-    if isinstance(rule, ProductGaussRule):
-        def value(omega):
-            acc = None
-            for exps, coeff in poly_terms.items():
-                mono = 1.0
-                for o, e in zip(omega, exps):
-                    mono *= o**e
-                term = coeff.scale(mono) if isinstance(coeff, CliffordElement) else coeff * mono
-                acc = term if acc is None else acc + term
-            return acc
-
-        acc = None
-        for w, omega in zip(rule.weights, rule.nodes):
-            v = value(tuple(omega))
-            v = v.scale(float(w)) if isinstance(v, CliffordElement) else v * float(w)
-            acc = v if acc is None else acc + v
-        return acc
-    raise TypeError("sphere_integrate needs an exact or product-Gauss rule")
+    raise TypeError("sphere_integrate needs an exact monomial rule")
 
 
 def funk_hecke_constants(m: int, j: int) -> tuple[PiScalar, PiScalar]:
@@ -223,36 +194,39 @@ def funk_hecke_constants(m: int, j: int) -> tuple[PiScalar, PiScalar]:
 
 
 def _radialized(m: int, j: int, with_omega: bool) -> PiScalar:
-    # expand <x,w>^j (optionally times w_1) and integrate; collect on x-monomials
-    from itertools import product as iproduct
-
+    # <x,w>^j = sum over |a| = j of multinomial(j; a) x^a w^a: integrate each
+    # term (optionally times w_1) and collect on the x-monomials x^a
     poly: dict[tuple[int, ...], PiScalar] = {}
-    for combo in iproduct(range(m), repeat=j):
-        w_exp = [0] * m
-        for idx in combo:
-            w_exp[idx] += 1
-        x_exp = tuple(w_exp)
-        if with_omega:
-            w_exp[0] += 1
-        val = monomial_sphere_integral(m, tuple(w_exp))
-        if val.is_zero():
-            continue
-        poly[x_exp] = poly.get(x_exp, PiScalar()) + val
+    for a in _compositions(j, m):
+        w_exp = (a[0] + 1, *a[1:]) if with_omega else a
+        val = monomial_sphere_integral(m, w_exp)
+        if not val.is_zero():
+            poly[a] = val * _multinomial(a)
     if not poly:
         return PiScalar()
-    # expected shape: C * (sum_i x_i^2)^t  or  C * (sum x^2)^t * x_1
-    t = (j // 2) if not with_omega else ((j - 1) // 2)
-    lead = (j, *(0,) * (m - 1))
-    c = poly[lead]
+    # expected shape: C * (sum_i x_i^2)^t  or  C * (sum_i x_i^2)^t * x_1,
+    # t = j // 2 either way since j is odd in the second case
+    c = poly[(j, *(0,) * (m - 1))]
     expected: dict[tuple[int, ...], PiScalar] = {}
-    for combo in iproduct(range(m), repeat=t):
-        e = [0] * m
-        for idx in combo:
-            e[idx] += 2
+    for b in _compositions(j // 2, m):
+        key = tuple(2 * e for e in b)
         if with_omega:
-            e[0] += 1
-        key = tuple(e)
-        expected[key] = expected.get(key, PiScalar()) + c
-    if set(expected) != set(poly) or any(expected[k] != poly[k] for k in poly):
+            key = (key[0] + 1, *key[1:])
+        expected[key] = c * _multinomial(b)
+    if expected != poly:
         raise AssertionError("radialization failed: integral is not radial")
     return c
+
+
+def _compositions(total: int, parts: int):
+    """Every exponent vector with ``parts`` entries summing to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head, *tail)
+
+
+def _multinomial(a: tuple[int, ...]) -> int:
+    return math.factorial(sum(a)) // math.prod(map(math.factorial, a))

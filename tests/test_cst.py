@@ -9,6 +9,7 @@ from monogenics.clifford import CliffordElement
 from monogenics.cst import (
     MeasureDvm,
     TruncationError,
+    _axial_from_smooth,
     axial_cst,
     axial_cst_radon_route,
     classical_cst,
@@ -19,6 +20,7 @@ from monogenics.cst import (
     slice_cst_fourier,
     unitarity_check,
 )
+from monogenics.extensions import gck_denominator
 from monogenics.gausspoly import GaussPoly, hermite_function
 from monogenics.sphere import ProductGaussRule
 
@@ -101,6 +103,40 @@ def test_axial_cst_route_agreement(m):
             a1 = axial_cst(f, m, x0, xv)
             a2 = axial_cst_radon_route(f, m, x0, xv, rule)
             assert (a1 - a2).norm_inf() < 1e-7
+
+
+def _axial_by_exact_chain(derivs, m, x0, xv):
+    """Reference: the axial series summed over exact PiScalar derivatives."""
+    r2 = sum(c * c for c in xv)
+    value_s = value_v = 0j
+    cprod = even_pow = 1.0
+    for j, deriv in enumerate(derivs):
+        if j:
+            cprod *= gck_denominator(m, j)
+        d = complex(deriv.evaluate(complex(x0))) / cprod
+        if j % 2 == 0:
+            value_s += even_pow * d
+        else:
+            value_v += even_pow * d
+            even_pow *= -r2
+    return CliffordElement(m, {0: value_s}) + CliffordElement.vector(m, list(xv)).scale(value_v)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_axial_series_float_chain_matches_exact_chain(m):
+    # the axial route differentiates in floats.  At the corner |x0| = 0.3,
+    # r = 0.8 the routes choose up to order 36 (m = 4, the third derivative
+    # of the smoothed Hermite 3); order 64 goes well past that
+    x0, xv = 0.3, [0.8 / math.sqrt(m)] * m
+    for f in HERMITES:
+        smooth = heat_semigroup(f)
+        for g in (smooth, smooth.derivatives(m - 1)[-1]):
+            assert g.is_exact()
+            derivs = g.derivatives(64)
+            for order in (36, 64):
+                got = _axial_from_smooth(g, m, x0, xv, order, 1e-10)
+                want = _axial_by_exact_chain(derivs[:order + 1], m, x0, xv)
+                assert (got - want).norm_inf() <= 1e-13 * want.norm_inf(), order
 
 
 def test_axial_cst_m1_is_two_point_slice_average():

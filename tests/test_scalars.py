@@ -46,6 +46,9 @@ def test_float_demotion():
     assert isinstance(x + 0.0, float)
     z = PiScalar.imaginary(1) * 1.0
     assert z == 1j
+    # a float or complex on the left of / demotes too
+    assert 1.0 / PiScalar.of(2) == 0.5
+    assert 1j / PiScalar.imaginary(1) == 1
 
 
 @given(pi_scalars, pi_scalars, pi_scalars)

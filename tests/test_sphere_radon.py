@@ -13,6 +13,7 @@ from monogenics.poly import CliffordPolynomial, OperatorTag, apply_operator, is_
 from monogenics.radon import (
     cauchy_plane_wave_check,
     dual_radon,
+    dual_radon_pointwise,
     monomial_plane_wave_check,
     plane_wave_gck_check,
 )
@@ -99,6 +100,8 @@ def test_sphere_integrate_polynomials():
     want = CliffordElement.one(m).scale(sphere_area(m)) + e2.scale(
         monomial_sphere_integral(m, (2, 0, 0)))
     assert val == want
+    with pytest.raises(TypeError, match="exact monomial rule"):
+        sphere_integrate({(0, 0, 0): CliffordElement.one(m)}, ProductGaussRule(m, 4))
 
 
 def test_funk_hecke_values():
@@ -110,6 +113,16 @@ def test_funk_hecke_values():
     assert c1o == sphere_area(3) * Fraction(1, 3)
     for j in (1, 3, 5):
         assert funk_hecke_constants(4, j)[0].is_zero()
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_funk_hecke_constants_are_sphere_moments(m):
+    # at x = e_1 the Funk-Hecke integrals are the moments of w_1^j and w_1^(j+1)
+    sigma = sphere_area(m)
+    for j in range(9):
+        c0, c1 = funk_hecke_constants(m, j)
+        want = sigma * sphere_moment(m, (j if j % 2 == 0 else j + 1, *(0,) * (m - 1)))
+        assert (c0, c1) == ((want, PiScalar()) if j % 2 == 0 else (PiScalar(), want)), j
 
 
 def test_funk_hecke_against_monte_carlo():
@@ -170,6 +183,21 @@ def test_plane_wave_exact_and_gauss():
         assert rep.exact and rep.residual == 0.0
         repg = plane_wave_gck_check(f0, m, ProductGaussRule(m, 16))
         assert repg.residual < 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_dual_radon_pointwise_matches_exact_transform(m):
+    # Clifford-valued coefficients act from the right of the plane wave; the
+    # points have <x,w> < 0 on half the nodes, and x0 of both signs
+    e1, e2 = CliffordElement.generator(m, 1), CliffordElement.generator(m, 2)
+    f0 = LaurentPoly({0: Fraction(2), 1: e1, 2: e1 * e2 - e2.scale(Fraction(1, 3)),
+                      4: CliffordElement.one(m) + e2})
+    rule = ProductGaussRule(m, 16)
+    exact = dual_radon(slice_extension(f0, m).to_polynomial())
+    for x0, xv in ((0.8, (-0.3, 0.2, -0.1)), (-0.5, (-0.25, -0.4, 0.15))):
+        xv = xv[:m]
+        got = dual_radon_pointwise(slice_extension(f0, m), rule, x0, xv)
+        assert (got - exact.evaluate(x0, xv)).norm_inf() < 1e-12
 
 
 def test_plane_wave_monte_carlo():
