@@ -12,8 +12,10 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import serialize as ser
 from .laurent import LaurentPoly
@@ -24,6 +26,13 @@ from .cst import fueter_cst_routes, unitarity_check
 from .gausspoly import hermite_function
 
 OUT_ENV = "MONOGENICS_OUT"
+MC_SAMPLES_MAX = 5_000_000
+
+
+def _usage_error(message: str) -> NoReturn:
+    """Reject out-of-range or malformed input: one line on stderr, exit code 2."""
+    print(f"monogenics: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _out_path(arg: str | None, default_name: str) -> Path:
@@ -40,11 +49,11 @@ def _write(path: Path, payload: dict) -> None:
 
 def _cmd_verify(args) -> int:
     if args.m and not 1 <= args.m <= 6:
-        raise SystemExit("desk-scale bound: --m must stay within 1..6")
+        _usage_error("desk-scale bound: --m must stay within 1..6")
     if args.max_degree and not 0 <= args.max_degree <= 10:
-        raise SystemExit("desk-scale bound: --max-degree must stay within 0..10")
-    if args.mc_samples > 5_000_000:
-        raise SystemExit("desk-scale bound: --mc-samples capped at 5e6")
+        _usage_error("desk-scale bound: --max-degree must stay within 0..10")
+    if args.mc_samples > MC_SAMPLES_MAX:
+        _usage_error("desk-scale bound: --mc-samples capped at 5e6")
     params = {
         "m": args.m,
         "max_degree": args.max_degree,
@@ -89,12 +98,15 @@ def _parse_frac(s: str):
 def _parse_rule(rule_arg: str, m: int):
     if rule_arg == "exact":
         return ExactMonomialRule(m)
-    if rule_arg.startswith("gauss:"):
-        return ProductGaussRule(m, int(rule_arg.split(":")[1]))
-    if rule_arg.startswith("mc:"):
-        _, n, seed = rule_arg.split(":")
-        return MonteCarloRule(m, int(n), int(seed))
-    raise SystemExit(f"unknown rule {rule_arg!r} (use exact | gauss:L | mc:N:SEED)")
+    if match := re.fullmatch(r"gauss:([1-9][0-9]{0,17})", rule_arg):
+        return ProductGaussRule(m, int(match[1]))
+    if match := re.fullmatch(r"mc:([0-9]{1,18}):([0-9]{1,18})", rule_arg):
+        n, seed = int(match[1]), int(match[2])
+        if not 2 <= n <= MC_SAMPLES_MAX:
+            _usage_error(f"desk-scale bound: mc:N needs N within 2..{MC_SAMPLES_MAX}")
+        return MonteCarloRule(m, n, seed)
+    _usage_error(f"unknown or malformed rule {rule_arg!r} "
+                 "(use exact | gauss:L with L >= 1 | mc:N:SEED)")
 
 
 def _cmd_radon_check(args) -> int:

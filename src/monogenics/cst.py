@@ -11,6 +11,7 @@ sums float derivatives up to an order certified from the exact function.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,14 +76,29 @@ def slice_cst_fourier(f: GaussPoly, x0: float, r: float, n: int = 240,
                            [cosh(p r) + i w sinh(p r)] ft(p) dp
     """
     ft = f.fourier()
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    p = cutoff * nodes
-    w = cutoff * weights
+    p, w = _legendre_grid(n, -cutoff, cutoff, 0.5)   # e^{-p^2/2} is in w
     vals = ft.evaluate(p.astype(complex))
-    common = np.exp(-p * p / 2) * np.exp(1j * p * x0) * vals / math.sqrt(2 * math.pi)
+    common = np.exp(1j * p * x0) * vals / math.sqrt(2 * math.pi)
     alpha = np.sum(w * common * np.cosh(p * r))
     beta = np.sum(w * common * 1j * np.sinh(p * r))
     return SliceValue(complex(alpha), complex(beta))
+
+
+@functools.lru_cache(maxsize=16)
+def _legendre_grid(n: int, lo: float, hi: float,
+                   decay: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [lo, hi] and their weights times e^(-decay x^2).
+
+    Built on first use and shared by every later call with the same
+    arguments, so both arrays are read-only.
+    """
+    u, w = np.polynomial.legendre.leggauss(n)
+    half = (hi - lo) / 2
+    x = (hi + lo) / 2 + half * u
+    wx = half * w * np.exp(-decay * x * x)
+    x.flags.writeable = False
+    wx.flags.writeable = False
+    return x, wx
 
 
 def _axial_from_smooth(g: GaussPoly, m: int, x0: float, xv, order: int | None,
@@ -252,15 +268,10 @@ class UnitarityResult:
 def _slice_gram_quad(Ff: GaussPoly, Fg: GaussPoly, nx: int, nr: int,
                      x_cut: float = 13.0, r_cut: float = 9.0) -> complex:
     """(2/sqrt(pi)) iint [conj(alpha_f) alpha_g + conj(beta_f) beta_g] e^(-r^2) dr dx0."""
-    ux, wx = np.polynomial.legendre.leggauss(nx)
-    ur, wr = np.polynomial.legendre.leggauss(nr)
-    xs = x_cut * ux
-    wxs = x_cut * wx
-    rs = r_cut * (ur + 1) / 2
-    wrs = r_cut * wr / 2
-    X, Rr = np.meshgrid(xs, rs, indexing="ij")
-    Z = X + 1j * Rr
-    Zc = X - 1j * Rr
+    xs, wxs = _legendre_grid(nx, -x_cut, x_cut)
+    rs, wrs = _legendre_grid(nr, 0.0, r_cut, 1.0)   # e^{-r^2} is in wrs
+    Z = xs[:, None] + 1j * rs[None, :]
+    Zc = Z.conj()
 
     def split(F):
         vp = F.evaluate(Z)
@@ -269,7 +280,7 @@ def _slice_gram_quad(Ff: GaussPoly, Fg: GaussPoly, nx: int, nr: int,
 
     af, bf = split(Ff)
     ag, bg = split(Fg)
-    integrand = (np.conj(af) * ag + np.conj(bf) * bg) * np.exp(-Rr * Rr)
+    integrand = np.conj(af) * ag + np.conj(bf) * bg
     total = np.einsum("i,j,ij->", wxs, wrs, integrand)
     return complex(2.0 / math.sqrt(math.pi) * total)
 
@@ -282,7 +293,10 @@ def unitarity_check(f: GaussPoly, g: GaussPoly, m: int,
     lhs is the line inner product of f and g; rhs integrates the slice
     transforms against the Gaussian radial measure, the sphere directions
     having been integrated out exactly (odd terms vanish, w*w = sigma_m).
-    The identity is checked at two quadrature levels.
+    Once the sphere is integrated out the reduced identity no longer
+    depends on m, so ``m`` is not read; it stays in the signature to name
+    the space the identity is about.  The identity is checked at two
+    quadrature levels.
     """
     lhs_val = (f.conjugate() * g).integrate_line()
     lhs = complex(float(lhs_val)) if not isinstance(lhs_val, complex) else lhs_val

@@ -36,6 +36,15 @@ def _sqrt_exact_or_float(r2):
     return math.sqrt(float(r2))
 
 
+def _add_mixed(m: int, a, b):
+    """a + b where either may be a scalar or a CliffordElement: a scalar
+    meeting an element is promoted to a scalar element first."""
+    if isinstance(a, CliffordElement) != isinstance(b, CliffordElement):
+        a, b = (x if isinstance(x, CliffordElement) else CliffordElement.scalar(m, x)
+                for x in (a, b))
+    return a + b
+
+
 # ---------------------------------------------------------------------------
 # Slice extension
 # ---------------------------------------------------------------------------
@@ -74,8 +83,8 @@ class SliceFunction:
                 re, im = zn.real, zn.imag
             a = c.scale(re) if hasattr(c, "scale") else c * re
             b = c.scale(im) if hasattr(c, "scale") else c * im
-            alpha = a if alpha is None else alpha + a
-            beta = b if beta is None else beta + b
+            alpha = a if alpha is None else _add_mixed(self.m, alpha, a)
+            beta = b if beta is None else _add_mixed(self.m, beta, b)
         if alpha is None:
             alpha = Fraction(0)
             beta = Fraction(0)

@@ -130,7 +130,16 @@ def plane_wave_gck_check(f0: LaurentPoly, m: int, rule,
                          point: tuple | None = None) -> ResidualReport:
     """Compare (1/sigma_m) int S[f0](x0 + <x,w>w) dS against the axial
     extension of f0: exact polynomial equality under the monomial rule,
-    pointwise residual under numeric rules."""
+    pointwise residual under numeric rules.
+
+    Under Monte Carlo only the first point is checked.  Along each sampled
+    direction w the slice value is f0(z) = Re f0(z) + w Im f0(z) at
+    z = x0 + i<x,w>, with f0 (scalar coefficients) evaluated by Horner on
+    the whole sample array; the scalar part and the m vector components
+    are estimated from Re f0(z) and w Im f0(z), and the report carries the
+    largest residual and the largest standard error, both divided by
+    sigma_m.
+    """
     if not f0.is_polynomial():
         raise ValueError("plane-wave check needs polynomial data")
     deg = f0.max_exp()
@@ -152,12 +161,12 @@ def plane_wave_gck_check(f0: LaurentPoly, m: int, rule,
         return ResidualReport("gck_plane_wave", m, deg, f"gauss:{rule.level}", worst, False)
     if isinstance(rule, MonteCarloRule):
         x0, xv = points[0]
-        t = rule.nodes @ np.asarray(xv, dtype=float)
-        # slice values along each plane direction, vectorized per Laurent term
-        z = x0 + 1j * t
-        vals = np.zeros_like(z)
-        for n, c in f0.terms.items():
-            vals = vals + complex(c) * z**n
+        # slice values f0(z) along each plane direction, by Horner in place
+        z = x0 + 1j * (rule.nodes @ np.asarray(xv, dtype=float))
+        vals = np.full_like(z, complex(f0.coeff(deg)))
+        for n in range(deg - 1, -1, -1):
+            vals *= z
+            vals += complex(f0.coeff(n))
         scalar_est, scalar_se = rule.estimate(vals.real)
         vec_est, vec_se = rule.estimate(rule.nodes * vals.imag[:, None])
         rhs = gck_poly.evaluate(x0, xv).to_numeric()

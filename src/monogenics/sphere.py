@@ -133,6 +133,8 @@ class MonteCarloRule:
     kind = "mc"
 
     def __init__(self, m: int, n: int, seed: int):
+        if n < 2:
+            raise ValueError("Monte Carlo needs n >= 2 samples for a standard error")
         self.m = m
         self.n = n
         self.seed = seed
@@ -145,13 +147,32 @@ class MonteCarloRule:
         return self._sigma
 
     def estimate(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(integral estimate, standard error) of pointwise sample values."""
-        mean = values.mean(axis=0)
-        se = values.std(axis=0, ddof=1) / math.sqrt(self.n)
+        """(integral estimate, standard error) of pointwise sample values.
+
+        ``values`` holds real float samples, one per row: shape (n,) or
+        (n, k) for k components.  Each component is reduced along
+        contiguous memory (a transposed copy, one row per component, that
+        the centring and squaring then overwrite): the mean, then the
+        centred two-pass sample variance with one degree of freedom taken
+        off, as ``np.mean`` and ``np.std(ddof=1)`` compute them.  Constant
+        samples give a standard error of exactly zero.
+        """
+        rows = np.array(np.asarray(values).T, order="C")
+        mean = rows.mean(axis=-1)
+        rows -= mean[..., None]
+        np.multiply(rows, rows, out=rows)
+        var = rows.sum(axis=-1) / (rows.shape[-1] - 1)
+        se = np.sqrt(var) / math.sqrt(self.n)
         return self._sigma * mean, self._sigma * se
 
     def integrate_monomial(self, exps: tuple[int, ...]) -> tuple[float, float]:
-        vals = np.prod(self.nodes ** np.asarray(exps), axis=1)
+        if len(exps) != self.m:
+            raise ValueError("need one exponent per component")
+        # only the columns with a nonzero exponent enter the product
+        vals = np.ones(self.n)
+        for j, e in enumerate(exps):
+            if e:
+                vals *= self.nodes[:, j] ** e
         est, se = self.estimate(vals)
         return float(est), float(se)
 

@@ -7,9 +7,11 @@ import pytest
 
 from monogenics.clifford import CliffordElement
 from monogenics.cst import (
+    DEFAULT_QUAD_LEVELS,
     MeasureDvm,
     TruncationError,
     _axial_from_smooth,
+    _legendre_grid,
     axial_cst,
     axial_cst_radon_route,
     classical_cst,
@@ -194,6 +196,52 @@ def test_unitarity_examples():
     assert abs(res01.lhs) < 1e-15 and abs(res01.rhs) < 1e-6
     res22 = unitarity_check(HERMITES[2], HERMITES[2], 3)
     assert abs(res22.rhs - 1) < 1e-5
+
+
+def _gram_quad_reference(Ff, Fg, nx, nr, x_cut=13.0, r_cut=9.0):
+    """The radial Gram quadrature with the Gauss-Legendre rules built per call
+    and e^{-r^2} applied to the integrand."""
+    ux, wx = np.polynomial.legendre.leggauss(nx)
+    ur, wr = np.polynomial.legendre.leggauss(nr)
+    X, Rr = np.meshgrid(x_cut * ux, r_cut * (ur + 1) / 2, indexing="ij")
+
+    def split(F):
+        vp, vm = F.evaluate(X + 1j * Rr), F.evaluate(X - 1j * Rr)
+        return (vp + vm) / 2, (vp - vm) / 2j
+
+    af, bf = split(Ff)
+    ag, bg = split(Fg)
+    integrand = (np.conj(af) * ag + np.conj(bf) * bg) * np.exp(-Rr * Rr)
+    total = np.einsum("i,j,ij->", x_cut * wx, r_cut * wr / 2, integrand)
+    return complex(2.0 / math.sqrt(math.pi) * total)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_unitarity_gram_matches_per_call_quadrature(m):
+    (coarse, fine) = DEFAULT_QUAD_LEVELS
+    for f in HERMITES:
+        for g in HERMITES:
+            res = unitarity_check(f, g, m)
+            lhs = complex((f.conjugate() * g).integrate_line())
+            rhs = _gram_quad_reference(f.heat(), g.heat(), *fine)
+            rhs_coarse = _gram_quad_reference(f.heat(), g.heat(), *coarse)
+            assert abs(res.lhs - lhs) <= 1e-14
+            assert abs(res.rhs - rhs) <= 1e-14
+            assert abs(res.rhs_coarse - rhs_coarse) <= 1e-14
+            assert res.converging == (abs(rhs - lhs) <= abs(rhs_coarse - lhs) + 1e-12)
+
+
+def test_legendre_grid_is_shared_and_read_only():
+    x, w = _legendre_grid(24, 0.0, 9.0, 1.0)
+    assert _legendre_grid(24, 0.0, 9.0, 1.0)[0] is x
+    u, wu = np.polynomial.legendre.leggauss(24)
+    assert np.allclose(x, 4.5 * (u + 1), rtol=0.0, atol=1e-14)
+    assert np.allclose(w, 4.5 * wu * np.exp(-x * x), rtol=1e-14, atol=0.0)
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr += 1.0
 
 
 def test_unitarity_reduction_against_full_sphere_quadrature():

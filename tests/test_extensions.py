@@ -68,6 +68,18 @@ def test_slice_extension_negative_power_evaluation():
         sf.evaluate(0, [0, 0])
 
 
+def test_slice_extension_of_mixed_scalar_and_clifford_data():
+    e1 = CliffordElement.generator(2, 1)
+    sf = slice_extension(LaurentPoly({0: Fraction(2), 1: e1}), 2)
+    got = sf.evaluate(0.5, (0.3, 0.1))
+    want = sf.to_polynomial().evaluate(0.5, (0.3, 0.1))
+    assert (got - want).norm_inf() < 1e-15
+    # the Clifford term first, and exact input
+    sf = slice_extension(LaurentPoly({0: e1, 2: Fraction(3), 3: Fraction(-1, 2)}), 2)
+    x0, xv = Fraction(1, 2), (Fraction(3, 5), Fraction(4, 5))
+    assert sf.evaluate(x0, xv) == sf.to_polynomial().evaluate(x0, xv)
+
+
 def test_intrinsic_split_examples():
     # u^2 -> (u^2 - v^2, 2uv)
     pair = intrinsic_split(LaurentPoly.monomial(2))

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 from fractions import Fraction
 
@@ -135,6 +136,35 @@ def test_cli_radon_check(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("rule", [
+    "mc:1:1", "mc:0:1", "mc:5000001:1", "mc:x:1", "mc:10", "mc:10:1:2", "mc:-5:1",
+    "mc:10:-1", "gauss:", "gauss:x", "gauss:0", "gauss:-3", "gauss:4:1", "nonsense",
+])
+def test_cli_radon_check_rejects_bad_rules(tmp_path, capsys, rule):
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["radon-check", "--m", "2", "--degree", "1", "--rule", rule, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("monogenics: error:")
+    assert not out.exists()
+
+
+def test_cli_radon_check_accepts_the_sample_bounds(tmp_path, monkeypatch):
+    # the smallest sample count runs and writes valid JSON
+    out = tmp_path / "r.json"
+    main(["radon-check", "--m", "2", "--degree", "1", "--rule", "mc:2:1", "--out", str(out)])
+    doc = json.loads(out.read_text(), parse_constant=pytest.fail)
+    assert all(math.isfinite(c["stderr"]) for c in doc["cases"])
+    # the largest is accepted without drawing five million samples here
+    from monogenics import cli
+
+    made = []
+    monkeypatch.setattr(cli, "MonteCarloRule", lambda m, n, seed: made.append((m, n, seed)))
+    cli._parse_rule("mc:5000000:3", 2)
+    assert made == [(2, 5_000_000, 3)]
+
+
 def test_cli_cst_check(tmp_path, capsys):
     rc = main(["cst-check", "--m", "2", "--which", "unitarity", "--family", "hermite:2",
                "--tol", "1e-5", "--out", str(tmp_path / "c.json")])
@@ -166,12 +196,12 @@ def test_unknown_suite_rejected():
 
 
 def test_cli_rejects_out_of_bounds_params():
-    with pytest.raises(SystemExit):
-        main(["verify", "algebra", "--m", "9"])
-    with pytest.raises(SystemExit):
-        main(["verify", "gck", "--max-degree", "40"])
-    with pytest.raises(SystemExit):
-        main(["verify", "radon", "--mc-samples", "100000000"])
+    for argv in (["verify", "algebra", "--m", "9"],
+                 ["verify", "gck", "--max-degree", "40"],
+                 ["verify", "radon", "--mc-samples", "100000000"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_cli_unknown_suite_is_usage_error(capsys):

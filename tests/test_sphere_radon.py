@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -7,7 +8,7 @@ import pytest
 
 from monogenics.clifford import CliffordElement
 from monogenics.constants import constants, sphere_area
-from monogenics.extensions import appell_Q, slice_extension
+from monogenics.extensions import appell_Q, gck_extension, slice_extension
 from monogenics.laurent import LaurentPoly
 from monogenics.poly import CliffordPolynomial, OperatorTag, apply_operator, is_monogenic
 from monogenics.radon import (
@@ -75,6 +76,56 @@ def test_monomial_rule_against_monte_carlo():
             est, se = mc.integrate_monomial(tuple(exps))
             tol = 5 * se if se > 0 else 1e-10
             assert abs(est - exact) <= tol, (m, exps)
+
+
+def test_monte_carlo_estimate_matches_numpy_mean_and_std():
+    n = 50_000
+    mc = MonteCarloRule(3, n, seed=4)
+    sig = mc.sigma()
+    rng = np.random.default_rng(9)
+    for values in (rng.standard_normal(n) + 2.0,
+                   rng.standard_normal((n, 3)) + np.array([1.0, -3.0, 0.5]),
+                   mc.nodes * (mc.nodes[:, 0] + 2.0)[:, None] + 1.0):
+        est, se = mc.estimate(values)
+        want_est = sig * values.mean(axis=0)
+        want_se = sig * values.std(axis=0, ddof=1) / math.sqrt(n)
+        assert np.shape(est) == np.shape(want_est) and np.shape(se) == np.shape(want_se)
+        assert np.all(np.abs(est - want_est) <= 1e-12 * np.abs(want_est))
+        assert np.all(np.abs(se - want_se) <= 1e-12 * want_se)
+    # the input is left as it was
+    values = rng.standard_normal((n, 3))
+    kept = values.copy()
+    mc.estimate(values)
+    assert np.array_equal(values, kept)
+    # constant samples have no spread at all
+    for values in (np.full(n, 1.5), np.tile([1.0, -2.0, 0.25], (n, 1))):
+        est, se = mc.estimate(values)
+        assert np.all(se == 0.0)
+        assert np.allclose(est, sig * values[0], rtol=1e-15, atol=0.0)
+
+
+def test_monte_carlo_monomials_match_the_full_product():
+    mc = MonteCarloRule(4, 100_000, seed=21)
+    for exps in ((0, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0), (1, 2, 0, 3), (0, 4, 1, 0)):
+        vals = np.prod(mc.nodes ** np.asarray(exps), axis=1)
+        want_est = mc.sigma() * vals.mean()
+        want_se = mc.sigma() * vals.std(ddof=1) / math.sqrt(mc.n)
+        est, se = mc.integrate_monomial(exps)
+        assert abs(est - want_est) <= 1e-12 * abs(want_est), exps
+        assert abs(se - want_se) <= 1e-12 * want_se, exps
+    # the constant monomial integrates with a standard error of exactly zero
+    est, se = mc.integrate_monomial((0, 0, 0, 0))
+    assert se == 0.0 and abs(est - mc.sigma()) < 1e-12
+    with pytest.raises(ValueError):
+        mc.integrate_monomial((2, 0))
+
+
+def test_monte_carlo_needs_two_samples():
+    for n in (-1, 0, 1):
+        with pytest.raises(ValueError):
+            MonteCarloRule(2, n, seed=0)
+    _, se = MonteCarloRule(2, 2, seed=0).integrate_monomial((1, 0))
+    assert math.isfinite(se) and se > 0
 
 
 def test_product_gauss_matches_exact_rule():
@@ -206,6 +257,46 @@ def test_plane_wave_monte_carlo():
                                point=(1.0, (0.3, 0.4)))
     assert rep.stderr is not None
     assert rep.residual < max(3e-2, 5 * rep.stderr)
+
+
+def _plane_wave_mc_power_loop(f0, m, rule, point):
+    """Residual and standard error of the Monte Carlo plane-wave check with
+    f0(z) summed term by term from complex powers, reduced by np.mean and
+    np.std(ddof=1), and the size of the estimates they came from."""
+    x0, xv = point
+    z = x0 + 1j * (rule.nodes @ np.asarray(xv, dtype=float))
+    vals = np.zeros_like(z)
+    for n, c in f0.terms.items():
+        vals = vals + complex(c) * z**n
+    samples = np.column_stack([vals.real, rule.nodes * vals.imag[:, None]])
+    means = samples.mean(axis=0)
+    ses = samples.std(axis=0, ddof=1) / math.sqrt(rule.n)
+    rhs = gck_extension(f0, m).to_polynomial().evaluate(x0, xv).to_numeric()
+    want = [complex(rhs.scalar_part()).real,
+            *(complex(c).real for c in rhs.vector_components())]
+    return max(abs(means - want)), max(ses), max(abs(means))
+
+
+def test_plane_wave_monte_carlo_matches_power_loop():
+    cases = [
+        (3, LaurentPoly({0: Fraction(3), 1: Fraction(-2), 2: Fraction(5),
+                         3: Fraction(-7), 4: Fraction(1)}), (0.65, (0.3, -0.2, 0.4))),
+        (4, LaurentPoly({1: Fraction(1, 2), 3: Fraction(-4), 6: Fraction(2)}),
+         (-0.9, (0.1, 0.25, -0.3, 0.2))),
+        (2, LaurentPoly({2: Fraction(-3)}), (0.3, (0.5, -0.6))),
+    ]
+    for m, f0, point in cases:
+        rule = MonteCarloRule(m, 200_000, seed=60 + m)
+        rep = plane_wave_gck_check(f0, m, rule, point)
+        residual, se, scale = _plane_wave_mc_power_loop(f0, m, rule, point)
+        assert abs(rep.stderr - se) <= 1e-13 * se, m
+        # the residual is a difference of the estimates and the closed form,
+        # so its agreement is measured against the size of the estimates
+        assert abs(rep.residual - residual) <= 1e-13 * scale, m
+    # a constant has no spread, and Horner with no step is the constant
+    rep = plane_wave_gck_check(LaurentPoly({0: Fraction(3)}), 3,
+                               MonteCarloRule(3, 1000, seed=1), (0.5, (0.1, 0.2, 0.3)))
+    assert rep.stderr == 0.0 and rep.residual < 1e-14
 
 
 def test_cauchy_plane_wave_quadrature():
