@@ -59,7 +59,6 @@ from .radon import (
 )
 from .gausspoly import GaussPoly, hermite_function
 from .cst import (
-    MeasureDvm,
     SliceValue,
     TruncationError,
     axial_cst,

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .clifford import CliffordElement
+from .clifford import CliffordElement, axial_element
 from .poly import CliffordPolynomial
-from .scalars import canon, is_zero_scalar
+from .scalars import PiScalar, canon, is_zero_scalar, sqrt_exact_or_float
 
 
 class DomainError(ValueError):
@@ -29,29 +29,28 @@ class RhoExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[tuple[int, int, int], object] | None = None):
-        # canonical form: r-powers reduced to q in {0, 1} via r^2 = rho - x0^2,
+        # canonical form: r-powers reduced to q in {0, 1} via
+        # r^(2n) = (rho - x0^2)^n = sum_k C(n,k) (-x0^2)^k rho^(n-k),
         # so cancellations forced by that relation happen automatically
         self.terms: dict[tuple[int, int, int], object] = {}
-        if terms:
-            stack = list(terms.items())
-            while stack:
-                (p, q, e), c = stack.pop()
-                c = canon(c)
-                if is_zero_scalar(c):
-                    continue
-                if q >= 2:
-                    stack.append(((p, q - 2, e + 2), c))
-                    stack.append(((p + 2, q - 2, e), -c))
-                    continue
-                key = (p, q, e)
-                if key in self.terms:
-                    tot = canon(self.terms[key] + c)
-                    if is_zero_scalar(tot):
-                        del self.terms[key]
-                    else:
-                        self.terms[key] = tot
-                else:
-                    self.terms[key] = c
+        for (p, q, e), c in (terms or {}).items():
+            n, s = divmod(q, 2) if q >= 2 else (0, q)
+            for k in range(n + 1):
+                ck = c if n == 0 else c * ((-1) ** k * math.comb(n, k))
+                self._merge((p + 2 * k, s, e + 2 * (n - k)), ck)
+
+    def _merge(self, key: tuple[int, int, int], c) -> None:
+        c = canon(c)
+        if is_zero_scalar(c):
+            return
+        if key in self.terms:
+            tot = canon(self.terms[key] + c)
+            if is_zero_scalar(tot):
+                del self.terms[key]
+            else:
+                self.terms[key] = tot
+        else:
+            self.terms[key] = c
 
     @classmethod
     def zero(cls) -> "RhoExpr":
@@ -183,8 +182,6 @@ def _ipow(base, n: int):
 
 def _scalar_times(c, v):
     # exact coefficients meet numeric points only through explicit conversion
-    from .scalars import PiScalar
-
     if isinstance(c, PiScalar) and isinstance(v, (float, complex)):
         z = c.to_complex()
         return (z.real if z.imag == 0.0 else z) * v
@@ -271,13 +268,9 @@ class AxialClosedForm:
         if r2 == 0:
             a, _ = self.value_parts(x0, 0 if isinstance(x0, (int, Fraction)) else 0.0)
             return CliffordElement.scalar(m, a) if not isinstance(a, CliffordElement) else a
-        from .extensions import _sqrt_exact_or_float
-
-        r = _sqrt_exact_or_float(canon(r2))
+        r = sqrt_exact_or_float(canon(r2))
         a, b = self.value_parts(x0, r)
-        omega = CliffordElement.vector(m, [c / r for c in xv])
-        out = CliffordElement.scalar(m, a)
-        return out + omega.scale(b)
+        return axial_element(m, a, [c / r for c in xv], b)
 
     def to_polynomial(self) -> CliffordPolynomial:
         """Expand into a genuine polynomial; fails if any power is negative."""
@@ -285,7 +278,7 @@ class AxialClosedForm:
         if self.sign_power % 2:
             raise ValueError("sign factor prevents polynomial form")
         a_poly = self.A.is_polynomial() and all(q % 2 == 0 for (_, q, _) in self.A.terms)
-        b_shift = RhoExpr({(p, q - 1, e): c for (p, q, e), c in self.B.terms.items()})
+        b_shift = self.B.div_r()
         b_poly = b_shift.is_polynomial() and all(q % 2 == 0 for (_, q, _) in b_shift.terms)
         if not (a_poly and b_poly):
             raise ValueError("closed form is not polynomial")
@@ -299,13 +292,6 @@ class AxialClosedForm:
         for (p, q, e), c in self.B.terms.items():
             out = out + (vec * (x0**p) * (r2 ** ((q - 1) // 2)) * (rho ** (e // 2))).scale(c)
         return out
-
-    def numeric_residual_vs(self, other: "AxialClosedForm", points) -> float:
-        worst = 0.0
-        for x0, xv in points:
-            d = self.evaluate(x0, xv).to_numeric() - other.evaluate(x0, xv).to_numeric()
-            worst = max(worst, d.norm_inf())
-        return worst
 
 
 def paravector_power_closed(m: int, n: int) -> AxialClosedForm:

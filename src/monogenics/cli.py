@@ -35,6 +35,11 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
+def _bound(flag: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        _usage_error(f"desk-scale bound: {flag} must stay within {lo}..{hi}")
+
+
 def _out_path(arg: str | None, default_name: str) -> Path:
     if arg:
         return Path(arg)
@@ -48,10 +53,10 @@ def _write(path: Path, payload: dict) -> None:
 
 
 def _cmd_verify(args) -> int:
-    if args.m and not 1 <= args.m <= 6:
-        _usage_error("desk-scale bound: --m must stay within 1..6")
-    if args.max_degree and not 0 <= args.max_degree <= 10:
-        _usage_error("desk-scale bound: --max-degree must stay within 0..10")
+    if args.m:
+        _bound("--m", args.m, 1, 6)
+    if args.max_degree:
+        _bound("--max-degree", args.max_degree, 0, 10)
     if args.mc_samples > MC_SAMPLES_MAX:
         _usage_error("desk-scale bound: --mc-samples capped at 5e6")
     params = {
@@ -110,6 +115,8 @@ def _parse_rule(rule_arg: str, m: int):
 
 
 def _cmd_radon_check(args) -> int:
+    _bound("--m", args.m, 1, 6)
+    _bound("--degree", args.degree, 0, 10)
     rule = _parse_rule(args.rule, args.m)
     cases = []
     for k in range(args.degree + 1):
@@ -129,10 +136,13 @@ def _cmd_radon_check(args) -> int:
 
 
 def _cmd_cst_check(args) -> int:
-    fam_kind, _, fam_n = args.family.partition(":")
-    if fam_kind != "hermite":
-        raise SystemExit("only the hermite:K family is available")
-    fams = [hermite_function(n) for n in range(int(fam_n or "4"))]
+    _bound("--m", args.m, 1, 6)
+    match = re.fullmatch(r"hermite(?::([0-9]{1,3}))?", args.family)
+    if not match:
+        _usage_error(f"unknown or malformed family {args.family!r} (use hermite:K)")
+    count = int(match[1] or "4")
+    _bound("hermite:K", count, 1, 8)
+    fams = [hermite_function(n) for n in range(count)]
     cases = []
     ok = True
     if args.which == "unitarity":

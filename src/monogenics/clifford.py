@@ -163,9 +163,6 @@ class CliffordElement:
             self.m, {mask: c for mask, c in self.coeffs.items() if mask.bit_count() == k}
         )
 
-    def grades(self) -> set[int]:
-        return {mask.bit_count() for mask in self.coeffs}
-
     def scalar_part(self):
         return self.coeffs.get(0, Fraction(0))
 
@@ -227,6 +224,17 @@ def geometric_product(a: CliffordElement, b: CliffordElement) -> CliffordElement
     return CliffordElement(a.m, coeffs)
 
 
+def axial_element(m: int, a, w: Sequence, b) -> CliffordElement:
+    """The element a + w b, with w = sum_j w_j e_j given by its m components.
+
+    a and b may be scalars or elements; w is a sequence or an array, and an
+    element b multiplies it from the right.
+    """
+    if not isinstance(a, CliffordElement):
+        a = CliffordElement.scalar(m, a)
+    return a + CliffordElement.vector(m, w) * b
+
+
 def clifford_conjugate(a: CliffordElement) -> CliffordElement:
     return a.conjugate()
 
@@ -256,6 +264,3 @@ class Paravector:
 
     def norm_sq(self):
         return self.x0 * self.x0 + sum(c * c for c in self.xv)
-
-    def vector_norm_sq(self):
-        return sum(c * c for c in self.xv)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CliffordElement
-from .constants import constants, sphere_area
+from .clifford import CliffordElement, axial_element
+from .constants import constants
 from .extensions import gck_denominator
 from .gausspoly import GaussPoly
 from .sphere import ProductGaussRule
@@ -46,8 +46,7 @@ class SliceValue:
     beta: complex
 
     def value(self, m: int, omega) -> CliffordElement:
-        out = CliffordElement(m, {0: self.alpha})
-        return out + CliffordElement.vector(m, list(omega)).scale(self.beta)
+        return axial_element(m, self.alpha, omega, self.beta)
 
 
 def _entire_split(F: GaussPoly, x0: float, r) -> SliceValue:
@@ -138,10 +137,7 @@ def _axial_from_smooth(g: GaussPoly, m: int, x0: float, xv, order: int | None,
         else:
             value_v += even_pow * d
             even_pow *= -r2
-    out = CliffordElement(m, {0: value_s})
-    if any(xv):
-        out = out + CliffordElement.vector(m, list(xv)).scale(value_v)
-    return out
+    return axial_element(m, value_s, xv, value_v)
 
 
 def axial_cst(f: GaussPoly, m: int, x0: float, xv, order: int | None = None,
@@ -171,7 +167,7 @@ def _radon_of_entire(F: GaussPoly, m: int, x0: float, xv, rule: ProductGaussRule
     sig = rule.sigma()
     alpha = complex(rule.weights @ (zp + zm)) / (2 * sig)
     beta = (rule.weights * (zp - zm)) @ rule.nodes / (2j * sig)
-    return CliffordElement(m, {0: alpha, **{1 << j: complex(beta[j]) for j in range(m)}})
+    return axial_element(m, alpha, beta.tolist(), 1)
 
 
 def fueter_cst(f: GaussPoly, m: int, x0: float, xv, order: int | None = None,
@@ -209,33 +205,6 @@ def fueter_cst_routes(f: GaussPoly, m: int, x0: float, xv,
         "radon_of_slice": _radon_of_entire(d_then_heat, m, x0, xv, rule).scale(gamma),
     }
     return routes
-
-
-@dataclass(frozen=True)
-class MeasureDvm:
-    """Weight (2/sqrt(pi)) (1/sigma_m) e^(-r^2) r^(1-m) on (m+1)-space.
-
-    Radial reduction: integrating g(x0, |x|) against it equals
-    (2/sqrt(pi)) iint g(x0, r) e^(-r^2) dr dx0 after the sphere factor
-    sigma_m cancels.
-    """
-
-    m: int
-
-    def density(self, x0: float, xv) -> float:
-        r2 = float(sum(c * c for c in xv))
-        r = math.sqrt(r2)
-        if r == 0:
-            raise ZeroDivisionError("density singular on the axis for m > 1")
-        return (
-            2.0 / math.sqrt(math.pi) / float(sphere_area(self.m))
-            * math.exp(-r2) / r ** (self.m - 1)
-        )
-
-    @staticmethod
-    def radial_mass() -> float:
-        """(2/sqrt(pi)) int_0^inf e^(-r^2) dr, equal to one."""
-        return 1.0
 
 
 DEFAULT_QUAD_LEVELS: tuple[tuple[int, int], tuple[int, int]] = ((40, 24), (96, 64))

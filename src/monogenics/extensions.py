@@ -20,20 +20,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .clifford import CliffordElement
+from .axial import RhoExpr
+from .clifford import CliffordElement, axial_element
 from .laurent import LaurentPoly
 from .poly import CliffordPolynomial, paravector_power
-from .scalars import PiScalar, canon, gamma_half, pochhammer
-
-
-def _sqrt_exact_or_float(r2):
-    """Square root of a nonnegative scalar, exact when it is a rational square."""
-    if isinstance(r2, Fraction):
-        num, den = r2.numerator, r2.denominator
-        sn, sd = math.isqrt(num), math.isqrt(den)
-        if sn * sn == num and sd * sd == den:
-            return Fraction(sn, sd)
-    return math.sqrt(float(r2))
+from .scalars import PiScalar, canon, gamma_half, pochhammer, sqrt_exact_or_float
 
 
 def _add_mixed(m: int, a, b):
@@ -96,12 +87,9 @@ class SliceFunction:
         if r2 == 0:
             val = self.f0.evaluate(x0)
             return val if isinstance(val, CliffordElement) else CliffordElement.scalar(m, val)
-        r = _sqrt_exact_or_float(r2)
+        r = sqrt_exact_or_float(r2)
         alpha, beta = self.slice_values(x0, r)
-        omega = CliffordElement.vector(m, [c / r for c in xv])
-        out = CliffordElement.scalar(m, alpha) if not isinstance(alpha, CliffordElement) else alpha
-        wb = omega.scale(beta) if not isinstance(beta, CliffordElement) else omega * beta
-        return out + wb
+        return axial_element(m, alpha, [c / r for c in xv], beta)
 
     def to_polynomial(self) -> CliffordPolynomial:
         if not self.f0.is_polynomial():
@@ -121,97 +109,57 @@ def slice_extension(f0: LaurentPoly, m: int) -> SliceFunction:
 # Intrinsic split
 # ---------------------------------------------------------------------------
 
-Bivar = dict  # (u_exp, v_exp) -> scalar
-
-
-def _bivar_add(d: Bivar, key, c) -> None:
-    cur = d.get(key)
-    c = canon(c if cur is None else cur + c)
-    if c == 0:
-        d.pop(key, None)
-    else:
-        d[key] = c
-
-
-def bivar_diff(d: Bivar, axis: int) -> Bivar:
-    out: Bivar = {}
-    for (pu, pv), c in d.items():
-        e = (pu, pv)[axis]
-        if e == 0:
-            continue
-        key = (pu - 1, pv) if axis == 0 else (pu, pv - 1)
-        _bivar_add(out, key, c * e)
-    return out
-
-
-def bivar_eval(d: Bivar, u, v):
-    out = 0
-    for (pu, pv), c in d.items():
-        up = u**pu if pu >= 0 else 1 / (u ** (-pu))
-        out = out + c * up * v**pv
-    return out
-
 
 @dataclass(frozen=True)
 class IntrinsicPair:
     """Even/odd components (alpha, beta) of an intrinsic holomorphic extension.
 
-    alpha is even and beta odd in the second variable; together they satisfy
-    the Cauchy-Riemann system d_u alpha = d_v beta, d_v alpha = -d_u beta
-    (exactly for polynomial data, up to the retained order otherwise).
+    Both are RhoExpr in (x0, r), the real and imaginary parts of the
+    complex variable x0 + i r, built from x0^n r^j terms (e = 0).  alpha is
+    even and beta odd in r; together they satisfy the Cauchy-Riemann system
+    d_x0 alpha = d_r beta, d_r alpha = -d_x0 beta (exactly for polynomial
+    data, up to the retained order otherwise).  On the slice at radius r in
+    the direction w the extension takes the value alpha + w beta.
     """
 
-    alpha: Bivar = field(default_factory=dict)
-    beta: Bivar = field(default_factory=dict)
+    alpha: RhoExpr = field(default_factory=RhoExpr)
+    beta: RhoExpr = field(default_factory=RhoExpr)
     exact: bool = True
     order: int | None = None
 
-    def alpha_eval(self, u, v):
-        return bivar_eval(self.alpha, u, v)
-
-    def beta_eval(self, u, v):
-        return bivar_eval(self.beta, u, v)
-
     def parity_ok(self) -> bool:
-        return all(pv % 2 == 0 for (_, pv) in self.alpha) and all(
-            pv % 2 == 1 for (_, pv) in self.beta
-        )
+        return self.alpha.r_parity() == 0 and (self.beta.is_zero() or self.beta.r_parity() == 1)
 
-    def cr_residuals(self) -> tuple[Bivar, Bivar]:
-        """(d_u alpha - d_v beta, d_v alpha + d_u beta) as coefficient tables."""
-        r1: Bivar = dict(bivar_diff(self.alpha, 0))
-        for key, c in bivar_diff(self.beta, 1).items():
-            _bivar_add(r1, key, -c)
-        r2: Bivar = dict(bivar_diff(self.alpha, 1))
-        for key, c in bivar_diff(self.beta, 0).items():
-            _bivar_add(r2, key, c)
-        return r1, r2
+    def cr_residuals(self) -> tuple[RhoExpr, RhoExpr]:
+        """(d_x0 alpha - d_r beta, d_r alpha + d_x0 beta)."""
+        return (self.alpha.diff_x0() - self.beta.diff_r(),
+                self.alpha.diff_r() + self.beta.diff_x0())
 
 
 def intrinsic_split(f0: LaurentPoly, order: int | None = None) -> IntrinsicPair:
     """Even/odd series of the holomorphic extension of f0.
 
-    alpha = sum_j (-1)^j v^(2j)/(2j)! f0^(2j)(u), beta the odd counterpart;
+    alpha = sum_j (-1)^j r^(2j)/(2j)! f0^(2j)(x0), beta the odd counterpart;
     exact (terminating) when f0 is a polynomial.
     """
     exact = f0.is_polynomial()
     if order is None:
         order = f0.max_exp() if exact else 16
-    alpha: Bivar = {}
-    beta: Bivar = {}
+    alpha: dict = {}
+    beta: dict = {}
     deriv = f0
     sign = Fraction(1)
     for j in range(order + 1):
         if deriv.is_zero():
             break
         coeff = sign * Fraction(1, math.factorial(j))
-        target, parity = (alpha, 0) if j % 2 == 0 else (beta, 1)
+        target = alpha if j % 2 == 0 else beta
         for n, c in deriv.terms.items():
-            _bivar_add(target, (n, j), c * coeff)
+            target[(n, j, 0)] = c * coeff
         deriv = deriv.derivative()
         if j % 2 == 1:
             sign = -sign
-    return IntrinsicPair(alpha=alpha, beta=beta, exact=exact, order=order)
+    return IntrinsicPair(RhoExpr(alpha), RhoExpr(beta), exact, order)
 
 
 # ---------------------------------------------------------------------------

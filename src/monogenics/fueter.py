@@ -102,25 +102,20 @@ def radial_route_components(m: int, pair: IntrinsicPair) -> AxialClosedForm:
         A = (m-1)!! (r^-1 d_r)^((m-1)/2) alpha
         B = (m-1)!! (d_r r^-1)^((m-1)/2) beta
 
-    computed on the even/odd coefficient tables, so no division by r
-    survives.
+    alpha and beta are the RhoExpr of the intrinsic split in (x0, r), with
+    w = x/|x| and r = |x|.  alpha is even and beta odd in r, so each step
+    keeps the terms free of negative r powers.
     """
     if m % 2 == 0:
         raise ValueError("explicit components require odd m")
     if not pair.parity_ok():
-        raise ValueError("alpha must be even and beta odd in the second variable")
-    steps = (m - 1) // 2
-    alpha = dict(pair.alpha)
-    beta = dict(pair.beta)
-    for _ in range(steps):
-        # (r^-1 d_r): v^(2i) -> 2i v^(2i-2)
-        alpha = {(pu, pv - 2): c * pv for (pu, pv), c in alpha.items() if pv}
-        # (d_r r^-1): v^(2i+1) -> 2i v^(2i-1)
-        beta = {(pu, pv - 2): c * (pv - 1) for (pu, pv), c in beta.items() if pv > 1}
+        raise ValueError("alpha must be even and beta odd in r")
+    A, B = pair.alpha, pair.beta
+    for _ in range((m - 1) // 2):
+        A = A.diff_r().div_r()
+        B = B.div_r().diff_r()
     df = double_factorial(m - 1)
-    A = RhoExpr({(pu, pv, 0): c * df for (pu, pv), c in alpha.items()})
-    B = RhoExpr({(pu, pv, 0): c * df for (pu, pv), c in beta.items()})
-    return AxialClosedForm(m, A, B, 0, singular_origin=not pair.exact)
+    return AxialClosedForm(m, A.scale(df), B.scale(df), 0, singular_origin=not pair.exact)
 
 
 def fueter_kernel_range(m: int) -> range:

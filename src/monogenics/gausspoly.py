@@ -120,10 +120,6 @@ class GaussPoly:
             seq.append(seq[-1].derivative())
         return seq
 
-    def times_x(self) -> "GaussPoly":
-        zero = PiScalar() if self.is_exact() else 0j
-        return GaussPoly(self.a, self.b, [zero] + self.coeffs, self.pref)
-
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, z):

@@ -35,10 +35,6 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls.monomial(0)
 
-    @classmethod
-    def from_coeffs(cls, coeffs, min_exp: int = 0) -> "LaurentPoly":
-        return cls({min_exp + i: c for i, c in enumerate(coeffs)})
-
     # -- structure ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -96,14 +92,6 @@ class LaurentPoly:
     def scale(self, s) -> "LaurentPoly":
         return LaurentPoly({n: c * s if not hasattr(c, "scale") else c.scale(s)
                             for n, c in self.terms.items()})
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by x^k."""
-        return LaurentPoly({n + k: c for n, c in self.terms.items()})
-
-    def invert_variable(self) -> "LaurentPoly":
-        """Substitute x -> 1/x."""
-        return LaurentPoly({-n: c for n, c in self.terms.items()})
 
     # -- calculus ----------------------------------------------------------
 

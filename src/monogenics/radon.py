@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import add
 import numpy as np
 
-from .clifford import CliffordElement
+from .clifford import CliffordElement, axial_element
 from .constants import sphere_area
 from .extensions import SliceFunction, gck_extension, slice_extension
 from .laurent import LaurentPoly
@@ -96,9 +96,7 @@ def dual_radon_pointwise(sf: SliceFunction, rule: ProductGaussRule, x0, xv) -> C
     for n, c in sf.f0.terms.items():
         zn = z**n
         vec = (rule.weights * zn.imag) @ rule.nodes / sig
-        wave = CliffordElement(m, {0: float(rule.weights @ zn.real) / sig,
-                                   **{1 << j: float(vec[j]) for j in range(m)}})
-        acc = acc + (wave * c if isinstance(c, CliffordElement) else wave.scale(c))
+        acc = acc + axial_element(m, float(rule.weights @ zn.real) / sig * c, vec.tolist(), c)
     return acc
 
 
@@ -198,8 +196,7 @@ def _plane_wave_vs_closed(m: int, exponent: int, const: float, closed, point: tu
     # inside the plane of 1 and w, (x0 + <x,w> w)^n = Re z^n + w Im z^n
     z = (float(x0) + 1j * (rule.nodes @ np.asarray(xv, dtype=float))) ** exponent
     vec = (rule.weights * z.imag) @ rule.nodes
-    quad = CliffordElement(m, {0: const * float(rule.weights @ z.real),
-                               **{1 << j: const * float(vec[j]) for j in range(m)}})
+    quad = axial_element(m, const * float(rule.weights @ z.real), vec.tolist(), const)
     closed_val = closed.evaluate(x0, xv).to_numeric()
     return (quad - closed_val).norm_inf()
 

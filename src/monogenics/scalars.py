@@ -90,9 +90,6 @@ class PiScalar:
             raise ValueError(f"{self!r} is not rational")
         return self._terms[0][0]
 
-    def is_single(self) -> bool:
-        return len(self._terms) <= 1
-
     def real_part(self) -> "PiScalar":
         return PiScalar({p: (re, _ZERO) for p, (re, _) in self._terms.items()})
 
@@ -378,6 +375,16 @@ def scalar_conj(s):
     if isinstance(s, complex):
         return s.conjugate()
     return s
+
+
+def sqrt_exact_or_float(r2):
+    """Square root of a nonnegative scalar, exact when it is a rational square."""
+    if isinstance(r2, Fraction):
+        num, den = r2.numerator, r2.denominator
+        sn, sd = math.isqrt(num), math.isqrt(den)
+        if sn * sn == num and sd * sd == den:
+            return Fraction(sn, sd)
+    return math.sqrt(float(r2))
 
 
 def to_complex(s) -> complex:

@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import numpy as np
+
 from monogenics.clifford import (
     CliffordElement,
     Paravector,
+    axial_element,
     blade_indices,
     blade_product,
     geometric_product,
@@ -145,3 +148,51 @@ def test_float_exact_agreement():
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         geometric_product(CliffordElement.one(2), CliffordElement.one(3))
+
+
+def _random_element(rng: random.Random, m: int, draw) -> CliffordElement:
+    return CliffordElement(m, {mask: draw() for mask in range(1 << m) if rng.random() < 0.6})
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_axial_element_matches_reference(m, kind):
+    rng = random.Random(31 * m + len(kind))
+    if kind == "exact":
+        def draw():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    else:
+        def draw():
+            return rng.uniform(-2.0, 2.0)
+
+    def reference(a, w, b):
+        a = a if isinstance(a, CliffordElement) else CliffordElement.scalar(m, a)
+        return a + CliffordElement.vector(m, w) * b
+
+    for _ in range(10):
+        w = [draw() for _ in range(m)]
+        a_el, b_el = _random_element(rng, m, draw), _random_element(rng, m, draw)
+        a, b = draw(), draw()
+        for pair in ((a, b), (a_el, b_el), (a, b_el), (a_el, b)):
+            got = axial_element(m, pair[0], w, pair[1])
+            want = reference(pair[0], w, pair[1])
+            if kind == "exact":
+                assert got == want
+                assert all(isinstance(c, Fraction) for c in got.coeffs.values())
+            else:
+                assert (got - want).norm_inf() <= 1e-15
+        # an array of components is read like the list
+        if kind == "float":
+            assert axial_element(m, a, np.array(w), b_el) == axial_element(m, a, w, b_el)
+
+
+def test_axial_element_example():
+    # 1/2 + (3/5 e1 + 4/5 e3) e1e2 = 1/2 - 3/5 e2 + 4/5 e1e2e3, as e1e1 = -1 and e3e1e2 = e1e2e3
+    m = 3
+    e12 = CliffordElement.blade(m, (1, 2))
+    got = axial_element(m, Fraction(1, 2), [Fraction(3, 5), 0, Fraction(4, 5)], e12)
+    assert got == CliffordElement(m, {0: Fraction(1, 2), 0b010: Fraction(-3, 5),
+                                       0b111: Fraction(4, 5)})
+    # scalar b scales w
+    assert axial_element(m, 1, [1, 2, 3], Fraction(1, 2)) == CliffordElement(
+        m, {0: 1, 0b001: Fraction(1, 2), 0b010: 1, 0b100: Fraction(3, 2)})

@@ -8,7 +8,6 @@ import pytest
 from monogenics.clifford import CliffordElement
 from monogenics.cst import (
     DEFAULT_QUAD_LEVELS,
-    MeasureDvm,
     TruncationError,
     _axial_from_smooth,
     _legendre_grid,
@@ -280,18 +279,3 @@ def test_unitarity_reduction_against_full_sphere_quadrature():
     res = unitarity_check(f, g, m)
     assert abs(rhs_full - res.rhs) < 1e-6
 
-
-def test_measure_mass_and_density():
-    from monogenics.constants import sphere_area
-
-    dv = MeasureDvm(3)
-    assert dv.radial_mass() == 1.0
-    nodes, weights = np.polynomial.legendre.leggauss(200)
-    rs = 8.0 * (nodes + 1) / 2
-    ws = 8.0 * weights / 2
-    mass = np.sum(ws * np.exp(-rs * rs)) * 2 / math.sqrt(math.pi)
-    assert abs(mass - 1.0) < 1e-12
-    val = dv.density(0.3, [0.4, 0.0, 0.3])
-    r2 = 0.16 + 0.09
-    want = 2 / math.sqrt(math.pi) / float(sphere_area(3)) * math.exp(-r2) / r2
-    assert abs(val - want) < 1e-12

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from monogenics.axial import RhoExpr
 from monogenics.clifford import CliffordElement
 from monogenics.extensions import (
     appell_Q,
@@ -81,18 +82,26 @@ def test_slice_extension_of_mixed_scalar_and_clifford_data():
 
 
 def test_intrinsic_split_examples():
-    # u^2 -> (u^2 - v^2, 2uv)
+    # x0^2 -> (x0^2 - r^2, 2 x0 r)
     pair = intrinsic_split(LaurentPoly.monomial(2))
-    assert pair.alpha == {(2, 0): Fraction(1), (0, 2): Fraction(-1)}
-    assert pair.beta == {(1, 1): Fraction(2)}
+    assert pair.alpha == RhoExpr({(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(-1)})
+    assert pair.beta == RhoExpr({(1, 1, 0): Fraction(2)})
     # constants stay put
     pair1 = intrinsic_split(LaurentPoly.one())
-    assert pair1.alpha == {(0, 0): Fraction(1)} and pair1.beta == {}
-    # odd symmetry of the beta part for u^3
+    assert pair1.alpha == RhoExpr({(0, 0, 0): Fraction(1)}) and pair1.beta.is_zero()
+    assert pair1.parity_ok()
+    # x0^3 -> (x0^3 - 3 x0 r^2, 3 x0^2 r - r^3), odd in r in the beta part
     pair3 = intrinsic_split(LaurentPoly.monomial(3))
+    assert pair3.alpha == RhoExpr({(3, 0, 0): Fraction(1), (1, 2, 0): Fraction(-3)})
+    assert pair3.beta == RhoExpr({(2, 1, 0): Fraction(3), (0, 3, 0): Fraction(-1)})
     assert pair3.parity_ok()
     r1, r2 = pair3.cr_residuals()
-    assert not r1 and not r2
+    assert r1.is_zero() and r2.is_zero()
+    # the Laurent series keeps the system exactly below its retained order
+    pair_inv = intrinsic_split(LaurentPoly.monomial(-1), order=6)
+    assert pair_inv.parity_ok() and not pair_inv.exact
+    assert pair_inv.alpha.evaluate(Fraction(2), Fraction(1, 3)) == sum(
+        Fraction((-1) ** i, 9**i) * Fraction(2) ** (-1 - 2 * i) for i in range(4))
 
 
 def test_intrinsic_split_matches_slice_values():
@@ -106,10 +115,10 @@ def test_intrinsic_split_matches_slice_values():
         xv = [rng.uniform(-0.9, 0.9) for _ in range(m)]
         r = math.sqrt(sum(c * c for c in xv))
         want = sf.evaluate(x0, xv).to_numeric()
-        got = CliffordElement(m, {0: pair.alpha_eval(x0, r)})
+        got = CliffordElement(m, {0: pair.alpha.evaluate(x0, r)})
         if r:
             got = got + CliffordElement.vector(m, [c / r for c in xv]).scale(
-                pair.beta_eval(x0, r))
+                pair.beta.evaluate(x0, r))
         assert (want - got).norm_inf() < 1e-10
 
 

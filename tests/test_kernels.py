@@ -39,6 +39,19 @@ def test_rhoexpr_canonical_reduction():
     assert lhs == rhs
 
 
+def test_rhoexpr_reduces_high_r_powers_binomially():
+    # x0 r^q rho^-1 against q products of r, each reducing r^2 once
+    r = RhoExpr.term(Fraction(1), q=1)
+    power = RhoExpr.term(Fraction(3, 7), p=1, e=-2)
+    x0, rv = Fraction(2, 5), Fraction(-3, 4)
+    for q in range(1, 31):
+        power = power * r
+        direct = RhoExpr.term(Fraction(3, 7), p=1, q=q, e=-2)
+        assert direct == power
+        assert all(qq in (0, 1) for (_, qq, _) in direct.terms)
+        assert direct.evaluate(x0, rv) == Fraction(3, 7) * x0 * rv**q / (x0 * x0 + rv * rv)
+
+
 def test_rhoexpr_derivatives():
     # d/dx0 of x0 rho^(-1) = rho^(-1) - 2 x0^2 rho^(-2)
     f = RhoExpr.term(Fraction(1), p=1, e=-2)

@@ -150,6 +150,29 @@ def test_cli_radon_check_rejects_bad_rules(tmp_path, capsys, rule):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["cst-check", "--m", "2", "--which", "unitarity", "--family", "hermite:x"],
+    ["cst-check", "--m", "2", "--which", "unitarity", "--family", "legendre:2"],
+    ["cst-check", "--m", "2", "--which", "unitarity", "--family", "hermite:0"],
+    ["cst-check", "--m", "2", "--which", "ua-routes", "--family", "hermite:9"],
+    ["cst-check", "--m", "0", "--which", "unitarity", "--family", "hermite:1"],
+    ["cst-check", "--m", "7", "--which", "unitarity", "--family", "hermite:1"],
+    ["radon-check", "--m", "0"],
+    ["radon-check", "--m", "7", "--degree", "0", "--rule", "mc:2:1"],
+    ["radon-check", "--m", "2", "--degree", "-1"],
+    ["radon-check", "--m", "2", "--degree", "11"],
+])
+def test_cli_checks_reject_bad_input(tmp_path, capsys, argv):
+    # each argv stays cheap even if it were accepted: no large rule is built
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("monogenics: error:")
+    assert not out.exists()
+
+
 def test_cli_radon_check_accepts_the_sample_bounds(tmp_path, monkeypatch):
     # the smallest sample count runs and writes valid JSON
     out = tmp_path / "r.json"
