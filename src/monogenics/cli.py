@@ -3,7 +3,8 @@ objects, and spot-check single identities.
 
 All outputs are versioned JSON with sorted keys; identical invocations
 produce byte-identical files (timing is opt-in and kept out of the
-canonical payload).  Exit code 0 means every case passed.
+canonical payload).  Exit code 0 means every case passed; input outside
+``BOUNDS`` or otherwise malformed exits with code 2 and one line on stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import os
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn
 
@@ -24,9 +26,29 @@ from .sphere import ExactMonomialRule, MonteCarloRule, ProductGaussRule
 from .suites import SUITE_NAMES, export_payload, run_suite
 from .cst import fueter_cst_routes, unitarity_check
 from .gausspoly import hermite_function
+from .scalars import PiScalar
 
 OUT_ENV = "MONOGENICS_OUT"
 MC_SAMPLES_MAX = 5_000_000
+GAUSS_NODES_MAX = 1_000_000
+# Desk-scale bounds of the integer inputs, (lo, hi) inclusive.  The upper
+# ends keep the largest accepted run of each verb well under a minute (2-CPU
+# x86-64 host, CPython 3.11): export --kind Qpoly --m 6 --k 24 takes 8.6 s
+# and 392 MB, export --kind monomialP --m 6 --power 20 6.5-8.4 s, verify
+# algebra --m 6 --count 20000 12.5 s, and verify all with every bound at
+# its maximum 36 s and 555 MB.
+BOUNDS = {
+    "--m": (1, 6),
+    "--max-degree": (0, 10),
+    "--degree": (0, 10),
+    "--count": (1, 20_000),
+    "--mc-samples": (2, MC_SAMPLES_MAX),
+    "--k": (0, 24),
+    "--power": (-20, 20),
+    "--order": (0, 400),
+    "--laurent n": (-20, 20),
+    "hermite:K": (1, 8),
+}
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -35,7 +57,8 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
-def _bound(flag: str, value: int, lo: int, hi: int) -> None:
+def _bound(flag: str, value: int) -> None:
+    lo, hi = BOUNDS[flag]
     if not lo <= value <= hi:
         _usage_error(f"desk-scale bound: {flag} must stay within {lo}..{hi}")
 
@@ -54,11 +77,11 @@ def _write(path: Path, payload: dict) -> None:
 
 def _cmd_verify(args) -> int:
     if args.m:
-        _bound("--m", args.m, 1, 6)
+        _bound("--m", args.m)
     if args.max_degree:
-        _bound("--max-degree", args.max_degree, 0, 10)
-    if args.mc_samples > MC_SAMPLES_MAX:
-        _usage_error("desk-scale bound: --mc-samples capped at 5e6")
+        _bound("--max-degree", args.max_degree)
+    _bound("--count", args.count)
+    _bound("--mc-samples", args.mc_samples)
     params = {
         "m": args.m,
         "max_degree": args.max_degree,
@@ -74,18 +97,24 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    _bound("--m", args.m)
+    _bound("--k", args.k)
+    _bound("--power", args.power)
     payload = export_payload(args.kind, args.m, k=args.k, power=args.power)
     _write(_out_path(args.out, f"{args.kind}_m{args.m}.json"), payload)
     return 0
 
 
 def _cmd_fueter(args) -> int:
+    _bound("--m", args.m)
+    _bound("--power", args.power)
+    if args.order is not None:
+        _bound("--order", args.order)
+    f0 = _read_laurent(args.laurent) if args.laurent else None
     payload = export_payload("fueter_power", args.m, power=args.power)
-    if args.laurent:
+    if f0 is not None:
         from .fueter import fueter_on_laurent
 
-        doc = json.loads(Path(args.laurent).read_text(encoding="utf-8"))
-        f0 = LaurentPoly({int(t["n"]): _parse_frac(t["re"]) for t in doc["terms"]})
         series = fueter_on_laurent(args.m, f0, order=args.order)
         payload["laurent_image"] = ser.series_json(series)
     print(ser.dumps(payload), end="")
@@ -93,18 +122,48 @@ def _cmd_fueter(args) -> int:
     return 0
 
 
-def _parse_frac(s: str):
-    from fractions import Fraction
+def _read_laurent(path: str) -> LaurentPoly:
+    """Laurent data ``{"terms": [{"n": N, "re": "p/q", "im": "p/q"}, ...]}``.
 
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den or "1"))
+    Each term needs an integer power n within its bound, given once, and
+    "re", "im" or both; the coefficient is the exact re + i im.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        _usage_error(f"cannot read --laurent file: {exc}")
+    terms = doc.get("terms") if isinstance(doc, dict) else None
+    if not isinstance(terms, list):
+        _usage_error('--laurent file needs a list under "terms"')
+    coeffs: dict[int, object] = {}
+    for t in terms:
+        if not (isinstance(t, dict) and type(t.get("n")) is int and set(t) <= {"n", "re", "im"}
+                and len(t) > 1):
+            _usage_error(f'malformed --laurent term {t!r} (use {{"n": int, "re": "p/q", "im": "p/q"}})')
+        _bound("--laurent n", t["n"])
+        if t["n"] in coeffs:
+            _usage_error(f"--laurent file repeats the power n={t['n']}")
+        coeffs[t["n"]] = PiScalar({0: (_parse_frac(t.get("re", "0")), _parse_frac(t.get("im", "0")))})
+    return LaurentPoly(coeffs)
+
+
+def _parse_frac(s) -> Fraction:
+    match = re.fullmatch(r"([+-]?[0-9]{1,1000})(?:/([0-9]{1,1000}))?", s) if isinstance(s, str) else None
+    if not match or int(match[2] or "1") == 0:
+        _usage_error(f"malformed fraction {s!r} in --laurent file (use p/q with q != 0)")
+    return Fraction(int(match[1]), int(match[2] or "1"))
 
 
 def _parse_rule(rule_arg: str, m: int):
     if rule_arg == "exact":
         return ExactMonomialRule(m)
     if match := re.fullmatch(r"gauss:([1-9][0-9]{0,17})", rule_arg):
-        return ProductGaussRule(m, int(match[1]))
+        level = int(match[1])
+        nodes = 2 if m == 1 else max(2 * level, 4) * level ** (m - 2)
+        if nodes > GAUSS_NODES_MAX:
+            _usage_error(f"desk-scale bound: gauss:{level} needs {nodes} nodes at m={m}, "
+                         f"more than {GAUSS_NODES_MAX}")
+        return ProductGaussRule(m, level)
     if match := re.fullmatch(r"mc:([0-9]{1,18}):([0-9]{1,18})", rule_arg):
         n, seed = int(match[1]), int(match[2])
         if not 2 <= n <= MC_SAMPLES_MAX:
@@ -114,9 +173,15 @@ def _parse_rule(rule_arg: str, m: int):
                  "(use exact | gauss:L with L >= 1 | mc:N:SEED)")
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        _usage_error(f"--tol must be a finite positive number, got {tol!r}")
+
+
 def _cmd_radon_check(args) -> int:
-    _bound("--m", args.m, 1, 6)
-    _bound("--degree", args.degree, 0, 10)
+    _bound("--m", args.m)
+    _bound("--degree", args.degree)
+    _check_tol(args.tol)
     rule = _parse_rule(args.rule, args.m)
     cases = []
     for k in range(args.degree + 1):
@@ -136,12 +201,13 @@ def _cmd_radon_check(args) -> int:
 
 
 def _cmd_cst_check(args) -> int:
-    _bound("--m", args.m, 1, 6)
+    _bound("--m", args.m)
+    _check_tol(args.tol)
     match = re.fullmatch(r"hermite(?::([0-9]{1,3}))?", args.family)
     if not match:
         _usage_error(f"unknown or malformed family {args.family!r} (use hermite:K)")
     count = int(match[1] or "4")
-    _bound("hermite:K", count, 1, 8)
+    _bound("hermite:K", count)
     fams = [hermite_function(n) for n in range(count)]
     cases = []
     ok = True

@@ -235,22 +235,21 @@ class AxialSeries:
         return out
 
     def to_polynomial(self) -> CliffordPolynomial:
+        """sum_j x^j f_j(x0): each power c x0^n of f_j shifts the x0 exponent
+        of the terms of x^j, whose coefficients it multiplies from the right."""
         m = self.m
+        if not all(f.is_polynomial() for f in self.coeffs):
+            raise ValueError("series with negative powers is not a polynomial")
         vec = CliffordPolynomial.vector_variable(m)
-        out = CliffordPolynomial.zero(m)
         vp = CliffordPolynomial.one(m)
-        for j, f in enumerate(self.coeffs):
-            if not f.is_zero():
-                if not f.is_polynomial():
-                    raise ValueError("series with negative powers is not a polynomial")
-                for n, c in f.terms.items():
-                    x0n = CliffordPolynomial.variable(m, 0) ** n
-                    term = vp * x0n
-                    out = out + (
-                        term.right_mul_element(c) if isinstance(c, CliffordElement) else term.scale(c)
-                    )
-            vp = vp * vec
-        return out
+        terms: dict[tuple[int, ...], CliffordElement] = {}
+        for j, f in enumerate(self.trimmed()):
+            if j:
+                vp = vp * vec
+            # x^j has no x0 and x-degree j, so no two (j, n) share a monomial
+            terms.update(((n, *exps[1:]), coeff * c)
+                         for n, c in f.terms.items() for exps, coeff in vp.terms.items())
+        return CliffordPolynomial._trusted(m, terms)
 
     def truncation_residual(self, x0, xv: Sequence) -> float:
         """|x^N f_N'(x0)|, the exact Cauchy-Riemann defect of the truncation."""

@@ -3,15 +3,24 @@
 Variables are central scalars; only the coefficients multiply through the
 algebra.  Operators act from the left, matching the right-module convention
 of the function spaces: ``D p = d/dx0 p + sum_j e_j (d/dxj p)``.
+
+Products and the first-order operators run one exact kernel: the raw scalar
+coefficients are summed in ``exponents -> blade -> scalar`` with the signs of
+``clifford.blade_table``, and each output ``CliffordElement`` is built once,
+which is where ``canon`` and zero-dropping run.  A factor whose every
+coefficient is one blade times the rational 1 or -1 (``x``, ``conj(x)``, the
+vector variable, ``|x|^2``) permutes the other side's blades with signs, so
+that product makes no scalar multiplication.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
-from .clifford import CliffordElement
+from .clifford import CliffordElement, blade_table
 from .scalars import canon
 
 Exponents = tuple[int, ...]
@@ -44,6 +53,19 @@ class CliffordPolynomial:
                     raise ValueError("coefficient dimension mismatch")
                 if not coeff.is_zero():
                     self.terms[tuple(exps)] = coeff
+
+    @classmethod
+    def _trusted(cls, m: int, terms: dict[Exponents, CliffordElement]) -> "CliffordPolynomial":
+        """Wrap terms the engine made itself, dropping zero coefficients only."""
+        p = object.__new__(cls)
+        p.m = m
+        p.terms = {exps: coeff for exps, coeff in terms.items() if coeff.coeffs}
+        return p
+
+    @classmethod
+    def _from_blades(cls, m: int, sums: dict[Exponents, dict[int, object]]) -> "CliffordPolynomial":
+        """Build each coefficient once from raw ``blade -> scalar`` sums."""
+        return cls._trusted(m, {exps: CliffordElement(m, blades) for exps, blades in sums.items()})
 
     # -- constructors -------------------------------------------------
 
@@ -102,35 +124,26 @@ class CliffordPolynomial:
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
             terms[exps] = terms[exps] + coeff if exps in terms else coeff
-        return CliffordPolynomial(self.m, terms)
+        return CliffordPolynomial._trusted(self.m, terms)
 
     def __sub__(self, other) -> "CliffordPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "CliffordPolynomial":
-        return CliffordPolynomial(self.m, {e: -c for e, c in self.terms.items()})
+        return CliffordPolynomial._trusted(self.m, {e: -c for e, c in self.terms.items()})
 
     def scale(self, s) -> "CliffordPolynomial":
-        return CliffordPolynomial(self.m, {e: c.scale(s) for e, c in self.terms.items()})
-
-    def left_mul_element(self, a: CliffordElement) -> "CliffordPolynomial":
-        return CliffordPolynomial(self.m, {e: a * c for e, c in self.terms.items()})
+        return CliffordPolynomial._trusted(self.m, {e: c.scale(s) for e, c in self.terms.items()})
 
     def right_mul_element(self, a: CliffordElement) -> "CliffordPolynomial":
-        return CliffordPolynomial(self.m, {e: c * a for e, c in self.terms.items()})
+        return CliffordPolynomial._trusted(self.m, {e: c * a for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "CliffordPolynomial":
-        if isinstance(other, CliffordPolynomial):
-            if self.m != other.m:
-                raise ValueError("dimension mismatch")
-            terms: dict[Exponents, CliffordElement] = {}
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    exps = tuple(x + y for x, y in zip(ea, eb))
-                    c = ca * cb
-                    terms[exps] = terms[exps] + c if exps in terms else c
-            return CliffordPolynomial(self.m, terms)
-        return self.scale(other)
+        if not isinstance(other, CliffordPolynomial):
+            return self.scale(other)
+        if self.m != other.m:
+            raise ValueError("dimension mismatch")
+        return _product(self, other)
 
     def __rmul__(self, other) -> "CliffordPolynomial":
         return self.scale(other)
@@ -157,16 +170,11 @@ class CliffordPolynomial:
     # -- calculus -------------------------------------------------------
 
     def diff(self, j: int) -> "CliffordPolynomial":
-        terms: dict[Exponents, CliffordElement] = {}
-        for exps, coeff in self.terms.items():
-            if exps[j] == 0:
-                continue
-            new = list(exps)
-            new[j] -= 1
-            key = tuple(new)
-            c = coeff.scale(exps[j])
-            terms[key] = terms[key] + c if key in terms else c
-        return CliffordPolynomial(self.m, terms)
+        # lowering exps[j] is one-to-one on the terms that have it, so no sums
+        return CliffordPolynomial._trusted(self.m, {
+            (*exps[:j], exps[j] - 1, *exps[j + 1:]): coeff.scale(exps[j])
+            for exps, coeff in self.terms.items() if exps[j]
+        })
 
     def evaluate(self, x0, xv: Sequence) -> CliffordElement:
         if len(xv) != self.m:
@@ -201,6 +209,80 @@ class CliffordPolynomial:
         return " + ".join(parts)
 
 
+def _unit_blades(p: CliffordPolynomial) -> list[tuple[Exponents, int, bool]] | None:
+    """Each term as (exponents, blade, negate) if every coefficient is one
+    blade times the rational 1 or -1; None otherwise."""
+    units = []
+    for exps, coeff in p.terms.items():
+        if len(coeff.coeffs) != 1:
+            return None
+        [(mask, c)] = coeff.coeffs.items()
+        if not (isinstance(c, Fraction) and abs(c) == 1):
+            return None
+        units.append((exps, mask, c < 0))
+    return units
+
+
+def _product(p: CliffordPolynomial, q: CliffordPolynomial) -> CliffordPolynomial:
+    """p * q, summing raw scalars per exponent and blade in the order of the
+    term pairs; a unit-blade factor only moves and signs the other's scalars."""
+    table = blade_table(p.m)
+    sums: dict[Exponents, dict[int, object]] = {}
+    if (units := _unit_blades(q)) is not None:
+        for ea, a in p.terms.items():
+            for eb, mb, flip in units:
+                blades = sums.setdefault(tuple(map(add, ea, eb)), {})
+                for ma, c in a.coeffs.items():
+                    mask, negate = table[ma][mb]
+                    if negate != flip:
+                        c = -c
+                    blades[mask] = blades[mask] + c if mask in blades else c
+    elif (units := _unit_blades(p)) is not None:
+        for ea, ma, flip in units:
+            row = table[ma]
+            for eb, b in q.terms.items():
+                blades = sums.setdefault(tuple(map(add, ea, eb)), {})
+                for mb, c in b.coeffs.items():
+                    mask, negate = row[mb]
+                    if negate != flip:
+                        c = -c
+                    blades[mask] = blades[mask] + c if mask in blades else c
+    else:
+        for ea, a in p.terms.items():
+            for eb, b in q.terms.items():
+                blades = sums.setdefault(tuple(map(add, ea, eb)), {})
+                for ma, ca in a.coeffs.items():
+                    row = table[ma]
+                    for mb, cb in b.coeffs.items():
+                        mask, negate = row[mb]
+                        c = ca * cb
+                        if negate:
+                            c = -c
+                        blades[mask] = blades[mask] + c if mask in blades else c
+    return CliffordPolynomial._from_blades(p.m, sums)
+
+
+def _first_order(p: CliffordPolynomial, with_x0: bool, flip: bool) -> CliffordPolynomial:
+    """[d/dx0 p] +- sum_j e_j d/dxj p (minus when ``flip``) in one pass."""
+    table = blade_table(p.m)
+    sums: dict[Exponents, dict[int, object]] = {}
+    for exps, coeff in p.terms.items():
+        for j in range(0 if with_x0 else 1, p.m + 1):
+            n = exps[j]
+            if not n:
+                continue
+            blades = sums.setdefault((*exps[:j], n - 1, *exps[j + 1:]), {})
+            row = table[(1 << j) >> 1]          # e_j, or the scalar blade at j = 0
+            sign_flip = flip and j > 0
+            for mb, c in coeff.coeffs.items():
+                mask, negate = row[mb]
+                c = c * n
+                if negate != sign_flip:
+                    c = -c
+                blades[mask] = blades[mask] + c if mask in blades else c
+    return CliffordPolynomial._from_blades(p.m, sums)
+
+
 def apply_operator(tag: OperatorTag, p: CliffordPolynomial) -> CliffordPolynomial:
     """Exact left action of the stated differential operator."""
     m = p.m
@@ -211,17 +293,14 @@ def apply_operator(tag: OperatorTag, p: CliffordPolynomial) -> CliffordPolynomia
         for j in range(m + 1):
             out = out + p.diff(j).diff(j)
         return out
-    dirac = CliffordPolynomial.zero(m)
-    for j in range(1, m + 1):
-        dirac = dirac + p.diff(j).left_mul_element(CliffordElement.generator(m, j))
     if tag is OperatorTag.DIRAC:
-        return dirac
+        return _first_order(p, False, False)
     if tag is OperatorTag.D:
-        return p.diff(0) + dirac
+        return _first_order(p, True, False)
     if tag is OperatorTag.DBAR:
-        return p.diff(0) - dirac
+        return _first_order(p, True, True)
     if tag is OperatorTag.HYPERCOMPLEX:
-        return (p.diff(0) - dirac).scale(Fraction(1, 2))
+        return _first_order(p, True, True).scale(Fraction(1, 2))
     raise ValueError(f"unknown operator {tag}")
 
 

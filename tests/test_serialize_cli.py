@@ -231,3 +231,140 @@ def test_cli_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus"])
     assert exc.value.code == 2
+
+
+def _assert_usage_error(capsys, argv, out):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("monogenics: error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "--kind", "cauchyE", "--m", "0"],
+    ["export", "--kind", "cauchyE", "--m", "7"],
+    ["export", "--kind", "cauchyE", "--m", "2", "--k", "-1"],
+    ["export", "--kind", "cauchyE", "--m", "2", "--k", "25"],
+    ["export", "--kind", "cauchyE", "--m", "2", "--power", "-21"],
+    ["export", "--kind", "cauchyE", "--m", "2", "--power", "21"],
+    ["fueter", "--m", "0", "--power", "1"],
+    ["fueter", "--m", "7", "--power", "1"],
+    ["fueter", "--m", "1", "--power", "-21"],
+    ["fueter", "--m", "1", "--power", "21"],
+    ["fueter", "--m", "2", "--power", "2", "--order", "-1"],
+    ["fueter", "--m", "2", "--power", "2", "--order", "401"],
+    ["verify", "monomials", "--count", "0"],
+    ["verify", "monomials", "--count", "20001"],
+    ["verify", "monomials", "--mc-samples", "1"],
+])
+def test_cli_bounds_reject_out_of_range_integers(tmp_path, capsys, argv):
+    # each argv stays cheap even if it were accepted: the rejected value is
+    # ignored by the kind or suite it names, or the object is small
+    _assert_usage_error(capsys, argv, tmp_path / "out.json")
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reach(*args, **kwargs):
+    raise _Reached(args, kwargs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "--kind", "Qpoly", "--m", "6", "--k", "24"],
+    ["export", "--kind", "monomialP", "--m", "6", "--power", "20"],
+    ["export", "--kind", "fueter_power", "--m", "1", "--power", "-20"],
+    ["fueter", "--m", "6", "--power", "20", "--order", "400"],
+    ["fueter", "--m", "6", "--power", "-20", "--order", "0"],
+    ["verify", "algebra", "--m", "6", "--count", "20000", "--mc-samples", "2"],
+])
+def test_cli_bounds_accept_their_largest_values(tmp_path, monkeypatch, argv):
+    # the work itself is replaced, so only the bounds are exercised here
+    from monogenics import cli
+
+    monkeypatch.setattr(cli, "export_payload", _reach)
+    monkeypatch.setattr(cli, "run_suite", _reach)
+    with pytest.raises(_Reached):
+        main([*argv, "--out", str(tmp_path / "out.json")])
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-3", "-0.0"])
+@pytest.mark.parametrize("argv", [
+    ["radon-check", "--m", "2", "--degree", "1"],
+    ["cst-check", "--m", "2", "--which", "unitarity", "--family", "hermite:1"],
+])
+def test_cli_checks_refuse_meaningless_tolerances(tmp_path, capsys, argv, tol):
+    _assert_usage_error(capsys, [*argv, f"--tol={tol}"], tmp_path / "out.json")
+
+
+def test_cli_gauss_rule_size_is_capped_before_building(tmp_path, capsys, monkeypatch):
+    from monogenics import cli
+
+    made = []
+    monkeypatch.setattr(cli, "ProductGaussRule", lambda m, level: made.append((m, level)))
+    # 2 * 100^5 = 2e10 nodes at m = 6 and 2e12 at m = 2, terabytes if built
+    for m, rule in ((6, "gauss:100"), (2, "gauss:999999999999"), (3, "gauss:708"),
+                    (6, "gauss:14")):
+        _assert_usage_error(capsys, ["radon-check", "--m", str(m), "--rule", rule],
+                            tmp_path / "r.json")
+    assert made == []
+    # the largest levels within the cap of 10^6 nodes are accepted
+    for m, level in ((2, 500_000), (3, 707), (6, 13)):
+        cli._parse_rule(f"gauss:{level}", m)
+    assert made == [(2, 500_000), (3, 707), (6, 13)]
+
+
+def test_cli_fueter_laurent_honours_imaginary_parts(tmp_path, capsys):
+    from monogenics.fueter import fueter_on_laurent
+    from monogenics.laurent import LaurentPoly
+
+    src = tmp_path / "data.json"
+    src.write_text(json.dumps({"terms": [{"n": 3, "re": "1/2", "im": "-2/3"},
+                                         {"n": -1, "im": "1"}, {"n": 0, "re": "5"}]}))
+    rc = main(["fueter", "--m", "4", "--power", "2", "--laurent", str(src),
+               "--order", "12", "--out", str(tmp_path / "out.json")])
+    assert rc == 0
+    doc = json.loads((tmp_path / "out.json").read_text())
+    i = PiScalar.imaginary(1)
+    data = LaurentPoly({3: Fraction(1, 2) - Fraction(2, 3) * i, -1: i, 0: Fraction(5)})
+    image = fueter_on_laurent(4, data, order=12)
+    assert doc["laurent_image"] == ser.series_json(image)
+    # linearity: the image of re + i im is image(re) + i image(im)
+    re_part = fueter_on_laurent(4, LaurentPoly({3: Fraction(1, 2), 0: Fraction(5)}), order=12)
+    im_part = fueter_on_laurent(4, LaurentPoly({3: Fraction(-2, 3), -1: Fraction(1)}), order=12)
+    assert image == re_part + im_part.scale(i)
+
+
+@pytest.mark.parametrize("content", [
+    '{"term": []}',
+    '{"terms": {"n": 2, "re": "1"}}',
+    '[{"n": 2, "re": "1"}]',
+    '{"terms": [{"n": 2, "re": "x"}]}',
+    '{"terms": [{"n": 2, "re": "3/0"}]}',
+    '{"terms": [{"n": 2, "re": "%s"}]}' % ("9" * 5000),
+    '{"terms": [{"n": 2, "im": "1/-2"}]}',
+    '{"terms": [{"n": 2, "re": 3}]}',
+    '{"terms": [{"n": "2", "re": "1"}]}',
+    '{"terms": [{"n": 2.5, "re": "1"}]}',
+    '{"terms": [{"n": true, "re": "1"}]}',
+    '{"terms": [{"n": 2}]}',
+    '{"terms": [{"re": "1"}]}',
+    '{"terms": [{"n": 2, "re": "1", "pi": 1}]}',
+    '{"terms": [{"n": 2, "re": "1"}, {"n": 2, "im": "1"}]}',
+    '{"terms": [{"n": 21, "re": "1"}]}',
+    '{"terms": [',
+    "",
+])
+def test_cli_fueter_rejects_malformed_laurent_files(tmp_path, capsys, content):
+    src = tmp_path / "data.json"
+    src.write_text(content)
+    _assert_usage_error(capsys, ["fueter", "--m", "3", "--power", "2", "--laurent", str(src)],
+                        tmp_path / "out.json")
+
+
+def test_cli_fueter_rejects_a_missing_laurent_file(tmp_path, capsys):
+    _assert_usage_error(capsys, ["fueter", "--m", "3", "--power", "2", "--laurent",
+                                 str(tmp_path / "absent.json")], tmp_path / "out.json")
