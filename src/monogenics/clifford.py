@@ -5,8 +5,8 @@ Basis blades are indexed by bitmasks: bit ``j`` set means the generator
 canonical ordering ``e_{j_1} .. e_{j_k}`` with ``j_1 < ... < j_k``.  The
 product sign of two blades is the parity of the merge transpositions plus
 one factor of -1 per contracted generator (``e_j * e_j = -1``).  The
-products go through ``blade_table(m)``, the Cayley table of the blades,
-built from ``blade_product`` on first use for each m, never at import.
+products read ``BLADE_TABLE``, the Cayley table of the blades, whose
+entries come from ``blade_product`` on first use, never at import.
 
 Coefficients may be exact (``Fraction`` / ``PiScalar``) or numeric
 (``float`` / ``complex``); the two families are not mixed implicitly.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .scalars import canon, is_zero_scalar, scalar_conj, to_complex
@@ -41,24 +40,31 @@ def blade_product(a: int, b: int) -> tuple[int, int]:
     return a ^ b, sign
 
 
-BLADE_TABLE_MAX_M = 10
+class _BladeRow(dict):
+    """``row[b] == (a ^ b, negate)`` for one blade ``a``, filled in on first use."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a: int):
+        super().__init__()
+        self.a = a
+
+    def __missing__(self, b: int) -> tuple[int, bool]:
+        mask, sign = blade_product(self.a, b)
+        entry = self[b] = (mask, sign < 0)
+        return entry
 
 
-@lru_cache(maxsize=None)
-def blade_table(m: int) -> tuple[tuple[tuple[int, bool], ...], ...]:
-    """Cayley table of the blades: ``blade_table(m)[a][b] == (a ^ b, negate)``.
+class _BladeTable(dict):
+    def __missing__(self, a: int) -> _BladeRow:
+        row = self[a] = _BladeRow(a)
+        return row
 
-    ``negate`` is True when ``e_a e_b = -e_(a^b)``.  The table holds 4^m
-    entries (4,096 at m = 6), each one of 2^(m+1) shared pairs, so m is
-    capped at ``BLADE_TABLE_MAX_M``.
-    """
-    if not 1 <= m <= BLADE_TABLE_MAX_M:
-        raise ValueError(f"blade table needs 1 <= m <= {BLADE_TABLE_MAX_M}, got m={m}")
-    top = 1 << m
-    pairs = [((mask, False), (mask, True)) for mask in range(top)]
-    return tuple(
-        tuple(pairs[a ^ b][blade_product(a, b)[1] < 0] for b in range(top)) for a in range(top)
-    )
+
+# Cayley table of the blades: ``BLADE_TABLE[a][b] == (a ^ b, negate)``, with
+# ``negate`` True when e_a e_b = -e_(a^b).  The sign does not depend on m, so
+# one table serves every algebra; it holds only the pairs products have used.
+BLADE_TABLE = _BladeTable()
 
 
 def blade_indices(mask: int) -> tuple[int, ...]:
@@ -236,10 +242,9 @@ class CliffordElement:
 def geometric_product(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     """Bilinear associative product with e_j e_l + e_l e_j = -2 delta_jl."""
     a._check(b)
-    table = blade_table(a.m)
     coeffs: dict[int, object] = {}
     for ma, ca in a.coeffs.items():
-        row = table[ma]
+        row = BLADE_TABLE[ma]
         for mb, cb in b.coeffs.items():
             mask, negate = row[mb]
             c = ca * cb

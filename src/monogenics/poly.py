@@ -6,11 +6,11 @@ of the function spaces: ``D p = d/dx0 p + sum_j e_j (d/dxj p)``.
 
 Products and the first-order operators run one exact kernel: the raw scalar
 coefficients are summed in ``exponents -> blade -> scalar`` with the signs of
-``clifford.blade_table``, and each output ``CliffordElement`` is built once,
+``clifford.BLADE_TABLE``, and each output ``CliffordElement`` is built once,
 which is where ``canon`` and zero-dropping run.  A factor whose every
 coefficient is one blade times the rational 1 or -1 (``x``, ``conj(x)``, the
-vector variable, ``|x|^2``) permutes the other side's blades with signs, so
-that product makes no scalar multiplication.
+vector variable, ``|x|^2``) on the right permutes the left factor's blades
+with signs, so that product makes no scalar multiplication.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import add
 from typing import Sequence
 
-from .clifford import CliffordElement, blade_table
+from .clifford import BLADE_TABLE, CliffordElement
 from .scalars import canon
 
 Exponents = tuple[int, ...]
@@ -225,8 +225,8 @@ def _unit_blades(p: CliffordPolynomial) -> list[tuple[Exponents, int, bool]] | N
 
 def _product(p: CliffordPolynomial, q: CliffordPolynomial) -> CliffordPolynomial:
     """p * q, summing raw scalars per exponent and blade in the order of the
-    term pairs; a unit-blade factor only moves and signs the other's scalars."""
-    table = blade_table(p.m)
+    term pairs; a unit-blade right factor only moves and signs p's scalars."""
+    table = BLADE_TABLE
     sums: dict[Exponents, dict[int, object]] = {}
     if (units := _unit_blades(q)) is not None:
         for ea, a in p.terms.items():
@@ -234,16 +234,6 @@ def _product(p: CliffordPolynomial, q: CliffordPolynomial) -> CliffordPolynomial
                 blades = sums.setdefault(tuple(map(add, ea, eb)), {})
                 for ma, c in a.coeffs.items():
                     mask, negate = table[ma][mb]
-                    if negate != flip:
-                        c = -c
-                    blades[mask] = blades[mask] + c if mask in blades else c
-    elif (units := _unit_blades(p)) is not None:
-        for ea, ma, flip in units:
-            row = table[ma]
-            for eb, b in q.terms.items():
-                blades = sums.setdefault(tuple(map(add, ea, eb)), {})
-                for mb, c in b.coeffs.items():
-                    mask, negate = row[mb]
                     if negate != flip:
                         c = -c
                     blades[mask] = blades[mask] + c if mask in blades else c
@@ -264,7 +254,7 @@ def _product(p: CliffordPolynomial, q: CliffordPolynomial) -> CliffordPolynomial
 
 def _first_order(p: CliffordPolynomial, with_x0: bool, flip: bool) -> CliffordPolynomial:
     """[d/dx0 p] +- sum_j e_j d/dxj p (minus when ``flip``) in one pass."""
-    table = blade_table(p.m)
+    table = BLADE_TABLE
     sums: dict[Exponents, dict[int, object]] = {}
     for exps, coeff in p.terms.items():
         for j in range(0 if with_x0 else 1, p.m + 1):

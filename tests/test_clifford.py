@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 from monogenics.clifford import (
+    BLADE_TABLE,
     CliffordElement,
     Paravector,
     axial_element,
@@ -40,11 +41,13 @@ def brute_force_blade_product(a: int, b: int) -> tuple[int, int]:
     return mask, sign
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", range(1, 7))
 def test_blade_sign_against_reordering_oracle(m):
     for a in range(1 << m):
         for b in range(1 << m):
-            assert blade_product(a, b) == brute_force_blade_product(a, b)
+            mask, sign = brute_force_blade_product(a, b)
+            assert blade_product(a, b) == (mask, sign)
+            assert BLADE_TABLE[a][b] == (a ^ b, sign < 0)
 
 
 def test_generator_square_and_mixed_products():

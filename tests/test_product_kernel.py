@@ -1,8 +1,8 @@
 """The exact product kernel of the polynomial engine against in-test witnesses.
 
-The witnesses share no code with the kernel: the blade sign comes from
-sorting the concatenated generator indices and contracting e_j e_j = -1,
-and products are formed by a plain double loop over terms and blades.
+The witnesses share no code with the kernel: the blade sign comes from the
+explicit reordering oracle of test_clifford, and products are formed by a
+plain double loop over terms and blades.
 """
 
 import random
@@ -12,20 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from monogenics.clifford import BLADE_TABLE_MAX_M, CliffordElement, blade_table
+from monogenics.clifford import BLADE_TABLE, CliffordElement
 from monogenics.extensions import AxialSeries, appell_Q, gck_extension
 from monogenics.laurent import LaurentPoly
 from monogenics.poly import CliffordPolynomial, OperatorTag, apply_operator
 from monogenics.scalars import PiScalar
-
-
-def sorting_sign(a: int, b: int) -> int:
-    """Sign of e_a e_b: sort the concatenated indices, then contract pairs."""
-    seq = [j for j in range(a.bit_length()) if a >> j & 1] + \
-          [j for j in range(b.bit_length()) if b >> j & 1]
-    inversions = sum(seq[i] > seq[k] for i in range(len(seq)) for k in range(i + 1, len(seq)))
-    contracted = len(seq) - len(set(seq))       # each e_j e_j = -1
-    return -1 if (inversions + contracted) % 2 else 1
+from test_clifford import brute_force_blade_product
 
 
 def naive_product(p: CliffordPolynomial, q: CliffordPolynomial) -> CliffordPolynomial:
@@ -35,8 +27,8 @@ def naive_product(p: CliffordPolynomial, q: CliffordPolynomial) -> CliffordPolyn
             blades = sums.setdefault(tuple(x + y for x, y in zip(ea, eb)), {})
             for ma, a in ca.coeffs.items():
                 for mb, b in cb.coeffs.items():
-                    c = a * b if sorting_sign(ma, mb) > 0 else -(a * b)
-                    mask = ma ^ mb
+                    mask, sign = brute_force_blade_product(ma, mb)
+                    c = a * b if sign > 0 else -(a * b)
                     blades[mask] = blades[mask] + c if mask in blades else c
     return CliffordPolynomial(p.m, {e: CliffordElement(p.m, bl) for e, bl in sums.items()})
 
@@ -95,23 +87,21 @@ def unit_factors(m):
     return [x0 + vec, x0 - vec, vec, x0 ** 3, CliffordPolynomial.radial_sq(m)]
 
 
-@pytest.mark.parametrize("m", range(1, 7))
-def test_blade_table_matches_sorting_sign(m):
-    table = blade_table(m)
-    assert len(table) == 1 << m and all(len(row) == 1 << m for row in table)
-    for a in range(1 << m):
-        for b in range(1 << m):
-            assert table[a][b] == (a ^ b, sorting_sign(a, b) < 0)
-
-
-def test_blade_table_is_built_lazily_and_bounded():
-    code = ("import monogenics; from monogenics.clifford import blade_table; "
-            "print(blade_table.cache_info().currsize)")
+def test_blade_table_fills_on_use_at_any_m():
+    code = ("import monogenics; from monogenics.clifford import BLADE_TABLE; "
+            "print(len(BLADE_TABLE))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
-    for m in (0, BLADE_TABLE_MAX_M + 1):
-        with pytest.raises(ValueError):
-            blade_table(m)
+    # no cap on m: two blades of a 40-generator algebra hold one table entry
+    m = 40
+    a, b = (1 << 39) | (1 << 3) | 1, (1 << 39) | (1 << 20) | 2
+    pa = CliffordPolynomial(m, {(1,) + (0,) * m: CliffordElement(m, {a: Fraction(2)})})
+    pb = CliffordPolynomial(m, {(0, 1) + (0,) * (m - 1): CliffordElement(m, {b: Fraction(3)})})
+    assert pa * pb == naive_product(pa, pb)
+    assert (pa * pb).terms[(1, 1) + (0,) * (m - 1)].coeffs.keys() == {a ^ b}
+    ea, eb = CliffordElement(m, {a: Fraction(2)}), CliffordElement(m, {b: Fraction(3)})
+    assert (ea * eb).coeffs == {a ^ b: Fraction(brute_force_blade_product(a, b)[1] * 6)}
+    assert BLADE_TABLE[a].keys() == {b}
 
 
 @pytest.mark.parametrize("m", range(1, 7))
