@@ -47,9 +47,9 @@ from .fueter import (
 from .sphere import (
     ExactMonomialRule,
     MonteCarloRule,
+    NodeRule,
     ProductGaussRule,
     funk_hecke_constants,
-    sphere_integrate,
 )
 from .radon import (
     cauchy_plane_wave_check,

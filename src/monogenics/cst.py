@@ -4,9 +4,11 @@ them together through the dual Radon transform and the slice-to-axial map.
 
 Test functions live in the Gaussian polynomial algebra; identities at the
 operator level are exact there, and pointwise route agreements are checked
-with certified series truncation and spectral sphere quadrature.  The
-quadrature route is evaluated on the rule's node arrays, and the series
-sums float derivatives up to an order certified from the exact function.
+with certified series truncation and spectral sphere quadrature.  One
+even/odd split of the entire extension serves the slice transform, the
+unitarity Gram and the quadrature route, which is the rule's plane-wave
+mean of that split; the series sums float derivatives up to an order
+certified from the exact function.
 """
 
 from __future__ import annotations
@@ -21,7 +23,11 @@ from .clifford import CliffordElement, axial_element
 from .constants import constants
 from .extensions import gck_denominator
 from .gausspoly import GaussPoly
-from .sphere import ProductGaussRule
+from .sphere import NodeRule, ProductGaussRule
+
+
+# (x0, r) points at which cst-check and the cst suite compare the routes
+CHECK_POINTS: tuple[tuple[float, float], ...] = ((0.7, 0.5), (0.3, 0.8), (-0.6, 0.4))
 
 
 class TruncationError(RuntimeError):
@@ -49,10 +55,13 @@ class SliceValue:
         return axial_element(m, self.alpha, omega, self.beta)
 
 
-def _entire_split(F: GaussPoly, x0: float, r) -> SliceValue:
-    zp = complex(F.evaluate(complex(x0, float(r))))
-    zm = complex(F.evaluate(complex(x0, -float(r))))
-    return SliceValue((zp + zm) / 2, (zp - zm) / 2j)
+def _entire_split(F: GaussPoly, z):
+    """Even and odd parts of the entire F at z = x0 + i r, a scalar or an
+    array: alpha = (F(z) + F(conj z))/2 and beta = (F(z) - F(conj z))/2i,
+    so that alpha + w beta is the slice value at x0 + r w."""
+    zp = F.evaluate(z)
+    zm = F.evaluate(np.conj(z))
+    return (zp + zm) / 2, (zp - zm) / 2j
 
 
 def slice_cst(f: GaussPoly, x0: float, r: float) -> SliceValue:
@@ -64,7 +73,8 @@ def slice_cst(f: GaussPoly, x0: float, r: float) -> SliceValue:
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
-    return _entire_split(f.heat(), x0, r)
+    alpha, beta = _entire_split(f.heat(), complex(x0, float(r)))
+    return SliceValue(complex(alpha), complex(beta))
 
 
 def slice_cst_fourier(f: GaussPoly, x0: float, r: float, n: int = 240,
@@ -147,27 +157,21 @@ def axial_cst(f: GaussPoly, m: int, x0: float, xv, order: int | None = None,
 
 
 def axial_cst_radon_route(f: GaussPoly, m: int, x0: float, xv,
-                          rule: ProductGaussRule | None = None) -> CliffordElement:
+                          rule: NodeRule | None = None) -> CliffordElement:
     """The same transform through the dual Radon transform of the slice route."""
     if rule is None:
         rule = ProductGaussRule(m, 24)
-    F = f.heat()
-    return _radon_of_entire(F, m, x0, xv, rule)
+    return _radon_of_entire(f.heat(), m, x0, xv, rule)
 
 
-def _radon_of_entire(F: GaussPoly, m: int, x0: float, xv, rule: ProductGaussRule) -> CliffordElement:
-    """Sphere mean of the slice split of F, on the rule's nodes at once.
+def _radon_of_entire(F: GaussPoly, m: int, x0: float, xv, rule: NodeRule) -> CliffordElement:
+    """The rule's plane-wave mean of the slice split of F.
 
     Along w the radius is the signed t = <x,w>: beta is odd in t, so
     alpha + w beta at (x0, t) is the slice value at x0 + t w.
     """
-    t = rule.nodes @ np.asarray(xv, dtype=float)
-    zp = F.evaluate(float(x0) + 1j * t)
-    zm = F.evaluate(float(x0) - 1j * t)
-    sig = rule.sigma()
-    alpha = complex(rule.weights @ (zp + zm)) / (2 * sig)
-    beta = (rule.weights * (zp - zm)) @ rule.nodes / (2j * sig)
-    return axial_element(m, alpha, beta.tolist(), 1)
+    a, v, _ = rule.plane_wave_mean(x0, xv, functools.partial(_entire_split, F))
+    return axial_element(m, a.item(), v[0].tolist(), 1)
 
 
 def fueter_cst(f: GaussPoly, m: int, x0: float, xv, order: int | None = None,
@@ -177,34 +181,36 @@ def fueter_cst(f: GaussPoly, m: int, x0: float, xv, order: int | None = None,
     g = f.heat()
     for _ in range(m - 1):
         g = g.derivative()
-    gamma = complex(constants(m).gamma.to_complex())
-    return _axial_from_smooth(g, m, x0, xv, order, tol).scale(gamma)
+    return _axial_from_smooth(g, m, x0, xv, order, tol).scale(_gamma(m))
+
+
+@functools.lru_cache(maxsize=None)
+def _gamma(m: int) -> complex:
+    """gamma_m as a complex float, computed once per m from the exact constant."""
+    return complex(constants(m).gamma.to_complex())
 
 
 def fueter_cst_routes(f: GaussPoly, m: int, x0: float, xv,
-                      rule: ProductGaussRule | None = None,
+                      rule: NodeRule | None = None,
                       tol: float = 1e-10) -> dict[str, CliffordElement]:
     """All three routes to the slice-to-axial CST at one point.
 
-    derivative_then_heat uses the commutation of the derivative with the
-    heat flow; the radon route goes through the slice transform.
+    heat_then_derivative is ``fueter_cst``; derivative_then_heat uses the
+    commutation of the derivative with the heat flow; the radon route goes
+    through the slice transform.
     """
     if rule is None:
         rule = ProductGaussRule(m, 24)
-    gamma = complex(constants(m).gamma.to_complex())
-    heat_then_d = f.heat()
-    for _ in range(m - 1):
-        heat_then_d = heat_then_d.derivative()
+    gamma = _gamma(m)
     fd = f
     for _ in range(m - 1):
         fd = fd.derivative()
     d_then_heat = fd.heat()
-    routes = {
-        "heat_then_derivative": _axial_from_smooth(heat_then_d, m, x0, xv, None, tol).scale(gamma),
+    return {
+        "heat_then_derivative": fueter_cst(f, m, x0, xv, None, tol),
         "derivative_then_heat": _axial_from_smooth(d_then_heat, m, x0, xv, None, tol).scale(gamma),
         "radon_of_slice": _radon_of_entire(d_then_heat, m, x0, xv, rule).scale(gamma),
     }
-    return routes
 
 
 DEFAULT_QUAD_LEVELS: tuple[tuple[int, int], tuple[int, int]] = ((40, 24), (96, 64))
@@ -240,15 +246,8 @@ def _slice_gram_quad(Ff: GaussPoly, Fg: GaussPoly, nx: int, nr: int,
     xs, wxs = _legendre_grid(nx, -x_cut, x_cut)
     rs, wrs = _legendre_grid(nr, 0.0, r_cut, 1.0)   # e^{-r^2} is in wrs
     Z = xs[:, None] + 1j * rs[None, :]
-    Zc = Z.conj()
-
-    def split(F):
-        vp = F.evaluate(Z)
-        vm = F.evaluate(Zc)
-        return (vp + vm) / 2, (vp - vm) / 2j
-
-    af, bf = split(Ff)
-    ag, bg = split(Fg)
+    af, bf = _entire_split(Ff, Z)
+    ag, bg = _entire_split(Fg, Z)
     integrand = np.conj(af) * ag + np.conj(bf) * bg
     total = np.einsum("i,j,ij->", wxs, wrs, integrand)
     return complex(2.0 / math.sqrt(math.pi) * total)

@@ -7,16 +7,16 @@ computed exactly on polynomials by substituting x_j -> w_j <x,w> and
 averaging the resulting omega-polynomial with the rational sphere moments
 of ``sphere.sphere_moment``, so the exact transform runs over Q.
 
-The numeric routes (pointwise transform, plane-wave forms of the kernels)
-are evaluated on the rule's node arrays: ``t = nodes @ x`` once, the
-in-plane power of ``x0 + i t`` on the whole array, and the weighted sums
-of its real part and of its imaginary part times the nodes.
+The numeric routes (pointwise transform, plane-wave check, plane-wave
+forms of the kernels) all reduce through ``NodeRule.plane_wave_mean``: the
+slice values alpha + w beta at x0 + i<x,w> on every node at once, then the
+rule's sums of alpha and of w beta (Monte Carlo adds their spread).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import add
 import numpy as np
@@ -27,7 +27,7 @@ from .extensions import SliceFunction, gck_extension, slice_extension
 from .laurent import LaurentPoly
 from .poly import CliffordPolynomial
 from .scalars import to_complex
-from .sphere import ExactMonomialRule, MonteCarloRule, ProductGaussRule, sphere_moment
+from .sphere import NodeRule, sphere_moment
 
 
 def dual_radon(f: CliffordPolynomial) -> CliffordPolynomial:
@@ -78,26 +78,49 @@ def _same_parity(vec: tuple[int, ...], total: int):
             yield (head, *tail)
 
 
-def dual_radon_pointwise(sf: SliceFunction, rule: ProductGaussRule, x0, xv) -> CliffordElement:
-    """Numeric dual Radon transform of a slice function at a point.
+def dual_radon_pointwise(sf: SliceFunction, rule: NodeRule, x0, xv) -> CliffordElement:
+    """Numeric dual Radon transform of a slice function at a point."""
+    return _slice_plane_wave(sf.f0, sf.m, rule, x0, xv)[0]
 
-    Along w the term c x^n takes the value Re(z^n) c + w Im(z^n) c at
-    z = x0 + i<x,w>, the signed <x,w> carrying the orientation of w.  The
-    sphere mean is linear in c, so each term adds c times the weighted sum
-    of Re z^n and e_j c times that of w_j Im z^n, all on the rule's nodes
-    at once.
+
+def _slice_plane_wave(f0: LaurentPoly, m: int, rule: NodeRule, x0, xv
+                      ) -> tuple[CliffordElement, float | None]:
+    """Sphere mean of the slice extension of f0, and its standard error.
+
+    f0 = sum_c P_c(z) u_c: one real polynomial P_c per blade and real or
+    imaginary part, with the unit u_c = e_A or i e_A acting from the right.
+    P_c has the slice value Re P_c(z) + w Im P_c(z) at z = x0 + i<x,w>, and
+    Horner evaluates all P_c at once in one preallocated array.
     """
-    m = sf.m
-    z = float(x0) + 1j * (rule.nodes @ np.asarray(xv, dtype=float))
-    if sf.f0.min_exp() < 0 and not z.all():
-        raise ZeroDivisionError("negative powers require x0 + <x,w> w != 0")
-    sig = rule.sigma()
+    lo = min(f0.min_exp(), 0)
+    rows: dict[tuple[int, bool], np.ndarray] = {(0, False): np.zeros(f0.max_exp() - lo + 1)}
+    for n, c in f0.terms.items():
+        for mask, b in (c.coeffs if isinstance(c, CliffordElement) else {0: c}).items():
+            b = to_complex(b)
+            for imag, part in ((False, b.real), (True, b.imag)):
+                if part:
+                    rows.setdefault((mask, imag), np.zeros_like(rows[0, False]))[n - lo] = part
+    keys = sorted(rows)
+    coeffs = np.column_stack([rows[key] for key in keys])
+
+    def split(z):
+        if lo < 0 and not z.all():
+            raise ZeroDivisionError("negative powers require x0 + <x,w> w != 0")
+        vals = np.empty((len(z), len(keys)), dtype=complex)
+        vals[:] = coeffs[-1]
+        for row in coeffs[-2::-1]:
+            vals *= z
+            vals += row
+        if lo:
+            vals *= z ** lo
+        return vals.real, vals.imag
+
+    a, v, se = rule.plane_wave_mean(x0, xv, split)
     acc = CliffordElement.zero(m)
-    for n, c in sf.f0.terms.items():
-        zn = z**n
-        vec = (rule.weights * zn.imag) @ rule.nodes / sig
-        acc = acc + axial_element(m, float(rule.weights @ zn.real) / sig * c, vec.tolist(), c)
-    return acc
+    for (mask, imag), ac, vc in zip(keys, a.tolist(), v.tolist()):
+        unit = CliffordElement(m, {mask: 1j if imag else 1.0})
+        acc = acc + axial_element(m, unit.scale(ac), vc, unit)
+    return acc, se
 
 
 @dataclass(frozen=True)
@@ -111,16 +134,9 @@ class ResidualReport:
     stderr: float | None = None
 
     def to_json(self) -> dict:
-        d = {
-            "check": self.check,
-            "m": self.m,
-            "degree": self.degree,
-            "rule": self.rule,
-            "residual": self.residual,
-            "exact": self.exact,
-        }
-        if self.stderr is not None:
-            d["stderr"] = self.stderr
+        d = asdict(self)
+        if self.stderr is None:
+            del d["stderr"]
         return d
 
 
@@ -128,55 +144,31 @@ def plane_wave_gck_check(f0: LaurentPoly, m: int, rule,
                          point: tuple | None = None) -> ResidualReport:
     """Compare (1/sigma_m) int S[f0](x0 + <x,w>w) dS against the axial
     extension of f0: exact polynomial equality under the monomial rule,
-    pointwise residual under numeric rules.
+    pointwise residual under node rules.
 
-    Under Monte Carlo only the first point is checked.  Along each sampled
-    direction w the slice value is f0(z) = Re f0(z) + w Im f0(z) at
-    z = x0 + i<x,w>, with f0 (scalar coefficients) evaluated by Horner on
-    the whole sample array; the scalar part and the m vector components
-    are estimated from Re f0(z) and w Im f0(z), and the report carries the
-    largest residual and the largest standard error, both divided by
-    sigma_m.
+    Under a node rule the sphere mean is the rule's plane-wave mean of the
+    slice values, for scalar, complex and Clifford-valued coefficients
+    alike, and the residual is the largest blade coefficient of its gap to
+    the axial extension.  Monte Carlo checks only the first point, and the
+    report carries its largest standard error divided by sigma_m.
     """
     if not f0.is_polynomial():
         raise ValueError("plane-wave check needs polynomial data")
     deg = f0.max_exp()
-    sf = slice_extension(f0, m)
     gck_poly = gck_extension(f0, m).to_polynomial()
-    if isinstance(rule, ExactMonomialRule):
-        lhs = dual_radon(sf.to_polynomial())
+    if rule.kind == "exact":
+        lhs = dual_radon(slice_extension(f0, m).to_polynomial())
         ok = lhs == gck_poly
         gap = 0.0 if ok else (lhs.map_coeffs(lambda c: c.to_numeric())
                               - gck_poly.map_coeffs(lambda c: c.to_numeric())).norm_inf()
         return ResidualReport("gck_plane_wave", m, deg, "exact", gap, ok)
     points = [point] if point is not None else _check_points(m)
-    if isinstance(rule, ProductGaussRule):
-        worst = 0.0
-        for x0, xv in points:
-            lhs = dual_radon_pointwise(sf, rule, x0, xv)
-            rhs = gck_poly.evaluate(x0, xv).to_numeric()
-            worst = max(worst, (lhs - rhs).norm_inf())
-        return ResidualReport("gck_plane_wave", m, deg, f"gauss:{rule.level}", worst, False)
-    if isinstance(rule, MonteCarloRule):
-        x0, xv = points[0]
-        # slice values f0(z) along each plane direction, by Horner in place
-        z = x0 + 1j * (rule.nodes @ np.asarray(xv, dtype=float))
-        vals = np.full_like(z, complex(f0.coeff(deg)))
-        for n in range(deg - 1, -1, -1):
-            vals *= z
-            vals += complex(f0.coeff(n))
-        scalar_est, scalar_se = rule.estimate(vals.real)
-        vec_est, vec_se = rule.estimate(rule.nodes * vals.imag[:, None])
+    worst = 0.0
+    for x0, xv in points[:1] if rule.kind == "mc" else points:
+        lhs, se = _slice_plane_wave(f0, m, rule, x0, xv)
         rhs = gck_poly.evaluate(x0, xv).to_numeric()
-        sig = rule.sigma()
-        resid = abs(scalar_est / sig - to_complex(rhs.scalar_part()).real)
-        comps = rhs.vector_components()
-        for j in range(m):
-            resid = max(resid, abs(vec_est[j] / sig - to_complex(comps[j]).real))
-        se = float(max(scalar_se, *vec_se)) / sig
-        return ResidualReport("gck_plane_wave", m, deg, f"mc:{rule.n}:{rule.seed}",
-                              float(resid), False, se)
-    raise TypeError("unsupported rule")
+        worst = max(worst, (lhs - rhs).norm_inf())
+    return ResidualReport("gck_plane_wave", m, deg, rule.label, worst, False, se)
 
 
 def _check_points(m: int) -> list[tuple[float, tuple]]:
@@ -189,19 +181,25 @@ def _check_points(m: int) -> list[tuple[float, tuple]]:
 
 
 def _plane_wave_vs_closed(m: int, exponent: int, const: float, closed, point: tuple,
-                          rule: ProductGaussRule) -> float:
+                          rule: NodeRule) -> float:
+    """Residual of const times the sphere mean of (x0 + <x,w> w)^exponent
+    against the closed form at the point."""
     x0, xv = point[0], list(point[1:])
     if x0 == 0:
         raise ValueError("plane-wave form needs x0 != 0 on the chosen points")
-    # inside the plane of 1 and w, (x0 + <x,w> w)^n = Re z^n + w Im z^n
-    z = (float(x0) + 1j * (rule.nodes @ np.asarray(xv, dtype=float))) ** exponent
-    vec = (rule.weights * z.imag) @ rule.nodes
-    quad = axial_element(m, const * float(rule.weights @ z.real), vec.tolist(), const)
+
+    def split(z):
+        # inside the plane of 1 and w, (x0 + <x,w> w)^n = Re z^n + w Im z^n
+        zn = z ** exponent
+        return zn.real, zn.imag
+
+    a, v, _ = rule.plane_wave_mean(x0, xv, split)
+    quad = axial_element(m, const * a.item(), v[0].tolist(), const)
     closed_val = closed.evaluate(x0, xv).to_numeric()
     return (quad - closed_val).norm_inf()
 
 
-def cauchy_plane_wave_check(m: int, point: tuple, rule: ProductGaussRule) -> float:
+def cauchy_plane_wave_check(m: int, point: tuple, rule: NodeRule) -> float:
     """Residual of the plane-wave form of the Cauchy kernel at one point:
 
         E(x) = sgn(x0)^(m+1) / (sigma_m sigma_(m+1))
@@ -212,17 +210,17 @@ def cauchy_plane_wave_check(m: int, point: tuple, rule: ProductGaussRule) -> flo
 
     x0 = point[0]
     sgn = 1.0 if x0 > 0 else (-1.0) ** (m + 1)
-    const = sgn / (float(sphere_area(m)) * float(sphere_area(m + 1)))
+    const = sgn / float(sphere_area(m + 1))   # 1/sigma_m is in the mean
     return _plane_wave_vs_closed(m, -m, const, cauchy_kernel(m), point, rule)
 
 
-def monomial_plane_wave_check(m: int, k: int, point: tuple, rule: ProductGaussRule) -> float:
+def monomial_plane_wave_check(m: int, k: int, point: tuple, rule: NodeRule) -> float:
     """Plane-wave representation of the negative-order monomial P^(-k):
     constant * sgn(x0)^(m+1)/sigma_m * int (x0 + <x,w>w)^(1-k-m) dS."""
     from .kernels import monogenic_monomial, monomial_constant
 
     x0 = point[0]
     sgn = 1.0 if x0 > 0 else (-1.0) ** (m + 1)
-    const = float(monomial_constant(m, k)) * sgn / float(sphere_area(m))
+    const = float(monomial_constant(m, k)) * sgn   # 1/sigma_m is in the mean
     closed = monogenic_monomial(m, -k).closed
     return _plane_wave_vs_closed(m, 1 - k - m, const, closed, point, rule)

@@ -1,5 +1,7 @@
-"""Integration over the unit sphere S^(m-1): an exact monomial rule, a
-product Gauss rule, and Monte Carlo for independent validation.
+"""Integration over the unit sphere S^(m-1): an exact monomial rule, and
+one node-and-weight type ``NodeRule`` for the numeric rules, a product
+Gauss rule and Monte Carlo for independent validation.  Every numeric
+plane-wave route reduces through ``NodeRule.plane_wave_mean``.
 
 The monomial rule uses the classical closed form
 
@@ -28,17 +30,20 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .clifford import CliffordElement
 from .constants import sphere_area
 from .scalars import PiScalar, double_factorial, gamma_half
 
 
-def monomial_sphere_integral(m: int, exps: tuple[int, ...]) -> PiScalar:
-    """Exact integral of prod_i w_i^(a_i) over S^(m-1); zero unless all even."""
+def _check_exponents(m: int, exps: tuple[int, ...]) -> None:
     if len(exps) != m:
         raise ValueError("need one exponent per component")
     if any(e < 0 for e in exps):
         raise ValueError("negative exponent")
+
+
+def monomial_sphere_integral(m: int, exps: tuple[int, ...]) -> PiScalar:
+    """Exact integral of prod_i w_i^(a_i) over S^(m-1); zero unless all even."""
+    _check_exponents(m, exps)
     if any(e % 2 for e in exps):
         return PiScalar()
     num = PiScalar.of(2)
@@ -49,10 +54,7 @@ def monomial_sphere_integral(m: int, exps: tuple[int, ...]) -> PiScalar:
 
 def sphere_moment(m: int, exps: tuple[int, ...]) -> Fraction:
     """Mean of prod_i w_i^(a_i) over S^(m-1), exactly; zero unless all even."""
-    if len(exps) != m:
-        raise ValueError("need one exponent per component")
-    if any(e < 0 for e in exps):
-        raise ValueError("negative exponent")
+    _check_exponents(m, exps)
     if any(e % 2 for e in exps):
         return Fraction(0)
     num = 1
@@ -72,11 +74,61 @@ class ExactMonomialRule:
     def integrate_monomial(self, exps: tuple[int, ...]) -> PiScalar:
         return monomial_sphere_integral(self.m, exps)
 
-    def sigma(self) -> PiScalar:
-        return self.integrate_monomial((0,) * self.m)
+
+class NodeRule:
+    """A numeric rule on S^(m-1): nodes (n, m), weights (n,) standing for
+    sigma_m (their sum unless given), a report ``label`` and a ``kind`` set
+    by each subclass.  Monte Carlo overrides ``estimate`` with its spread."""
+
+    def __init__(self, m: int, nodes: np.ndarray, weights: np.ndarray, label: str,
+                 sigma: float | None = None):
+        self.m = m
+        self.nodes = nodes
+        self.weights = weights
+        self.label = label
+        self._sigma = float(weights.sum()) if sigma is None else sigma
+
+    def sigma(self) -> float:
+        return self._sigma
+
+    def estimate(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """(integral, standard error or None) of samples of shape (n,) or
+        (n, k), one row per node."""
+        return _real_matmul(values.T, self.weights), None
+
+    def integrate_monomial(self, exps: tuple[int, ...]) -> tuple[float, float | None]:
+        _check_exponents(self.m, exps)
+        # only the columns with a nonzero exponent enter the product
+        vals = np.ones(len(self.nodes))
+        for j, e in enumerate(exps):
+            if e:
+                vals *= self.nodes[:, j] ** e
+        est, se = self.estimate(vals)
+        return float(est), None if se is None else float(se)
+
+    def plane_wave_mean(self, x0, xv, split) -> tuple[np.ndarray, np.ndarray, float | None]:
+        """Sphere mean of the slice values alpha + w beta along x0 + <x,w> w.
+
+        ``split(z)`` gives (alpha, beta), each (n, k) for k channels, on the
+        column z = x0 + i<x,w> of the nodes (z is freed before the sums).
+        Returns the means of alpha, (k,), and of w beta, (k, m), and the
+        largest standard error (or None); only Monte Carlo forms w beta.
+        """
+        alpha, beta = split(float(x0) + 1j * (self.nodes @ np.asarray(xv, dtype=float))[:, None])
+        sig = self.sigma()
+        a, a_se = self.estimate(alpha)
+        if a_se is None:
+            return a / sig, _real_matmul(beta.T * self.weights, self.nodes) / sig, None
+        v, v_se = self.estimate(beta[:, :, None] * self.nodes[:, None, :])
+        return a / sig, v / sig, float(max(a_se.max(), v_se.max())) / sig
 
 
-class ProductGaussRule:
+def _real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a real b, a complex a taken part by part: b is never cast."""
+    return a.real @ b + 1j * (a.imag @ b) if np.iscomplexobj(a) else a @ b
+
+
+class ProductGaussRule(NodeRule):
     """Product quadrature on S^(m-1), exact for polynomials of degree
     <= 2*level-1 in the sphere variables.
 
@@ -89,17 +141,7 @@ class ProductGaussRule:
     kind = "gauss"
 
     def __init__(self, m: int, level: int = 16):
-        self.m = m
-        self.level = level
-        nodes, weights = _sphere_product_rule(m, level)
-        self.nodes = nodes          # (n, m)
-        self.weights = weights      # (n,)
-
-    def sigma(self) -> float:
-        return float(self.weights.sum())
-
-    def integrate_scalar(self, values: np.ndarray):
-        return np.tensordot(self.weights, values, axes=(0, 0))
+        super().__init__(m, *_sphere_product_rule(m, level), f"gauss:{level}")
 
 
 def _sphere_product_rule(m: int, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,75 +169,41 @@ def _sphere_product_rule(m: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-class MonteCarloRule:
-    """Uniform Monte Carlo on S^(m-1) from a seeded generator."""
+class MonteCarloRule(NodeRule):
+    """Uniform Monte Carlo on S^(m-1) from a seeded generator; the equal
+    weights sigma_m/n are one read-only broadcast value."""
 
     kind = "mc"
 
     def __init__(self, m: int, n: int, seed: int):
         if n < 2:
             raise ValueError("Monte Carlo needs n >= 2 samples for a standard error")
-        self.m = m
         self.n = n
-        self.seed = seed
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((n, m))
-        self.nodes = v / np.linalg.norm(v, axis=1, keepdims=True)
-        self._sigma = float(sphere_area(m))
-
-    def sigma(self) -> float:
-        return self._sigma
+        sig = float(sphere_area(m))
+        super().__init__(m, v / np.linalg.norm(v, axis=1, keepdims=True),
+                         np.broadcast_to(sig / n, (n,)), f"mc:{n}:{seed}", sig)
 
     def estimate(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(integral estimate, standard error) of pointwise sample values.
 
-        ``values`` holds real float samples, one per row: shape (n,) or
-        (n, k) for k components.  Each component is reduced along
-        contiguous memory (a transposed copy, one row per component, that
-        the centring and squaring then overwrite): the mean, then the
+        ``values`` has any shape (n, ...), one row per node.  Each component
+        is reduced along contiguous memory (a copy with the node axis last,
+        which the centring and squaring overwrite): the mean, then the
         centred two-pass sample variance with one degree of freedom taken
-        off, as ``np.mean`` and ``np.std(ddof=1)`` compute them.  Constant
-        samples give a standard error of exactly zero.
+        off, as ``np.mean`` and ``np.std(ddof=1)`` compute them (complex
+        samples spread by their modulus).  Constant samples give zero.
         """
-        rows = np.array(np.asarray(values).T, order="C")
+        rows = np.array(np.moveaxis(np.asarray(values), 0, -1), order="C")
         mean = rows.mean(axis=-1)
         rows -= mean[..., None]
+        if np.iscomplexobj(rows):
+            rows = np.abs(rows)
         np.multiply(rows, rows, out=rows)
         var = rows.sum(axis=-1) / (rows.shape[-1] - 1)
         se = np.sqrt(var) / math.sqrt(self.n)
         return self._sigma * mean, self._sigma * se
-
-    def integrate_monomial(self, exps: tuple[int, ...]) -> tuple[float, float]:
-        if len(exps) != self.m:
-            raise ValueError("need one exponent per component")
-        # only the columns with a nonzero exponent enter the product
-        vals = np.ones(self.n)
-        for j, e in enumerate(exps):
-            if e:
-                vals *= self.nodes[:, j] ** e
-        est, se = self.estimate(vals)
-        return float(est), float(se)
-
-
-def sphere_integrate(poly_terms: dict, rule) -> object:
-    """Integrate an omega-polynomial given as {exponent tuple: coefficient}
-    exactly under the monomial rule (coefficients may be scalars or
-    CliffordElements).
-    """
-    if not isinstance(poly_terms, dict):
-        raise TypeError("sphere_integrate needs an omega-polynomial term table")
-    if isinstance(rule, ExactMonomialRule):
-        out = None
-        for exps, coeff in poly_terms.items():
-            w = rule.integrate_monomial(tuple(exps))
-            if w.is_zero():
-                continue
-            term = coeff.scale(w) if isinstance(coeff, CliffordElement) else coeff * w
-            out = term if out is None else out + term
-        if out is None:
-            return PiScalar()
-        return out
-    raise TypeError("sphere_integrate needs an exact monomial rule")
 
 
 def funk_hecke_constants(m: int, j: int) -> tuple[PiScalar, PiScalar]:

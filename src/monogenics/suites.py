@@ -20,6 +20,7 @@ import numpy as np
 from .clifford import CliffordElement, Paravector, axial_element
 from .constants import constants, gamma_odd_closed_form, sphere_area
 from .cst import (
+    CHECK_POINTS,
     axial_cst,
     axial_cst_radon_route,
     classical_cst,
@@ -55,7 +56,7 @@ OP_REGISTRY: dict[str, list[str]] = {
     "kernels_monomials": ["cauchy_kernel", "kelvin_inversion", "monogenic_monomial",
                           "verify_monomial_identities"],
     "fueter_map": ["fueter_on_power", "laplacian_power_route", "radial_route_components", "fueter_on_laurent"],
-    "radon_sphere": ["sphere_integrate", "funk_hecke_constants", "dual_radon",
+    "radon_sphere": ["funk_hecke_constants", "dual_radon",
                      "plane_wave_gck_check", "cauchy_plane_wave_check"],
     "cst": ["heat_semigroup", "classical_cst", "slice_cst", "axial_cst", "fueter_cst",
             "unitarity_check"],
@@ -514,7 +515,7 @@ def suite_radon(m_max: int = 4, degree: int = 6, mc_n: int = 200_000,
             if not is_monogenic(lhs):
                 bad += 1
     s.case("radon_bridge", "R*[S[x0^k]] = GCK[x0^k] exactly (pi cancels) and is monogenic",
-           ["dual_radon", "plane_wave_gck_check", "sphere_integrate"],
+           ["dual_radon", "plane_wave_gck_check"],
            exact=True, residual=float(bad))
 
     bad = 0
@@ -540,7 +541,7 @@ def suite_radon(m_max: int = 4, degree: int = 6, mc_n: int = 200_000,
             # j = 0 integrates a constant: zero spread, gap is pure roundoff
             worst_se = max(worst_se, gap / (5 * se) if se > 0 else gap / 1e-10)
     s.case("funk_hecke_vs_mc", "exact bracket moments match Monte Carlo within 5 standard errors",
-           ["funk_hecke_constants", "sphere_integrate"], exact=False,
+           ["funk_hecke_constants"], exact=False,
            residual=worst_se, tol=1.0, params={"samples": mc_n})
 
     rng = random.Random(seed)
@@ -561,14 +562,14 @@ def suite_radon(m_max: int = 4, degree: int = 6, mc_n: int = 200_000,
             else:
                 worst_se = max(worst_se, abs(est - exact_val) / (5 * se))
     s.case("exact_rule_vs_mc", "monomial rule agrees with Monte Carlo on random sphere polynomials",
-           ["sphere_integrate"], exact=False, residual=worst_se, tol=1.0)
+           [], exact=False, residual=worst_se, tol=1.0)
 
     worst = 0.0
     for m, level in ((1, 8), (2, 28), (3, 24)):
-        pts = [(1.0, *(0.2 / math.sqrt(m),) * m), (-1.0, *(0.15 / math.sqrt(m),) * m)]
-        for pt in pts:
-            worst = max(worst, cauchy_plane_wave_check(m, pt, ProductGaussRule(m, level)))
-            worst = max(worst, monomial_plane_wave_check(m, 2, pt, ProductGaussRule(m, level)))
+        rule = ProductGaussRule(m, level)
+        for pt in ((1.0, *(0.2 / math.sqrt(m),) * m), (-1.0, *(0.15 / math.sqrt(m),) * m)):
+            worst = max(worst, cauchy_plane_wave_check(m, pt, rule),
+                        monomial_plane_wave_check(m, 2, pt, rule))
     s.case("cauchy_plane_wave", "plane-wave quadrature reproduces the kernel and P^(-2), "
            "including negative x0",
            ["cauchy_plane_wave_check"], exact=False, residual=worst, tol=1e-6)
@@ -579,7 +580,6 @@ def suite_cst(m_list: tuple[int, ...] = (2, 3), n_hermite: int = 4,
               tol: float = 1e-7) -> VerificationReport:
     s = _Suite("cst", {"m": list(m_list), "hermite": n_hermite, "tol": tol})
     fams = [hermite_function(n) for n in range(n_hermite)]
-    points = [(0.7, 0.5), (0.3, 0.8), (-0.6, 0.4)]
 
     worst = 0.0
     nodes, weights = np.polynomial.legendre.leggauss(260)
@@ -620,7 +620,7 @@ def suite_cst(m_list: tuple[int, ...] = (2, 3), n_hermite: int = 4,
 
     worst = 0.0
     for f in fams[:3]:
-        for x0, r in points[:2]:
+        for x0, r in CHECK_POINTS[:2]:
             sv = slice_cst(f, x0, r)
             sv2 = slice_cst_fourier(f, x0, r)
             worst = max(worst, abs(sv.alpha - sv2.alpha), abs(sv.beta - sv2.beta))
@@ -630,30 +630,21 @@ def suite_cst(m_list: tuple[int, ...] = (2, 3), n_hermite: int = 4,
            "odd part vanishes on the axis",
            ["slice_cst"], exact=False, residual=worst, tol=1e-8)
 
-    worst = 0.0
+    worst_axial = worst_fueter = 0.0
     for m in m_list:
         rule = ProductGaussRule(m, 24)
         for f in fams:
-            for x0, r in points:
+            for x0, r in CHECK_POINTS:
                 xv = [r / math.sqrt(m)] * m
-                a1 = axial_cst(f, m, x0, xv)
-                a2 = axial_cst_radon_route(f, m, x0, xv, rule)
-                worst = max(worst, (a1 - a2).norm_inf())
+                ua = axial_cst(f, m, x0, xv) - axial_cst_radon_route(f, m, x0, xv, rule)
+                a, *others = fueter_cst_routes(f, m, x0, xv, rule).values()
+                worst_axial = max(worst_axial, ua.norm_inf())
+                worst_fueter = max(worst_fueter, *((a - b).norm_inf() for b in others))
     s.case("axial_two_routes", "axial transform equals the dual Radon of the slice transform",
-           ["axial_cst", "slice_cst", "dual_radon"], exact=False, residual=worst, tol=tol)
-
-    worst = 0.0
-    for m in m_list:
-        rule = ProductGaussRule(m, 24)
-        for f in fams:
-            for x0, r in points:
-                xv = [r / math.sqrt(m)] * m
-                routes = fueter_cst_routes(f, m, x0, xv, rule)
-                a = routes["heat_then_derivative"]
-                worst = max(worst, (a - routes["derivative_then_heat"]).norm_inf())
-                worst = max(worst, (a - routes["radon_of_slice"]).norm_inf())
+           ["axial_cst", "slice_cst", "dual_radon"], exact=False, residual=worst_axial, tol=tol)
     s.case("fueter_three_routes", "slice-to-axial transform agrees along all three compositions",
-           ["fueter_cst", "axial_cst", "heat_semigroup"], exact=False, residual=worst, tol=tol)
+           ["fueter_cst", "axial_cst", "heat_semigroup"], exact=False, residual=worst_fueter,
+           tol=tol)
 
     worst = 0.0
     conv_ok = 0

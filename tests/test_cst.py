@@ -23,7 +23,7 @@ from monogenics.cst import (
 )
 from monogenics.extensions import gck_denominator
 from monogenics.gausspoly import GaussPoly, hermite_function
-from monogenics.sphere import ProductGaussRule
+from monogenics.sphere import MonteCarloRule, ProductGaussRule
 
 HERMITES = [hermite_function(n) for n in range(4)]
 POINTS = [(0.7, 0.5), (0.3, 0.8), (-0.6, 0.4)]
@@ -63,9 +63,9 @@ def test_slice_cst_axis_restriction_and_parity():
         # beta is odd under r -> -r: compare against the split at -r
         from monogenics.cst import _entire_split
 
-        minus = _entire_split(heat_semigroup(f), x0, -r)
-        assert abs(plus.beta + minus.beta) < 1e-10
-        assert abs(plus.alpha - minus.alpha) < 1e-10
+        minus_alpha, minus_beta = _entire_split(heat_semigroup(f), complex(x0, -r))
+        assert abs(plus.beta + minus_beta) < 1e-10
+        assert abs(plus.alpha - minus_alpha) < 1e-10
 
 
 def test_slice_cst_two_routes():
@@ -104,6 +104,17 @@ def test_axial_cst_route_agreement(m):
             a1 = axial_cst(f, m, x0, xv)
             a2 = axial_cst_radon_route(f, m, x0, xv, rule)
             assert (a1 - a2).norm_inf() < 1e-7
+
+
+def test_axial_cst_radon_route_under_monte_carlo():
+    # the complex slice split reduces through the same plane-wave mean
+    m = 3
+    rule = MonteCarloRule(m, 200_000, seed=17)
+    for f in HERMITES[:2]:
+        x0, r = POINTS[0]
+        xv = [r / math.sqrt(m)] * m
+        got = axial_cst_radon_route(f, m, x0, xv, rule)
+        assert (got - axial_cst(f, m, x0, xv)).norm_inf() < 1e-2
 
 
 def _axial_by_exact_chain(derivs, m, x0, xv):

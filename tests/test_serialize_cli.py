@@ -131,9 +131,11 @@ def test_cli_radon_check(tmp_path, capsys):
     assert rc == 0
     doc = json.loads((tmp_path / "r.json").read_text())
     assert all(c.get("exact", False) or c["residual"] < 1e-6 for c in doc["cases"])
+    assert doc["tol"] == 1e-6
     rc = main(["radon-check", "--m", "2", "--degree", "3", "--rule", "mc:20000:5",
                "--tol", "0.05", "--out", str(tmp_path / "rmc.json")])
     assert rc == 0
+    assert json.loads((tmp_path / "rmc.json").read_text())["tol"] == 0.05
 
 
 @pytest.mark.parametrize("rule", [
@@ -315,6 +317,23 @@ def test_cli_gauss_rule_size_is_capped_before_building(tmp_path, capsys, monkeyp
     for m, level in ((2, 500_000), (3, 707), (6, 13)):
         cli._parse_rule(f"gauss:{level}", m)
     assert made == [(2, 500_000), (3, 707), (6, 13)]
+
+
+def test_cli_builtin_gauss_rules_are_capped_before_building(tmp_path, capsys, monkeypatch):
+    # the level-24 rule of the Cauchy case and of the CST routes has
+    # 48 * 24^4 = 15,925,248 nodes at m = 6, gigabytes if built
+    from monogenics import cli
+
+    made = []
+    monkeypatch.setattr(cli, "ProductGaussRule", lambda m, level: made.append((m, level)))
+    for argv in (["radon-check", "--m", "6", "--rule", "exact"],
+                 ["cst-check", "--m", "6", "--which", "fueter-routes", "--family", "hermite:1"],
+                 ["cst-check", "--m", "6", "--which", "ua-routes", "--family", "hermite:1"]):
+        _assert_usage_error(capsys, argv, tmp_path / "out.json")
+    assert made == []
+    # at m = 5 the same rule has 663,552 nodes and is built
+    cli._gauss_rule(5, 24)
+    assert made == [(5, 24)]
 
 
 def test_cli_fueter_laurent_honours_imaginary_parts(tmp_path, capsys):

@@ -22,10 +22,10 @@ from monogenics.scalars import PiScalar
 from monogenics.sphere import (
     ExactMonomialRule,
     MonteCarloRule,
+    NodeRule,
     ProductGaussRule,
     funk_hecke_constants,
     monomial_sphere_integral,
-    sphere_integrate,
     sphere_moment,
 )
 
@@ -85,7 +85,9 @@ def test_monte_carlo_estimate_matches_numpy_mean_and_std():
     rng = np.random.default_rng(9)
     for values in (rng.standard_normal(n) + 2.0,
                    rng.standard_normal((n, 3)) + np.array([1.0, -3.0, 0.5]),
-                   mc.nodes * (mc.nodes[:, 0] + 2.0)[:, None] + 1.0):
+                   mc.nodes * (mc.nodes[:, 0] + 2.0)[:, None] + 1.0,
+                   # complex samples spread by their modulus, as in np.std
+                   rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)) - 0.5j):
         est, se = mc.estimate(values)
         want_est = sig * values.mean(axis=0)
         want_se = sig * values.std(axis=0, ddof=1) / math.sqrt(n)
@@ -137,22 +139,34 @@ def test_product_gauss_matches_exact_rule():
             for _ in range(rng.randint(0, 6)):
                 exps[rng.randrange(m)] += 1
             exact = float(monomial_sphere_integral(m, tuple(exps)).to_complex().real)
-            vals = np.prod(rule.nodes ** np.asarray(exps), axis=1)
-            got = float(rule.integrate_scalar(vals))
+            got, se = rule.integrate_monomial(tuple(exps))
+            assert se is None
             assert abs(got - exact) < 1e-12, (m, exps)
 
 
-def test_sphere_integrate_polynomials():
+def test_numeric_rules_are_node_rules():
     m = 3
-    rule = ExactMonomialRule(m)
-    # int (1 + w1^2) dS with a Clifford coefficient on the quadratic term
-    e2 = CliffordElement.generator(m, 2)
-    val = sphere_integrate({(0, 0, 0): CliffordElement.one(m), (2, 0, 0): e2}, rule)
-    want = CliffordElement.one(m).scale(sphere_area(m)) + e2.scale(
-        monomial_sphere_integral(m, (2, 0, 0)))
-    assert val == want
-    with pytest.raises(TypeError, match="exact monomial rule"):
-        sphere_integrate({(0, 0, 0): CliffordElement.one(m)}, ProductGaussRule(m, 4))
+    gauss, mc = ProductGaussRule(m, 6), MonteCarloRule(m, 5000, seed=2)
+    for rule, kind, label in ((gauss, "gauss", "gauss:6"), (mc, "mc", "mc:5000:2")):
+        assert isinstance(rule, NodeRule)
+        assert (rule.m, rule.kind, rule.label) == (m, kind, label)
+        assert rule.nodes.shape == (len(rule.weights), m)
+        assert np.allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, rtol=0, atol=1e-15)
+    # a deterministic rule reports no standard error; the weights of Gauss
+    # sum to its sigma, Monte Carlo keeps sigma_m exactly
+    vals = np.ones((len(gauss.nodes), 2))
+    est, se = gauss.estimate(vals)
+    assert se is None and est.shape == (2,)
+    assert np.allclose(est, gauss.sigma(), rtol=1e-15, atol=0)
+    assert gauss.sigma() == float(gauss.weights.sum())
+    assert abs(gauss.sigma() - float(sphere_area(m))) < 1e-13
+    assert mc.sigma() == float(sphere_area(m))
+    # equal Monte Carlo weights are one read-only value, not n of them
+    assert mc.weights.shape == (5000,) and mc.weights.strides == (0,)
+    assert not mc.weights.flags.writeable
+    assert mc.weights[0] == mc.sigma() / 5000
+    with pytest.raises(ValueError):
+        gauss.integrate_monomial((2, 0))
 
 
 def test_funk_hecke_values():
@@ -227,13 +241,26 @@ def test_dual_radon_sends_slice_to_axial_monogenic():
     assert apply_operator(OperatorTag.D, image).is_zero()
 
 
+def _complex_data():
+    i = PiScalar.imaginary(1)
+    return LaurentPoly({0: Fraction(1, 2) * i, 1: Fraction(2) - 3 * i, 3: i})
+
+
+def _clifford_data(m):
+    # Clifford-valued coefficients with complex blade coefficients
+    e1, e2 = CliffordElement.generator(m, 1), CliffordElement.generator(m, 2)
+    return LaurentPoly({0: Fraction(2), 1: e1, 2: e1 * e2 - e2.scale(Fraction(1, 3)),
+                        4: CliffordElement.one(m) + e2.scale(PiScalar.imaginary(1))})
+
+
 def test_plane_wave_exact_and_gauss():
-    f0 = LaurentPoly({3: Fraction(2), 1: Fraction(-1)})
     for m in (2, 3):
-        rep = plane_wave_gck_check(f0, m, ExactMonomialRule(m))
-        assert rep.exact and rep.residual == 0.0
-        repg = plane_wave_gck_check(f0, m, ProductGaussRule(m, 16))
-        assert repg.residual < 1e-12
+        for f0 in (LaurentPoly({3: Fraction(2), 1: Fraction(-1)}), _complex_data(),
+                   _clifford_data(m)):
+            rep = plane_wave_gck_check(f0, m, ExactMonomialRule(m))
+            assert rep.exact and rep.residual == 0.0
+            repg = plane_wave_gck_check(f0, m, ProductGaussRule(m, 16))
+            assert repg.stderr is None and repg.residual < 1e-12
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -261,20 +288,32 @@ def test_plane_wave_monte_carlo():
 
 def _plane_wave_mc_power_loop(f0, m, rule, point):
     """Residual and standard error of the Monte Carlo plane-wave check with
-    f0(z) summed term by term from complex powers, reduced by np.mean and
-    np.std(ddof=1), and the size of the estimates they came from."""
+    the slice value c (Re z^n + w Im z^n) of each term c x^n written out on
+    the blades from complex powers, real and imaginary parts reduced by
+    np.mean and np.std(ddof=1), and the size of the estimates they came from."""
     x0, xv = point
     z = x0 + 1j * (rule.nodes @ np.asarray(xv, dtype=float))
-    vals = np.zeros_like(z)
+    blades = {}
     for n, c in f0.terms.items():
-        vals = vals + complex(c) * z**n
-    samples = np.column_stack([vals.real, rule.nodes * vals.imag[:, None]])
-    means = samples.mean(axis=0)
-    ses = samples.std(axis=0, ddof=1) / math.sqrt(rule.n)
+        zn = z**n
+        c = c if isinstance(c, CliffordElement) else CliffordElement.scalar(m, c)
+        for mask, cb in c.coeffs.items():
+            cb = complex(cb)
+            blades[mask] = blades.get(mask, 0) + cb * zn.real
+            for j in range(m):
+                (pmask, sign), = (CliffordElement.generator(m, j + 1)
+                                  * CliffordElement(m, {mask: Fraction(1)})).coeffs.items()
+                blades[pmask] = blades.get(pmask, 0) + float(sign) * cb * rule.nodes[:, j] * zn.imag
     rhs = gck_extension(f0, m).to_polynomial().evaluate(x0, xv).to_numeric()
-    want = [complex(rhs.scalar_part()).real,
-            *(complex(c).real for c in rhs.vector_components())]
-    return max(abs(means - want)), max(ses), max(abs(means))
+    residual, ses, scale = 0.0, [0.0], 0.0
+    for mask in set(blades) | set(rhs.coeffs):
+        samples = blades.get(mask, np.zeros(rule.n, dtype=complex))
+        mean = complex(samples.real.mean(), samples.imag.mean())
+        residual = max(residual, abs(mean - complex(rhs.coeffs.get(mask, 0))))
+        ses += [samples.real.std(ddof=1) / math.sqrt(rule.n),
+                samples.imag.std(ddof=1) / math.sqrt(rule.n)]
+        scale = max(scale, abs(mean))
+    return residual, max(ses), scale
 
 
 def test_plane_wave_monte_carlo_matches_power_loop():
@@ -284,12 +323,18 @@ def test_plane_wave_monte_carlo_matches_power_loop():
         (4, LaurentPoly({1: Fraction(1, 2), 3: Fraction(-4), 6: Fraction(2)}),
          (-0.9, (0.1, 0.25, -0.3, 0.2))),
         (2, LaurentPoly({2: Fraction(-3)}), (0.3, (0.5, -0.6))),
+        (3, _complex_data(), (0.65, (0.3, -0.2, 0.4))),
+        (3, _clifford_data(3), (-0.5, (-0.25, -0.4, 0.15))),
     ]
     for m, f0, point in cases:
         rule = MonteCarloRule(m, 200_000, seed=60 + m)
         rep = plane_wave_gck_check(f0, m, rule, point)
         residual, se, scale = _plane_wave_mc_power_loop(f0, m, rule, point)
-        assert abs(rep.stderr - se) <= 1e-13 * se, m
+        if all(not isinstance(c, CliffordElement) for c in f0.terms.values()):
+            # scalar data: each real and imaginary part of a blade is one
+            # channel of the rule, so the standard errors are the same
+            assert abs(rep.stderr - se) <= 1e-13 * se, m
+        assert 0.0 < rep.stderr < math.inf
         # the residual is a difference of the estimates and the closed form,
         # so its agreement is measured against the size of the estimates
         assert abs(rep.residual - residual) <= 1e-13 * scale, m
