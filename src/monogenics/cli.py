@@ -179,15 +179,19 @@ def _parse_rule(rule_arg: str, m: int):
                  "(use exact | gauss:L with L >= 1 | mc:N:SEED)")
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        _usage_error(f"--tol must be a finite positive number, got {tol!r}")
+def _tolerance(args, default: float) -> tuple[float, bool]:
+    """The --tol to check against, and whether it is the verb's default."""
+    if args.tol is None:
+        return default, True
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        _usage_error(f"--tol must be a finite positive number, got {args.tol!r}")
+    return args.tol, False
 
 
 def _cmd_radon_check(args) -> int:
     _bound("--m", args.m)
     _bound("--degree", args.degree)
-    _check_tol(args.tol)
+    tol, tol_default = _tolerance(args, 1e-6)
     rule = _parse_rule(args.rule, args.m)
     # the Cauchy plane wave runs on the chosen product rule, or on level 24
     # beside the exact rule; a Monte Carlo estimate cannot meet its tolerance
@@ -202,16 +206,16 @@ def _cmd_radon_check(args) -> int:
         cases.append({"check": "cauchy_plane_wave", "m": args.m,
                       "residual": cauchy_plane_wave_check(args.m, pt, quad)})
     payload = {"command": "radon-check", "m": args.m, "degree": args.degree,
-               "rule": args.rule, "tol": args.tol, "cases": cases}
+               "rule": args.rule, "tol": tol, "tol_default": tol_default, "cases": cases}
     print(ser.dumps(payload), end="")
     _write(_out_path(args.out, f"radon_m{args.m}.json"), payload)
-    ok = all(c.get("exact", False) or c["residual"] < args.tol for c in cases)
+    ok = all(c.get("exact", False) or c["residual"] < tol for c in cases)
     return 0 if ok else 1
 
 
 def _cmd_cst_check(args) -> int:
     _bound("--m", args.m)
-    _check_tol(args.tol)
+    tol, tol_default = _tolerance(args, 1e-7)
     match = re.fullmatch(r"hermite(?::([0-9]{1,3}))?", args.family)
     if not match:
         _usage_error(f"unknown or malformed family {args.family!r} (use hermite:K)")
@@ -224,7 +228,7 @@ def _cmd_cst_check(args) -> int:
         for i, f in enumerate(fams):
             for j, g in enumerate(fams):
                 res = unitarity_check(f, g, args.m)
-                passed = res.residual < args.tol and res.converging
+                passed = res.residual < tol and res.converging
                 ok &= passed
                 cases.append({"i": i, "j": j, **res.to_json(), "pass": passed})
     else:
@@ -238,11 +242,12 @@ def _cmd_cst_check(args) -> int:
                 else:
                     a, *others = fueter_cst_routes(f, args.m, x0, xv, rule).values()
                     d = max((a - b).norm_inf() for b in others)
-                passed = d < args.tol
+                passed = d < tol
                 ok &= passed
                 cases.append({"n": n, "x0": x0, "r": r, "residual": d, "pass": passed})
     payload = {"command": "cst-check", "which": args.which, "m": args.m,
-               "family": args.family, "tol": args.tol, "cases": cases, "pass": ok}
+               "family": args.family, "tol": tol, "tol_default": tol_default,
+               "cases": cases, "pass": ok}
     print(ser.dumps(payload), end="")
     _write(_out_path(args.out, f"cst_{args.which}_m{args.m}.json"), payload)
     return 0 if ok else 1
@@ -286,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--m", type=int, required=True)
     r.add_argument("--degree", type=int, default=4)
     r.add_argument("--rule", default="exact")
-    r.add_argument("--tol", type=float, default=1e-6)
+    r.add_argument("--tol", type=float, default=None, help="default 1e-6")
     r.add_argument("--out", default=None)
     r.set_defaults(fn=_cmd_radon_check)
 
@@ -295,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--which", choices=["unitarity", "ua-routes", "fueter-routes"],
                    required=True)
     c.add_argument("--family", default="hermite:4")
-    c.add_argument("--tol", type=float, default=1e-7)
+    c.add_argument("--tol", type=float, default=None, help="default 1e-7")
     c.add_argument("--out", default=None)
     c.set_defaults(fn=_cmd_cst_check)
     return p

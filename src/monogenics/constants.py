@@ -8,6 +8,7 @@ therefore lives in the complexified scalar field for every m.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,8 +32,13 @@ class CoreConstants:
     gamma: PiScalar        # i^(1-m) * lam / (m-1)!
 
 
+@functools.lru_cache(maxsize=None)
 def constants(m: int) -> CoreConstants:
-    """All fixed constants for dimension m, exact."""
+    """All fixed constants for dimension m, exact.
+
+    Built once per m and shared: ``CoreConstants`` is frozen and its
+    ``PiScalar`` values are never mutated.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     g2 = gamma_half(m + 1) * gamma_half(m + 1)

@@ -7,7 +7,8 @@ operator level are exact there, and pointwise route agreements are checked
 with certified series truncation and spectral sphere quadrature.  One
 even/odd split of the entire extension serves the slice transform, the
 unitarity Gram and the quadrature route, which is the rule's plane-wave
-mean of that split; the series sums float derivatives up to an order
+mean of that split; the series reads its terms off one Taylor expansion at
+x0 (a three-term Hermite recurrence, ``GaussPoly.taylor``) up to an order
 certified from the exact function.
 """
 
@@ -114,9 +115,12 @@ def _axial_from_smooth(g: GaussPoly, m: int, x0: float, xv, order: int | None,
                        tol: float) -> CliffordElement:
     """Axial extension of an already-smoothed function, evaluated at a point.
 
-    Sums x^j g^(j)(x0) / (c_1 ... c_j) with the recursion constants c_j and
-    certifies the dropped tail via a Cauchy bound: |g^(j)(x0)| <= j! M_R/R^j
-    and c_1...c_j >= j! give tail <= M_R (r/R)^(N+1) / (1 - r/R).
+    Sums x^j g^(j)(x0) / (c_1 ... c_j) with the recursion constants c_j, read
+    off one Taylor expansion of g at x0: the coefficients g^(j)(x0)/j! are
+    weighted by j!/(c_1 ... c_j), and the even and odd parts are summed
+    against (-r^2)^i.  The dropped tail is certified from the exact g via a
+    Cauchy bound: |g^(j)(x0)| <= j! M_R/R^j and c_1...c_j >= j! give
+    tail <= M_R (r/R)^(N+1) / (1 - r/R).
     """
     r2 = float(sum(c * c for c in xv))
     r = math.sqrt(r2)
@@ -132,21 +136,12 @@ def _axial_from_smooth(g: GaussPoly, m: int, x0: float, xv, order: int | None,
         raise TruncationError(
             f"certified remainder {tail:.3e} above tolerance {tol:.3e} at order {order}"
         )
-    value_s = 0j
-    value_v = 0j
-    deriv = g.to_numeric()  # the order and tail above come from the exact g
-    cprod = 1.0
-    even_pow = 1.0  # (-r^2)^i
-    for j in range(order + 1):
-        if j > 0:
-            deriv = deriv.derivative()
-            cprod *= gck_denominator(m, j)
-        d = complex(deriv.evaluate(complex(x0))) / cprod
-        if j % 2 == 0:
-            value_s += even_pow * d
-        else:
-            value_v += even_pow * d
-            even_pow *= -r2
+    # j!/(c_1 ... c_j) as a running product of ratios <= 1, so nothing overflows
+    weights = np.cumprod([1.0] + [j / gck_denominator(m, j) for j in range(1, order + 1)])
+    terms = g.taylor(x0, order) * weights
+    powers = (-r2) ** np.arange(order // 2 + 1)   # (-r^2)^i
+    value_s = complex(np.sum(terms[0::2] * powers))
+    value_v = complex(np.sum(terms[1::2] * powers[:(order + 1) // 2]))
     return axial_element(m, value_s, xv, value_v)
 
 

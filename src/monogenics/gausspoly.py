@@ -120,6 +120,31 @@ class GaussPoly:
             seq.append(seq[-1].derivative())
         return seq
 
+    def taylor(self, x0: float, order: int) -> np.ndarray:
+        """Taylor coefficients f^(j)(x0)/j! for j = 0..order, in complex floats.
+
+        With c = b - 2a x0,
+        f(x0 + h) = pref e^(-a x0^2 + b x0) exp(c h - a h^2) p(x0 + h).  The
+        coefficients e_n of exp(c h - a h^2) follow the Hermite recurrence
+        (n+1) e_(n+1) = c e_n - 2a e_(n-1) (DLMF 18.12.15), p(x0 + h) comes
+        from repeated synthetic division, and one truncated convolution
+        multiplies the two: O(order * deg p) work, no derivative is built.
+        """
+        f = self.to_numeric()
+        a = float(f.a)
+        c = complex(f.b) - 2.0 * a * x0
+        e = [1.0 + 0j, c][:order + 1]
+        for n in range(1, order):
+            e.append((c * e[n] - 2.0 * a * e[n - 1]) / (n + 1))
+        # descending coefficients; pass k leaves the h^k coefficient at q[-1-k]
+        q = [complex(cf) for cf in reversed(f.coeffs)]
+        for k in range(len(q) - 1):
+            for i in range(1, len(q) - k):
+                q[i] += x0 * q[i - 1]
+        shifted = np.array(q[::-1], dtype=complex)
+        scale = f.pref * np.exp(-a * x0 * x0 + f.b * x0)
+        return scale * np.convolve(e, shifted)[:order + 1]
+
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, z):

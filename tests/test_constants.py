@@ -46,3 +46,15 @@ def test_gamma_even_is_imaginary(m):
 def test_gamma2_value():
     # 2^(1) Gamma(3/2)^2 / 1! = pi/2, with phase i^(-1) = -i
     assert constants(2).gamma == PiScalar({2: (Fraction(0), Fraction(-1, 2))})
+
+
+def test_constants_are_built_once_per_m():
+    for m in range(1, 8):
+        c = constants(m)
+        assert constants(m) is c
+        assert c.sigma == sphere_area(m) and c.sigma_next == sphere_area(m + 1)
+        if m % 2:
+            assert c.gamma == PiScalar.of(gamma_odd_closed_form(m))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            constants(0)

@@ -118,7 +118,8 @@ def test_axial_cst_radon_route_under_monte_carlo():
 
 
 def _axial_by_exact_chain(derivs, m, x0, xv):
-    """Reference: the axial series summed over exact PiScalar derivatives."""
+    """Reference: the axial series summed over a derivative chain, one
+    GaussPoly per term (exact PiScalar ones, or float ones)."""
     r2 = sum(c * c for c in xv)
     value_s = value_v = 0j
     cprod = even_pow = 1.0
@@ -136,7 +137,7 @@ def _axial_by_exact_chain(derivs, m, x0, xv):
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_axial_series_float_chain_matches_exact_chain(m):
-    # the axial route differentiates in floats.  At the corner |x0| = 0.3,
+    # the axial route sums in floats.  At the corner |x0| = 0.3,
     # r = 0.8 the routes choose up to order 36 (m = 4, the third derivative
     # of the smoothed Hermite 3); order 64 goes well past that
     x0, xv = 0.3, [0.8 / math.sqrt(m)] * m
@@ -149,6 +150,30 @@ def test_axial_series_float_chain_matches_exact_chain(m):
                 got = _axial_from_smooth(g, m, x0, xv, order, 1e-10)
                 want = _axial_by_exact_chain(derivs[:order + 1], m, x0, xv)
                 assert (got - want).norm_inf() <= 1e-13 * want.norm_inf(), order
+
+
+def test_axial_series_at_order_400_matches_float_chain():
+    # the derivative chain's float coefficients overflow at this order unless
+    # the Gaussian is wide, so the chain is compared on wide ones; past
+    # j = 170 its c_1...c_j is inf and its terms are 0, as the true ones
+    # nearly are
+    m = 3
+    wide = (GaussPoly.exact(Fraction(1, 20), [1, -1, 0, 1], b=Fraction(1, 2)).heat(),
+            GaussPoly(0.03, 0.2 - 0.4j, [1 + 0.5j, -0.2j, 0.3 + 0j], 1 + 0j).heat())
+    for g in wide:
+        for x0, r in ((0.3, 0.8), (-2.0, 4.0), (3.0, 2.5)):
+            xv = [r / math.sqrt(m)] * m
+            got = _axial_from_smooth(g, m, x0, xv, 400, 1e300)
+            want = _axial_by_exact_chain(g.to_numeric().derivatives(400), m, x0, xv)
+            assert (got - want).norm_inf() <= 1e-13 * want.norm_inf()
+    # the smoothed Hermite functions overflowed that chain to nan; the series
+    # stays finite, and past order 100 its terms are below rounding
+    xv = [0.8 / math.sqrt(m)] * m
+    for f in HERMITES:
+        g = heat_semigroup(f)
+        far = _axial_from_smooth(g, m, 0.3, xv, 400, 1e300)
+        near = _axial_from_smooth(g, m, 0.3, xv, 100, 1e300)
+        assert (far - near).norm_inf() <= 1e-15 * near.norm_inf()
 
 
 def test_axial_cst_m1_is_two_point_slice_average():
@@ -165,6 +190,22 @@ def test_axial_cst_m1_is_two_point_slice_average():
 def test_axial_cst_truncation_error_diagnostic():
     with pytest.raises(TruncationError):
         axial_cst(HERMITES[3], 3, 0.5, [4.0, 0.0, 0.0], order=4, tol=1e-12)
+
+
+def test_axial_cst_order_and_bound_are_certified_from_the_exact_function(monkeypatch):
+    # at the diagnostic inputs the remainder and the chosen orders are those
+    # of the certification rule, whatever sums the series
+    args = (HERMITES[3], 3, 0.5, [4.0, 0.0, 0.0])
+    with pytest.raises(TruncationError, match=r"^certified remainder 1\.815e\+08 above "
+                       r"tolerance 1\.000e-12 at order 4$"):
+        axial_cst(*args, order=4, tol=1e-12)
+    orders = []
+    taylor = GaussPoly.taylor
+    monkeypatch.setattr(GaussPoly, "taylor",
+                        lambda g, x0, order: orders.append(order) or taylor(g, x0, order))
+    for tol in (1e-12, 1e-10, 1e-3):
+        axial_cst(*args, tol=tol)
+    assert orders == [72, 68, 44]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -267,26 +308,27 @@ def test_unitarity_reduction_against_full_sphere_quadrature():
     rs, wrs = 8.0 * (ur + 1) / 2, 8.0 * wr / 2
     thetas = 2 * np.pi * np.arange(ntheta) / ntheta
     wth = 2 * np.pi / ntheta
-    total = 0j
     from monogenics.constants import sphere_area
 
     sigma = float(sphere_area(m))
-    for x0, wx0 in zip(xs, wxs):
-        for r, wr0 in zip(rs, wrs):
-            fp = complex(Ff.evaluate(complex(x0, r)))
-            fm = complex(Ff.evaluate(complex(x0, -r)))
-            gp = complex(Fg.evaluate(complex(x0, r)))
-            gm = complex(Fg.evaluate(complex(x0, -r)))
-            af, bf = (fp + fm) / 2, (fp - fm) / 2j
-            ag, bg = (gp + gm) / 2, (gp - gm) / 2j
-            for th in thetas:
-                omega = np.array([math.cos(th), math.sin(th)])
-                uf = CliffordElement(m, {0: af}) + CliffordElement.vector(m, list(omega)).scale(bf)
-                ug = CliffordElement(m, {0: ag}) + CliffordElement.vector(m, list(omega)).scale(bg)
-                prod = uf.hermitian() * ug
-                # measure: e^{-r^2} r^{1-m} times volume r^{m-1} dr dtheta
-                total += wx0 * wr0 * wth * complex(prod.scalar_part()) * math.exp(-r * r)
+    X, Rr = np.meshgrid(xs, rs, indexing="ij")
+    fp, fm = Ff.evaluate(X + 1j * Rr), Ff.evaluate(X - 1j * Rr)
+    gp, gm = Fg.evaluate(X + 1j * Rr), Fg.evaluate(X - 1j * Rr)
+    # the slice values are u = a + omega b; hermitian(u) * v is conjugate
+    # linear in u and linear in v, so its scalar part is a sum over the
+    # pieces 1 and omega of u and v, each product taken in the algebra
+    uf = ((fp + fm) / 2, (fp - fm) / 2j)
+    ug = ((gp + gm) / 2, (gp - gm) / 2j)
+    one = CliffordElement(m, {0: 1.0})
+    integrand = 0j
+    for th in thetas:
+        pieces = (one, CliffordElement.vector(m, [math.cos(th), math.sin(th)]))
+        for p, cf in zip(pieces, uf):
+            for q, cg in zip(pieces, ug):
+                sc = complex((p.hermitian() * q).scalar_part())
+                integrand = integrand + wth * sc * np.conj(cf) * cg
+    # measure: e^{-r^2} r^{1-m} times volume r^{m-1} dr dtheta
+    total = np.einsum("i,j,ij->", wxs, wrs * np.exp(-rs * rs), integrand)
     rhs_full = 2 / math.sqrt(math.pi) / sigma * total
     res = unitarity_check(f, g, m)
     assert abs(rhs_full - res.rhs) < 1e-6
-

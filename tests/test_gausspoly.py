@@ -1,11 +1,13 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from monogenics.gausspoly import GaussPoly, hermite_coeffs, hermite_function
-from monogenics.scalars import Radical
+from monogenics.scalars import PiScalar, Radical
 
 
 def gauss_quad_line(fn, cutoff=14.0, n=260):
@@ -161,3 +163,53 @@ def test_numeric_mode_with_linear_term():
                       * f.evaluate(y.astype(complex))) / math.sqrt(2 * math.pi)
         assert abs(want - complex(ft.evaluate(p))) < 1e-11
     assert abs(complex(f.integrate_line()) - np.sum(w * f.evaluate(y.astype(complex)))) < 1e-11
+
+
+TAYLOR_FUNCTIONS = {
+    # exact, with the nonzero linear term -1/2 + i/3
+    "exact_b": GaussPoly.exact(
+        Fraction(1, 3), [1, -2, 0, Fraction(1, 2)],
+        b=PiScalar({0: (Fraction(-1, 2), Fraction(1, 3))})),
+    "numeric": GaussPoly(0.4, 0.3 - 0.5j, [1 + 0.5j, -0.2j, 0.3 + 0j, 0.1j], 0.7 + 0.2j),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _derivative_chain(name):
+    return TAYLOR_FUNCTIONS[name].derivatives(64)
+
+
+def _derivatives_at(name, x0):
+    """Reference f^(j)(x0)/j!, j <= 64, from the derivative chain.  An exact
+    f has its derivatives evaluated at the rational x0 in exact arithmetic,
+    so each value is rounded once; a numeric f goes through ``evaluate``."""
+    f = TAYLOR_FUNCTIONS[name]
+    out = []
+    if f.is_exact():
+        x = float(x0)
+        front = float(f.pref) * np.exp(-float(f.a) * x * x + complex(f.b.to_complex()) * x)
+    for j, d in enumerate(_derivative_chain(name)):
+        if f.is_exact():
+            acc = PiScalar()
+            for c in reversed(d.coeffs):
+                acc = acc * x0 + c
+            value = complex(acc.to_complex()) * front
+        else:
+            value = complex(d.evaluate(complex(x0)))
+        out.append(value / math.factorial(j))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", sorted(TAYLOR_FUNCTIONS))
+@pytest.mark.parametrize("x0", [Fraction(0), Fraction(-4, 5), Fraction(17, 10), Fraction(-5, 2)])
+def test_taylor_matches_derivative_chain(name, x0):
+    f = TAYLOR_FUNCTIONS[name]
+    ref = _derivatives_at(name, x0)
+    for order in (0, 1, f.degree(), 64):
+        got = f.taylor(float(x0), order)
+        assert got.shape == (order + 1,)
+        assert np.abs(got - ref[:order + 1]).max() <= 1e-13 * np.abs(ref).max(), order
+    if f.is_exact():
+        # against the once-rounded reference every coefficient is accurate,
+        # the smallest ones (about 1e-47 here) included
+        assert (np.abs(got - ref) <= 1e-12 * np.abs(ref)).all()

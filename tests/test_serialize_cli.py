@@ -131,11 +131,17 @@ def test_cli_radon_check(tmp_path, capsys):
     assert rc == 0
     doc = json.loads((tmp_path / "r.json").read_text())
     assert all(c.get("exact", False) or c["residual"] < 1e-6 for c in doc["cases"])
-    assert doc["tol"] == 1e-6
+    assert doc["tol"] == 1e-6 and doc["tol_default"] is True
     rc = main(["radon-check", "--m", "2", "--degree", "3", "--rule", "mc:20000:5",
                "--tol", "0.05", "--out", str(tmp_path / "rmc.json")])
     assert rc == 0
-    assert json.loads((tmp_path / "rmc.json").read_text())["tol"] == 0.05
+    doc = json.loads((tmp_path / "rmc.json").read_text())
+    assert doc["tol"] == 0.05 and doc["tol_default"] is False
+    # a given tolerance is recorded as given even when it equals the default
+    main(["radon-check", "--m", "2", "--degree", "1", "--tol", "1e-6",
+          "--out", str(tmp_path / "r6.json")])
+    doc = json.loads((tmp_path / "r6.json").read_text())
+    assert doc["tol"] == 1e-6 and doc["tol_default"] is False
 
 
 @pytest.mark.parametrize("rule", [
@@ -194,9 +200,18 @@ def test_cli_cst_check(tmp_path, capsys):
     rc = main(["cst-check", "--m", "2", "--which", "unitarity", "--family", "hermite:2",
                "--tol", "1e-5", "--out", str(tmp_path / "c.json")])
     assert rc == 0
+    doc = json.loads((tmp_path / "c.json").read_text())
+    assert doc["tol"] == 1e-5 and doc["tol_default"] is False
     rc = main(["cst-check", "--m", "2", "--which", "ua-routes", "--family", "hermite:2",
                "--tol", "1e-7", "--out", str(tmp_path / "c2.json")])
     assert rc == 0
+    doc = json.loads((tmp_path / "c2.json").read_text())
+    assert doc["tol"] == 1e-7 and doc["tol_default"] is False
+    rc = main(["cst-check", "--m", "2", "--which", "ua-routes", "--family", "hermite:2",
+               "--out", str(tmp_path / "c3.json")])
+    assert rc == 0
+    doc = json.loads((tmp_path / "c3.json").read_text())
+    assert doc["tol"] == 1e-7 and doc["tol_default"] is True
 
 
 def test_cli_export_writes_golden_equivalent(tmp_path):
