@@ -24,6 +24,7 @@ from .clifford import CliffordElement, axial_element
 from .constants import constants
 from .extensions import gck_denominator
 from .gausspoly import GaussPoly
+from .scalars import to_complex
 from .sphere import NodeRule, ProductGaussRule
 
 
@@ -78,15 +79,19 @@ def slice_cst(f: GaussPoly, x0: float, r: float) -> SliceValue:
     return SliceValue(complex(alpha), complex(beta))
 
 
-def slice_cst_fourier(f: GaussPoly, x0: float, r: float, n: int = 240,
-                      cutoff: float = 12.0) -> SliceValue:
+# Gauss-Legendre nodes and half-width of the Fourier-side slice quadrature
+FOURIER_NODES, FOURIER_CUTOFF = 240, 12.0
+
+
+def slice_cst_fourier(f: GaussPoly, x0: float, r: float) -> SliceValue:
     """Quadrature cross-check of the slice transform through the Fourier side:
 
         (1/sqrt(2 pi)) int e^{-p^2/2} e^{i p x0}
                            [cosh(p r) + i w sinh(p r)] ft(p) dp
     """
     ft = f.fourier()
-    p, w = _legendre_grid(n, -cutoff, cutoff, 0.5)   # e^{-p^2/2} is in w
+    # e^{-p^2/2} is in w
+    p, w = _legendre_grid(FOURIER_NODES, -FOURIER_CUTOFF, FOURIER_CUTOFF, 0.5)
     vals = ft.evaluate(p.astype(complex))
     common = np.exp(1j * p * x0) * vals / math.sqrt(2 * math.pi)
     alpha = np.sum(w * common * np.cosh(p * r))
@@ -182,7 +187,7 @@ def fueter_cst(f: GaussPoly, m: int, x0: float, xv, order: int | None = None,
 @functools.lru_cache(maxsize=None)
 def _gamma(m: int) -> complex:
     """gamma_m as a complex float, computed once per m from the exact constant."""
-    return complex(constants(m).gamma.to_complex())
+    return to_complex(constants(m).gamma)
 
 
 def fueter_cst_routes(f: GaussPoly, m: int, x0: float, xv,
@@ -208,7 +213,10 @@ def fueter_cst_routes(f: GaussPoly, m: int, x0: float, xv,
     }
 
 
+# (nx, nr) Gauss-Legendre levels of the coarse and fine Gram quadrature, on
+# x0 in [-GRAM_X_CUT, GRAM_X_CUT] and r in [0, GRAM_R_CUT]
 DEFAULT_QUAD_LEVELS: tuple[tuple[int, int], tuple[int, int]] = ((40, 24), (96, 64))
+GRAM_X_CUT, GRAM_R_CUT = 13.0, 9.0
 
 
 @dataclass(frozen=True)
@@ -218,7 +226,6 @@ class UnitarityResult:
     rhs_coarse: complex
     residual: float
     residual_coarse: float
-    quad_levels: tuple = DEFAULT_QUAD_LEVELS
 
     @property
     def converging(self) -> bool:
@@ -230,16 +237,15 @@ class UnitarityResult:
             "rhs_re": self.rhs.real, "rhs_im": self.rhs.imag,
             "residual": self.residual,
             "residual_coarse": self.residual_coarse,
-            "quad_levels": [list(lv) for lv in self.quad_levels],
+            "quad_levels": [list(lv) for lv in DEFAULT_QUAD_LEVELS],
             "converging": self.converging,
         }
 
 
-def _slice_gram_quad(Ff: GaussPoly, Fg: GaussPoly, nx: int, nr: int,
-                     x_cut: float = 13.0, r_cut: float = 9.0) -> complex:
+def _slice_gram_quad(Ff: GaussPoly, Fg: GaussPoly, nx: int, nr: int) -> complex:
     """(2/sqrt(pi)) iint [conj(alpha_f) alpha_g + conj(beta_f) beta_g] e^(-r^2) dr dx0."""
-    xs, wxs = _legendre_grid(nx, -x_cut, x_cut)
-    rs, wrs = _legendre_grid(nr, 0.0, r_cut, 1.0)   # e^{-r^2} is in wrs
+    xs, wxs = _legendre_grid(nx, -GRAM_X_CUT, GRAM_X_CUT)
+    rs, wrs = _legendre_grid(nr, 0.0, GRAM_R_CUT, 1.0)   # e^{-r^2} is in wrs
     Z = xs[:, None] + 1j * rs[None, :]
     af, bf = _entire_split(Ff, Z)
     ag, bg = _entire_split(Fg, Z)
@@ -248,9 +254,7 @@ def _slice_gram_quad(Ff: GaussPoly, Fg: GaussPoly, nx: int, nr: int,
     return complex(2.0 / math.sqrt(math.pi) * total)
 
 
-def unitarity_check(f: GaussPoly, g: GaussPoly, m: int,
-                    levels: tuple[tuple[int, int], tuple[int, int]] = DEFAULT_QUAD_LEVELS,
-                    ) -> UnitarityResult:
+def unitarity_check(f: GaussPoly, g: GaussPoly, m: int) -> UnitarityResult:
     """Inner product identity of the slice transform.
 
     lhs is the line inner product of f and g; rhs integrates the slice
@@ -259,18 +263,17 @@ def unitarity_check(f: GaussPoly, g: GaussPoly, m: int,
     Once the sphere is integrated out the reduced identity no longer
     depends on m, so ``m`` is not read; it stays in the signature to name
     the space the identity is about.  The identity is checked at two
-    quadrature levels.
+    quadrature levels, ``DEFAULT_QUAD_LEVELS``.
     """
-    lhs_val = (f.conjugate() * g).integrate_line()
-    lhs = complex(float(lhs_val)) if not isinstance(lhs_val, complex) else lhs_val
+    lhs = to_complex((f.conjugate() * g).integrate_line())
     Ff, Fg = f.heat(), g.heat()
-    rhs_coarse = _slice_gram_quad(Ff, Fg, *levels[0])
-    rhs = _slice_gram_quad(Ff, Fg, *levels[1])
+    coarse, fine = DEFAULT_QUAD_LEVELS
+    rhs_coarse = _slice_gram_quad(Ff, Fg, *coarse)
+    rhs = _slice_gram_quad(Ff, Fg, *fine)
     return UnitarityResult(
         lhs=lhs,
         rhs=rhs,
         rhs_coarse=rhs_coarse,
         residual=abs(rhs - lhs),
         residual_coarse=abs(rhs_coarse - lhs),
-        quad_levels=levels,
     )

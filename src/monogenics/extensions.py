@@ -72,8 +72,7 @@ class SliceFunction:
                 z = complex(x0, r)
                 zn = z**n
                 re, im = zn.real, zn.imag
-            a = c.scale(re) if hasattr(c, "scale") else c * re
-            b = c.scale(im) if hasattr(c, "scale") else c * im
+            a, b = c * re, c * im
             alpha = a if alpha is None else _add_mixed(self.m, alpha, a)
             beta = b if beta is None else _add_mixed(self.m, beta, b)
         if alpha is None:

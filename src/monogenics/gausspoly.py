@@ -1,16 +1,22 @@
 """A function algebra closed under the heat semigroup: p(x) exp(-a x^2 + b x).
 
 The polynomial part has exact complex-rational coefficients and the global
-normalization is a ``Radical`` (sign * sqrt(rational) * pi^(e/4)), so the
-time-one heat flow
+normalization is a ``Radical`` (sign * sqrt(rational) * pi^(e/4)).  The
+heat flow, the line integral and the Fourier transform all complete a
+square and take one Gaussian average of the polynomial,
 
-    a -> a/(1+2a),  prefactor -> prefactor / sqrt(1+2a),
-    p -> Gaussian average of the shifted polynomial
+    E[p(u x + v + sqrt(var) Z)],  Z a standard normal variable,
 
-is computed exactly when b = 0 (the Hermite test family).  A nonzero linear
-term b or numeric coefficients demote the result to complex arithmetic.
-Evaluation accepts complex points and numpy arrays, which is how entire
-extensions are read off.
+which ``_gauss_average`` expands through the even normal moments
+(j-1)!! var^(j/2).  With b = 0 and a ``Radical`` prefactor (the Hermite
+test family) its weights are rational and the heat flow
+
+    a -> a/(1+2a),  prefactor -> prefactor / sqrt(1+2a)
+
+and the line integral stay exact.  A nonzero linear term b or numeric
+coefficients demote the result to complex arithmetic.  Evaluation accepts
+complex points and numpy arrays, which is how entire extensions are read
+off.
 """
 
 from __future__ import annotations
@@ -20,22 +26,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import PiScalar, Radical, double_factorial
+from .scalars import PiScalar, Radical, double_factorial, to_complex
 
 
 class GaussPoly:
     __slots__ = ("a", "b", "coeffs", "pref")
 
     def __init__(self, a, b, coeffs, pref):
-        if isinstance(a, int):
-            a = Fraction(a)
-        if (isinstance(a, Fraction) and a <= 0) or (isinstance(a, float) and a <= 0):
+        if a <= 0:
             raise ValueError("Gaussian width a must be positive")
-        self.a = a
+        self.a = Fraction(a) if isinstance(a, int) else a
         self.b = b if isinstance(b, (PiScalar, complex)) else PiScalar.of(b)
         self.coeffs = [c if isinstance(c, (PiScalar, complex)) else PiScalar.of(c)
                        for c in coeffs]
-        while len(self.coeffs) > 1 and _czero(self.coeffs[-1]):
+        while len(self.coeffs) > 1 and not self.coeffs[-1]:
             self.coeffs.pop()
         self.pref = pref
 
@@ -53,28 +57,24 @@ class GaussPoly:
     def is_exact(self) -> bool:
         return isinstance(self.pref, Radical)
 
+    def _is_centred_exact(self) -> bool:
+        """Exact with b exactly zero: heat flow and line integral stay exact."""
+        return self.is_exact() and isinstance(self.b, PiScalar) and self.b.is_zero()
+
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def to_numeric(self) -> "GaussPoly":
         if not self.is_exact():
             return self
-        return GaussPoly(
-            self.a,
-            complex(self.b.to_complex() if isinstance(self.b, PiScalar) else self.b),
-            [complex(c.to_complex() if isinstance(c, PiScalar) else c) for c in self.coeffs],
-            complex(float(self.pref)),
-        )
+        return GaussPoly(self.a, to_complex(self.b), [to_complex(c) for c in self.coeffs],
+                         to_complex(self.pref))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussPoly):
             return NotImplemented
-        return (
-            self.a == other.a
-            and self.b == other.b
-            and self.pref == other.pref
-            and self.coeffs == other.coeffs
-        )
+        return ((self.a, self.b, self.pref, self.coeffs)
+                == (other.a, other.b, other.pref, other.coeffs))
 
     def __repr__(self) -> str:
         return f"GaussPoly(a={self.a}, b={self.b}, deg={self.degree()}, pref={self.pref})"
@@ -103,10 +103,8 @@ class GaussPoly:
 
     def derivative(self) -> "GaussPoly":
         """d/dx: p -> p' + (b - 2a x) p, exact."""
-        n = len(self.coeffs)
-        zero = PiScalar() if self.is_exact() else 0j
-        out = [zero] * (n + 1)
-        two_a = 2 * self.a if isinstance(self.a, Fraction) else 2.0 * self.a
+        out = [PiScalar() if self.is_exact() else 0j] * (len(self.coeffs) + 1)
+        two_a = 2 * self.a
         for k, c in enumerate(self.coeffs):
             if k >= 1:
                 out[k - 1] = out[k - 1] + c * k
@@ -149,126 +147,93 @@ class GaussPoly:
 
     def evaluate(self, z):
         """Value of the entire extension at z (scalar or numpy array)."""
-        a = float(self.a)
-        b = complex(self.b.to_complex() if isinstance(self.b, PiScalar) else self.b)
-        pref = float(self.pref) if isinstance(self.pref, Radical) else complex(self.pref)
         acc = None
         for c in reversed(self.coeffs):
-            cz = complex(c.to_complex() if isinstance(c, PiScalar) else c)
-            acc = cz if acc is None else acc * z + cz
-        return pref * acc * np.exp(-a * z * z + b * z)
+            acc = to_complex(c) if acc is None else acc * z + to_complex(c)
+        return to_complex(self.pref) * acc * np.exp(-float(self.a) * z * z + to_complex(self.b) * z)
 
     def magnitude_bound(self, center: float, radius: float) -> float:
         """Certified bound of |f| on the disk |z - center| <= radius."""
         rho = abs(center) + radius
-        a = float(self.a)
-        b = complex(self.b.to_complex() if isinstance(self.b, PiScalar) else self.b)
-        pref = abs(float(self.pref)) if isinstance(self.pref, Radical) else abs(self.pref)
-        poly = sum(
-            abs(complex(c.to_complex() if isinstance(c, PiScalar) else c)) * rho**k
-            for k, c in enumerate(self.coeffs)
-        )
+        poly = sum(abs(to_complex(c)) * rho**k for k, c in enumerate(self.coeffs))
         # Re z^2 >= center^2 - 2|center| radius - radius^2 on the disk
-        expo = a * (2 * abs(center) * radius + radius**2 - center**2) + abs(b) * rho
-        return pref * poly * math.exp(expo)
+        expo = (float(self.a) * (2 * abs(center) * radius + radius**2 - center**2)
+                + abs(to_complex(self.b)) * rho)
+        return abs(to_complex(self.pref)) * poly * math.exp(expo)
 
-    # -- heat flow -------------------------------------------------------------
+    # -- Gaussian averages: heat flow, line integral, Fourier transform --------
 
     def heat(self) -> "GaussPoly":
-        """Time-one heat semigroup, the Gaussian convolution in closed form."""
-        if self.is_exact() and isinstance(self.b, PiScalar) and self.b.is_zero():
-            A = 1 + 2 * self.a
-            new_a = self.a / A
-            pref = self.pref * Radical.sqrt(Fraction(1) / A)
-            # E[p(x/A + Z/sqrt(A))], even normal moments (2k-1)!!/A^k
-            n = self.degree()
-            out = [PiScalar() for _ in range(n + 1)]
-            invA = Fraction(1) / A
-            for k, c in enumerate(self.coeffs):
-                for j in range(0, k + 1, 2):
-                    w = (
-                        Fraction(math.comb(k, j) * double_factorial(j - 1))
-                        * invA ** (j // 2)
-                        * invA ** (k - j)
-                    )
-                    out[k - j] = out[k - j] + c * w
-            return GaussPoly(new_a, PiScalar(), out, pref)
-        f = self.to_numeric()
-        A = 1 + 2 * float(f.a)
-        new_a = Fraction(f.a) / (1 + 2 * Fraction(f.a)) if isinstance(f.a, Fraction) else f.a / A
-        b = f.b
-        pref = f.pref * (A**-0.5) * np.exp(b * b / (2 * A))
-        n = f.degree()
-        out = [0j] * (n + 1)
-        for k, c in enumerate(f.coeffs):
-            for j in range(0, k + 1, 2):
-                w = math.comb(k, j) * double_factorial(j - 1) / A ** (j // 2)
-                # (x+b)/A expanded binomially in x
-                for t in range(k - j + 1):
-                    out[t] = out[t] + c * w * math.comb(k - j, t) * b ** (k - j - t) / A ** (k - j)
-        return GaussPoly(new_a, b / A, out, pref)
+        """Time-one heat semigroup, the Gaussian convolution in closed form.
 
-    # -- line integrals -------------------------------------------------------
+        With A = 1 + 2a: a -> a/A, b -> b/A and p -> E[p((x + b)/A + Z/sqrt(A))].
+        """
+        A = 1 + 2 * self.a
+        if self._is_centred_exact():
+            inv = 1 / A
+            return GaussPoly(self.a / A, PiScalar(), _gauss_average(self.coeffs, inv, 0, inv),
+                             self.pref * Radical.sqrt(inv))
+        f, new_a, A = self.to_numeric(), self.a / A, float(A)   # new_a exact for rational a
+        pref = f.pref * (A**-0.5) * np.exp(f.b * f.b / (2 * A))
+        return GaussPoly(new_a, f.b / A, _gauss_average(f.coeffs, 1 / A, f.b / A, 1 / A), pref)
 
     def integrate_line(self):
-        """integral over the real line, in closed form.
+        """integral over the real line, in closed form: sqrt(pi/a) e^(b^2/4a)
+        E[p(b/2a + Z/sqrt(2a))].
 
         Exact (a Radical) for b = 0 with real rational coefficients;
         complex float otherwise.
         """
-        if self.is_exact() and isinstance(self.b, PiScalar) and self.b.is_zero():
-            total = PiScalar()
-            inv2a = Fraction(1) / (2 * self.a)
-            for k in range(0, self.degree() + 1, 2):
-                w = Fraction(double_factorial(k - 1)) * inv2a ** (k // 2)
-                total = total + self.coeffs[k] * w
-            # times sqrt(pi/a)
+        if self._is_centred_exact():
+            total = _gauss_average(self.coeffs, 0, 0, 1 / (2 * self.a))[0]
+            root = Radical(1 / self.a, 2)   # sqrt(pi/a)
             if total.is_rational():
-                return self.pref * Radical(total.rational() ** 2 * Fraction(1) / self.a, 2,
-                                           1 if total.rational() >= 0 else -1)
-            root = Radical(Fraction(1) / self.a, 2)
-            return complex(total.to_complex()) * float(self.pref) * float(root)
+                return self.pref * Radical.of(total.rational()) * root
+            return to_complex(total) * float(self.pref) * float(root)
         f = self.to_numeric()
         a = float(f.a)
-        mu = f.b / (2 * a)
-        total = 0j
-        for k, c in enumerate(f.coeffs):
-            for j in range(0, k + 1, 2):
-                total += (
-                    c
-                    * math.comb(k, j)
-                    * double_factorial(j - 1)
-                    / (2 * a) ** (j // 2)
-                    * mu ** (k - j)
-                )
+        total = _gauss_average(f.coeffs, 0, f.b / (2 * a), 1 / (2 * a))[0]
         return f.pref * total * math.sqrt(math.pi / a) * np.exp(f.b * f.b / (4 * a))
 
     def fourier(self) -> "GaussPoly":
-        """(1/sqrt(2 pi)) int exp(-i p y) f(y) dy as a numeric GaussPoly in p."""
+        """(1/sqrt(2 pi)) int exp(-i p y) f(y) dy as a numeric GaussPoly in p.
+
+        Completing the square with b - i p leaves E[p((b - i p)/2a + Z/sqrt(2a))].
+        """
         f = self.to_numeric()
         a = float(f.a)
-        n = f.degree()
-        # complete the square with beta = b - i p: polynomial part in p comes
-        # from E[p(mu + Z/sqrt(2a))] with mu = (b - i p)/(2a)
-        out = [0j] * (n + 1)
-        for k, c in enumerate(f.coeffs):
-            for j in range(0, k + 1, 2):
-                w = c * math.comb(k, j) * double_factorial(j - 1) / (2 * a) ** (j // 2)
-                for t in range(k - j + 1):
-                    out[t] += (
-                        w
-                        * math.comb(k - j, t)
-                        * f.b ** (k - j - t)
-                        * (-1j) ** t
-                        / (2 * a) ** (k - j)
-                    )
+        coeffs = _gauss_average(f.coeffs, -1j / (2 * a), f.b / (2 * a), 1 / (2 * a))
         pref = f.pref * math.sqrt(math.pi / a) / math.sqrt(2 * math.pi) * np.exp(f.b**2 / (4 * a))
-        return GaussPoly(Fraction(1, 4) / self.a if isinstance(self.a, Fraction) else 1 / (4 * a),
-                         -1j * f.b / (2 * a), out, pref)
+        return GaussPoly(1 / (4 * self.a), -1j * f.b / (2 * a), coeffs, pref)
 
 
-def _czero(c) -> bool:
-    return c.is_zero() if isinstance(c, PiScalar) else c == 0
+def _gauss_average(coeffs, u, v, var) -> list:
+    """Coefficients in x of E[p(u x + v + sqrt(var) Z)], Z a standard normal.
+
+    First q(y) = E[p(y + sqrt(var) Z)], whose y^n coefficient is the sum over
+    even j of c_(n+j) C(n+j, j) (j-1)!! var^(j/2); then y = u x + v.  Every
+    weight is a plain number formed before it meets a coefficient, so
+    rational u, v, var keep ``PiScalar`` coefficients exact.  v = 0 folds u^n
+    into the weights of q_n, which is then the answer; u = 0 keeps q_0 only.
+    """
+    zero = PiScalar() if isinstance(var, Fraction) else 0j
+    size = len(coeffs) if u else 1
+    moments = [double_factorial(j - 1) * var ** (j // 2) for j in range(0, len(coeffs), 2)]
+    q = []
+    for n in range(len(coeffs) if v else size):
+        un = 1 if v else u**n
+        acc = zero
+        for j in range(0, len(coeffs) - n, 2):
+            if coeffs[n + j]:
+                acc = acc + coeffs[n + j] * (math.comb(n + j, j) * moments[j // 2] * un)
+        q.append(acc)
+    if not v:
+        return q
+    out = [zero] * size
+    for n, qn in enumerate(q):
+        for t in range(min(n + 1, size)):
+            out[t] = out[t] + qn * (math.comb(n, t) * u**t * v ** (n - t))
+    return out
 
 
 def hermite_coeffs(n: int) -> list[int]:

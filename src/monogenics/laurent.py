@@ -90,8 +90,7 @@ class LaurentPoly:
         return self.scale(other)
 
     def scale(self, s) -> "LaurentPoly":
-        return LaurentPoly({n: c * s if not hasattr(c, "scale") else c.scale(s)
-                            for n, c in self.terms.items()})
+        return LaurentPoly({n: c * s for n, c in self.terms.items()})
 
     # -- calculus ----------------------------------------------------------
 
@@ -101,7 +100,7 @@ class LaurentPoly:
             terms = {}
             for n, c in out.terms.items():
                 if n != 0:
-                    terms[n - 1] = c * n if not hasattr(c, "scale") else c.scale(n)
+                    terms[n - 1] = c * n
             out = LaurentPoly(terms)
         return out
 
@@ -112,7 +111,7 @@ class LaurentPoly:
         out = None
         for n, c in sorted(self.terms.items()):
             xp = x**n if n >= 0 else 1 / (x ** (-n))
-            val = c * canon(xp) if not hasattr(c, "scale") else c.scale(canon(xp))
+            val = c * canon(xp)
             out = val if out is None else out + val
         return out if out is not None else Fraction(0)
 

@@ -60,7 +60,7 @@ OP_REGISTRY: dict[str, list[str]] = {
                      "plane_wave_gck_check", "cauchy_plane_wave_check"],
     "cst": ["heat_semigroup", "classical_cst", "slice_cst", "axial_cst", "fueter_cst",
             "unitarity_check"],
-    "cli": ["run_suite", "export_object"],
+    "cli": ["run_suite", "export_payload"],
 }
 
 SUITE_NAMES = ("algebra", "gck", "fueter", "monomials", "radon", "cst", "all")
@@ -641,7 +641,7 @@ def suite_cst(m_list: tuple[int, ...] = (2, 3), n_hermite: int = 4,
                 worst_axial = max(worst_axial, ua.norm_inf())
                 worst_fueter = max(worst_fueter, *((a - b).norm_inf() for b in others))
     s.case("axial_two_routes", "axial transform equals the dual Radon of the slice transform",
-           ["axial_cst", "slice_cst", "dual_radon"], exact=False, residual=worst_axial, tol=tol)
+           ["axial_cst"], exact=False, residual=worst_axial, tol=tol)
     s.case("fueter_three_routes", "slice-to-axial transform agrees along all three compositions",
            ["fueter_cst", "axial_cst", "heat_semigroup"], exact=False, residual=worst_fueter,
            tol=tol)
@@ -658,7 +658,7 @@ def suite_cst(m_list: tuple[int, ...] = (2, 3), n_hermite: int = 4,
                     conv_ok += 1
     s.case("unitarity_gram", "line inner products equal the weighted slice inner products "
            "on the Hermite Gram matrix, improving under refinement",
-           ["unitarity_check", "slice_cst"], exact=False,
+           ["unitarity_check"], exact=False,
            residual=worst + conv_ok, tol=1e-5)
     return s.report
 
@@ -740,7 +740,7 @@ def run_suite(name: str, params: dict | None = None) -> VerificationReport:
         combined.cases.append(
             CaseResult("export_roundtrip", "canonical export payload survives a JSON round trip",
                        {"kind": "Qpoly", "m": 3, "k": 2}, True,
-                       0.0 if round_ok else 1.0, 0.0, round_ok, ["export_object"])
+                       0.0 if round_ok else 1.0, 0.0, round_ok, ["export_payload"])
         )
         covered = combined.covered_ops() | {"run_suite"}
         missing = sorted(

@@ -297,10 +297,10 @@ def test_legendre_grid_is_shared_and_read_only():
 
 def test_unitarity_reduction_against_full_sphere_quadrature():
     # independent check of the analytic sphere reduction for m = 2: integrate
-    # the full inner product over the circle numerically
+    # the full inner product over the circle numerically.  The pair (1, 2)
+    # vanishes term by term by parity, so alone it cannot see a wrong
+    # reduction; the diagonal and same-parity pairs have nonzero integrands
     m = 2
-    f, g = HERMITES[1], HERMITES[2]
-    Ff, Fg = heat_semigroup(f), heat_semigroup(g)
     nx, nr, ntheta = 70, 40, 24
     ux, wx = np.polynomial.legendre.leggauss(nx)
     ur, wr = np.polynomial.legendre.leggauss(nr)
@@ -312,23 +312,26 @@ def test_unitarity_reduction_against_full_sphere_quadrature():
 
     sigma = float(sphere_area(m))
     X, Rr = np.meshgrid(xs, rs, indexing="ij")
-    fp, fm = Ff.evaluate(X + 1j * Rr), Ff.evaluate(X - 1j * Rr)
-    gp, gm = Fg.evaluate(X + 1j * Rr), Fg.evaluate(X - 1j * Rr)
-    # the slice values are u = a + omega b; hermitian(u) * v is conjugate
-    # linear in u and linear in v, so its scalar part is a sum over the
-    # pieces 1 and omega of u and v, each product taken in the algebra
-    uf = ((fp + fm) / 2, (fp - fm) / 2j)
-    ug = ((gp + gm) / 2, (gp - gm) / 2j)
     one = CliffordElement(m, {0: 1.0})
-    integrand = 0j
-    for th in thetas:
-        pieces = (one, CliffordElement.vector(m, [math.cos(th), math.sin(th)]))
-        for p, cf in zip(pieces, uf):
-            for q, cg in zip(pieces, ug):
-                sc = complex((p.hermitian() * q).scalar_part())
-                integrand = integrand + wth * sc * np.conj(cf) * cg
-    # measure: e^{-r^2} r^{1-m} times volume r^{m-1} dr dtheta
-    total = np.einsum("i,j,ij->", wxs, wrs * np.exp(-rs * rs), integrand)
-    rhs_full = 2 / math.sqrt(math.pi) / sigma * total
-    res = unitarity_check(f, g, m)
-    assert abs(rhs_full - res.rhs) < 1e-6
+    for i, j in ((1, 2), (1, 1), (1, 3), (0, 2)):
+        f, g = HERMITES[i], HERMITES[j]
+        Ff, Fg = heat_semigroup(f), heat_semigroup(g)
+        fp, fm = Ff.evaluate(X + 1j * Rr), Ff.evaluate(X - 1j * Rr)
+        gp, gm = Fg.evaluate(X + 1j * Rr), Fg.evaluate(X - 1j * Rr)
+        # the slice values are u = a + omega b; hermitian(u) * v is conjugate
+        # linear in u and linear in v, so its scalar part is a sum over the
+        # pieces 1 and omega of u and v, each product taken in the algebra
+        uf = ((fp + fm) / 2, (fp - fm) / 2j)
+        ug = ((gp + gm) / 2, (gp - gm) / 2j)
+        integrand = 0j
+        for th in thetas:
+            pieces = (one, CliffordElement.vector(m, [math.cos(th), math.sin(th)]))
+            for p, cf in zip(pieces, uf):
+                for q, cg in zip(pieces, ug):
+                    sc = complex((p.hermitian() * q).scalar_part())
+                    integrand = integrand + wth * sc * np.conj(cf) * cg
+        # measure: e^{-r^2} r^{1-m} times volume r^{m-1} dr dtheta
+        total = np.einsum("i,j,ij->", wxs, wrs * np.exp(-rs * rs), integrand)
+        rhs_full = 2 / math.sqrt(math.pi) / sigma * total
+        res = unitarity_check(f, g, m)
+        assert abs(rhs_full - res.rhs) < 1e-6, (i, j)

@@ -240,3 +240,16 @@ def test_clifford_valued_axis_data():
     series = gck_extension(f0, m)
     assert series.restrict() == f0
     assert series.to_polynomial() == appell_Q(m, 1).right_mul_element(e1)
+    # element and scalar coefficients alike are scaled, differentiated and
+    # evaluated by multiplying each coefficient with a scalar
+    e12 = e1 * CliffordElement.generator(m, 2)
+    mixed = LaurentPoly({-1: e1, 0: Fraction(2), 3: e12})
+    assert mixed.scale(Fraction(3, 4)).terms == {
+        -1: e1.scale(Fraction(3, 4)), 0: Fraction(3, 2), 3: e12.scale(Fraction(3, 4))}
+    assert mixed.derivative(2) == LaurentPoly({-3: e1.scale(2), 1: e12.scale(6)})
+    assert mixed.derivative(2).evaluate(Fraction(2)) == e1.scale(Fraction(1, 4)) + e12.scale(12)
+    # the slice extension of mixed data: x^(-1) = conj(x)/|x|^2, values x^n c
+    xe = x.to_element()
+    want = (x.conj().to_element().scale(1 / x.norm_sq()) * e1 + CliffordElement.scalar(m, 2)
+            + xe * xe * xe * e12)
+    assert slice_extension(mixed, m).evaluate(x.x0, list(x.xv)) == want

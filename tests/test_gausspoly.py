@@ -165,6 +165,32 @@ def test_numeric_mode_with_linear_term():
     assert abs(complex(f.integrate_line()) - np.sum(w * f.evaluate(y.astype(complex)))) < 1e-11
 
 
+def test_exact_and_numeric_paths_are_chosen_by_type():
+    # b exactly zero with a Radical prefactor: the heat flow stays exact
+    h = hermite_function(5).derivative().heat()
+    assert isinstance(h.pref, Radical) and isinstance(h.b, PiScalar)
+    assert all(isinstance(c, PiScalar) for c in h.coeffs)
+    # line integrals of Hermite products are Radicals
+    for i, j in ((2, 2), (1, 3), (0, 4), (3, 6)):
+        prod = hermite_function(i).conjugate() * hermite_function(j)
+        assert isinstance(prod.integrate_line(), Radical)
+    # a rational nonzero b demotes to complex
+    f = GaussPoly.exact(Fraction(1, 3), [1, -1, 2], b=Fraction(1, 2))
+    h = f.heat()
+    assert not h.is_exact() and isinstance(h.b, complex)
+    assert all(isinstance(c, complex) for c in h.coeffs)
+    assert isinstance(f.integrate_line(), complex)
+    # a Radical prefactor with a complex b takes the numeric path and agrees
+    # with the numeric copy of the same function
+    g = GaussPoly.exact(Fraction(1, 2), [1, 2], b=0.5j)
+    assert isinstance(g.pref, Radical) and isinstance(g.b, complex)
+    gn = g.to_numeric()
+    assert not g.heat().is_exact()
+    for x in (0.0, 0.7, -1.3):
+        assert abs(complex(g.heat().evaluate(x)) - complex(gn.heat().evaluate(x))) < 1e-15
+    assert abs(complex(g.integrate_line()) - complex(gn.integrate_line())) < 1e-15
+
+
 TAYLOR_FUNCTIONS = {
     # exact, with the nonzero linear term -1/2 + i/3
     "exact_b": GaussPoly.exact(

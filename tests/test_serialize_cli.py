@@ -230,6 +230,14 @@ def test_registry_covered_by_all_suite():
             assert op in covered, f"{module}.{op} not exercised"
 
 
+def test_registry_names_public_functions():
+    import monogenics
+
+    for module, ops in OP_REGISTRY.items():
+        for op in ops:
+            assert callable(getattr(monogenics, op, None)), f"{module}.{op} is not a function"
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nonsense")
