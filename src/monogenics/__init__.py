@@ -70,6 +70,7 @@ from .cst import (
     slice_cst,
     slice_cst_fourier,
     unitarity_check,
+    unitarity_gram,
 )
 from .suites import OP_REGISTRY, run_suite, export_payload
 

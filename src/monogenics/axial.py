@@ -267,7 +267,7 @@ class AxialClosedForm:
             raise DomainError("closed form singular at the origin")
         if r2 == 0:
             a, _ = self.value_parts(x0, 0 if isinstance(x0, (int, Fraction)) else 0.0)
-            return CliffordElement.scalar(m, a) if not isinstance(a, CliffordElement) else a
+            return CliffordElement.zero(m) + a
         r = sqrt_exact_or_float(canon(r2))
         a, b = self.value_parts(x0, r)
         return axial_element(m, a, [c / r for c in xv], b)

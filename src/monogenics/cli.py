@@ -22,10 +22,10 @@ from typing import NoReturn
 from . import serialize as ser
 from .laurent import LaurentPoly
 from .radon import cauchy_plane_wave_check, plane_wave_gck_check
-from .sphere import ExactMonomialRule, MonteCarloRule, ProductGaussRule
+from .sphere import ExactMonomialRule, MonteCarloRule, ProductGaussRule, product_rule_size
 from .suites import SUITE_NAMES, export_payload, run_suite
 from .cst import (CHECK_POINTS, axial_cst, axial_cst_radon_route, fueter_cst_routes,
-                  unitarity_check)
+                  unitarity_gram)
 from .gausspoly import hermite_function
 from .scalars import PiScalar
 
@@ -158,7 +158,7 @@ def _parse_frac(s) -> Fraction:
 def _gauss_rule(m: int, level: int) -> ProductGaussRule:
     """The product Gauss rule, refused before any node is built if it
     would have more than GAUSS_NODES_MAX nodes."""
-    nodes = 2 if m == 1 else max(2 * level, 4) * level ** (m - 2)
+    nodes = product_rule_size(m, level)
     if nodes > GAUSS_NODES_MAX:
         _usage_error(f"desk-scale bound: gauss:{level} needs {nodes} nodes at m={m}, "
                      f"more than {GAUSS_NODES_MAX}")
@@ -225,9 +225,8 @@ def _cmd_cst_check(args) -> int:
     cases = []
     ok = True
     if args.which == "unitarity":
-        for i, f in enumerate(fams):
-            for j, g in enumerate(fams):
-                res = unitarity_check(f, g, args.m)
+        for i, row in enumerate(unitarity_gram(fams, fams, args.m)):
+            for j, res in enumerate(row):
                 passed = res.residual < tol and res.converging
                 ok &= passed
                 cases.append({"i": i, "j": j, **res.to_json(), "pass": passed})

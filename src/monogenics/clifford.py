@@ -10,7 +10,10 @@ entries come from ``blade_product`` on first use, never at import.
 
 Coefficients may be exact (``Fraction`` / ``PiScalar``) or numeric
 (``float`` / ``complex``); the two families are not mixed implicitly.
-Elements are immutable: every operation returns a fresh value.
+A scalar operand of ``+`` or ``-``, on either side, is the scalar blade of
+the element's algebra, so ``2 + e1`` and ``e1 - 2`` are elements; any other
+operand is refused.  Elements are immutable: every operation returns a
+fresh value.
 """
 
 from __future__ import annotations
@@ -19,7 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import canon, is_zero_scalar, scalar_conj, to_complex
+from .scalars import PiScalar, canon, is_zero_scalar, scalar_conj, to_complex
+
+# operands of + and - that stand for the scalar blade
+_SCALARS = (int, Fraction, PiScalar, float, complex)
 
 
 def reorder_sign(a: int, b: int) -> int:
@@ -146,18 +152,27 @@ class CliffordElement:
             raise ValueError(f"dimension mismatch: m={self.m} vs m={other.m}")
 
     def __add__(self, other) -> "CliffordElement":
-        if not isinstance(other, CliffordElement):
+        if isinstance(other, CliffordElement):
+            self._check(other)
+        elif isinstance(other, _SCALARS):
+            other = CliffordElement.scalar(self.m, other)
+        else:
             return NotImplemented
-        self._check(other)
         coeffs = dict(self.coeffs)
         for mask, c in other.coeffs.items():
             coeffs[mask] = coeffs[mask] + c if mask in coeffs else c
         return CliffordElement(self.m, coeffs)
 
-    def __sub__(self, other) -> "CliffordElement":
-        if not isinstance(other, CliffordElement):
+    def __radd__(self, other) -> "CliffordElement":
+        if not isinstance(other, _SCALARS):
             return NotImplemented
-        return self + (-other)
+        return CliffordElement.scalar(self.m, other) + self
+
+    def __sub__(self, other) -> "CliffordElement":
+        return self + -other if isinstance(other, (CliffordElement, *_SCALARS)) else NotImplemented
+
+    def __rsub__(self, other) -> "CliffordElement":
+        return other + -self if isinstance(other, _SCALARS) else NotImplemented
 
     def __neg__(self) -> "CliffordElement":
         return CliffordElement(self.m, {mask: -c for mask, c in self.coeffs.items()})
@@ -260,8 +275,6 @@ def axial_element(m: int, a, w: Sequence, b) -> CliffordElement:
     a and b may be scalars or elements; w is a sequence or an array, and an
     element b multiplies it from the right.
     """
-    if not isinstance(a, CliffordElement):
-        a = CliffordElement.scalar(m, a)
     return a + CliffordElement.vector(m, w) * b
 
 

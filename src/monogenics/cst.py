@@ -17,6 +17,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import product
+from typing import Sequence
 
 import numpy as np
 
@@ -242,38 +244,37 @@ class UnitarityResult:
         }
 
 
-def _slice_gram_quad(Ff: GaussPoly, Fg: GaussPoly, nx: int, nr: int) -> complex:
-    """(2/sqrt(pi)) iint [conj(alpha_f) alpha_g + conj(beta_f) beta_g] e^(-r^2) dr dx0."""
-    xs, wxs = _legendre_grid(nx, -GRAM_X_CUT, GRAM_X_CUT)
-    rs, wrs = _legendre_grid(nr, 0.0, GRAM_R_CUT, 1.0)   # e^{-r^2} is in wrs
-    Z = xs[:, None] + 1j * rs[None, :]
-    af, bf = _entire_split(Ff, Z)
-    ag, bg = _entire_split(Fg, Z)
-    integrand = np.conj(af) * ag + np.conj(bf) * bg
-    total = np.einsum("i,j,ij->", wxs, wrs, integrand)
-    return complex(2.0 / math.sqrt(math.pi) * total)
-
-
-def unitarity_check(f: GaussPoly, g: GaussPoly, m: int) -> UnitarityResult:
-    """Inner product identity of the slice transform.
+def unitarity_gram(fs: Sequence[GaussPoly], gs: Sequence[GaussPoly],
+                   m: int) -> list[list[UnitarityResult]]:
+    """Inner product identity of the slice transform; entry [i][j] is the
+    pair (fs[i], gs[j]).
 
     lhs is the line inner product of f and g; rhs integrates the slice
     transforms against the Gaussian radial measure, the sphere directions
-    having been integrated out exactly (odd terms vanish, w*w = sigma_m).
+    having been integrated out exactly (odd terms vanish, w*w = sigma_m):
+    (2/sqrt(pi)) iint [conj(alpha_f) alpha_g + conj(beta_f) beta_g] e^(-r^2) dr dx0.
     Once the sphere is integrated out the reduced identity no longer
     depends on m, so ``m`` is not read; it stays in the signature to name
     the space the identity is about.  The identity is checked at two
-    quadrature levels, ``DEFAULT_QUAD_LEVELS``.
+    quadrature levels, ``DEFAULT_QUAD_LEVELS``; each distinct function is
+    smoothed once and split once on each level's grid.
     """
-    lhs = to_complex((f.conjugate() * g).integrate_line())
-    Ff, Fg = f.heat(), g.heat()
-    coarse, fine = DEFAULT_QUAD_LEVELS
-    rhs_coarse = _slice_gram_quad(Ff, Fg, *coarse)
-    rhs = _slice_gram_quad(Ff, Fg, *fine)
-    return UnitarityResult(
-        lhs=lhs,
-        rhs=rhs,
-        rhs_coarse=rhs_coarse,
-        residual=abs(rhs - lhs),
-        residual_coarse=abs(rhs_coarse - lhs),
-    )
+    smooth = {id(f): f for f in (*fs, *gs)}
+    smooth = {key: f.heat() for key, f in smooth.items()}
+    coarse, fine = [], []   # rhs of the pairs, row by row
+    for (nx, nr), rhs in zip(DEFAULT_QUAD_LEVELS, (coarse, fine)):
+        xs, wxs = _legendre_grid(nx, -GRAM_X_CUT, GRAM_X_CUT)
+        rs, wrs = _legendre_grid(nr, 0.0, GRAM_R_CUT, 1.0)   # e^{-r^2} is in wrs
+        Z = xs[:, None] + 1j * rs[None, :]
+        split = {key: _entire_split(F, Z) for key, F in smooth.items()}
+        for (af, bf), (ag, bg) in product([split[id(f)] for f in fs], [split[id(g)] for g in gs]):
+            total = np.einsum("i,j,ij->", wxs, wrs, np.conj(af) * ag + np.conj(bf) * bg)
+            rhs.append(complex(2.0 / math.sqrt(math.pi) * total))
+    lhs = [to_complex((f.conjugate() * g).integrate_line()) for f, g in product(fs, gs)]
+    flat = [UnitarityResult(a, b, c, abs(b - a), abs(c - a)) for a, b, c in zip(lhs, fine, coarse)]
+    return [flat[i * len(gs):(i + 1) * len(gs)] for i in range(len(fs))]
+
+
+def unitarity_check(f: GaussPoly, g: GaussPoly, m: int) -> UnitarityResult:
+    """The entry of ``unitarity_gram`` for the one pair (f, g)."""
+    return unitarity_gram([f], [g], m)[0][0]

@@ -27,15 +27,6 @@ from .poly import CliffordPolynomial, paravector_power
 from .scalars import PiScalar, canon, gamma_half, pochhammer, sqrt_exact_or_float
 
 
-def _add_mixed(m: int, a, b):
-    """a + b where either may be a scalar or a CliffordElement: a scalar
-    meeting an element is promoted to a scalar element first."""
-    if isinstance(a, CliffordElement) != isinstance(b, CliffordElement):
-        a, b = (x if isinstance(x, CliffordElement) else CliffordElement.scalar(m, x)
-                for x in (a, b))
-    return a + b
-
-
 # ---------------------------------------------------------------------------
 # Slice extension
 # ---------------------------------------------------------------------------
@@ -60,8 +51,7 @@ class SliceFunction:
         """(alpha, beta) with value = alpha + w*beta on the slice at radius r."""
         if self.f0.min_exp() < 0 and x0 == 0 and r == 0:
             raise ZeroDivisionError("negative powers require x != 0")
-        alpha = None
-        beta = None
+        alpha = beta = Fraction(0)
         exact_in = isinstance(x0, (int, Fraction)) and isinstance(r, (int, Fraction))
         for n, c in sorted(self.f0.terms.items()):
             if exact_in:
@@ -72,20 +62,15 @@ class SliceFunction:
                 z = complex(x0, r)
                 zn = z**n
                 re, im = zn.real, zn.imag
-            a, b = c * re, c * im
-            alpha = a if alpha is None else _add_mixed(self.m, alpha, a)
-            beta = b if beta is None else _add_mixed(self.m, beta, b)
-        if alpha is None:
-            alpha = Fraction(0)
-            beta = Fraction(0)
+            alpha = alpha + c * re
+            beta = beta + c * im
         return alpha, beta
 
     def evaluate(self, x0, xv: Sequence) -> CliffordElement:
         m = self.m
         r2 = sum(c * c for c in xv)
         if r2 == 0:
-            val = self.f0.evaluate(x0)
-            return val if isinstance(val, CliffordElement) else CliffordElement.scalar(m, val)
+            return CliffordElement.zero(m) + self.f0.evaluate(x0)
         r = sqrt_exact_or_float(r2)
         alpha, beta = self.slice_values(x0, r)
         return axial_element(m, alpha, [c / r for c in xv], beta)
@@ -96,7 +81,7 @@ class SliceFunction:
         out = CliffordPolynomial.zero(self.m)
         for n, c in self.f0.terms.items():
             p = paravector_power(self.m, n)
-            out = out + (p.right_mul_element(c) if isinstance(c, CliffordElement) else p.scale(c))
+            out = out + p.scale(c)
         return out
 
 
@@ -224,12 +209,10 @@ class AxialSeries:
                     even_pow = even_pow * (-r2)
                 continue
             val = f.evaluate(x0)
-            if not isinstance(val, CliffordElement):
-                val = CliffordElement.scalar(m, val)
             if j % 2 == 0:
-                out = out + val.scale(even_pow)
+                out = out + val * even_pow
             else:
-                out = out + (vec * val).scale(even_pow)
+                out = out + vec * val * even_pow
                 even_pow = even_pow * (-r2)
         return out
 

@@ -81,11 +81,6 @@ class GaussPoly:
 
     # -- pointwise algebra -------------------------------------------------
 
-    def scale(self, s) -> "GaussPoly":
-        if isinstance(s, Radical) and self.is_exact():
-            return GaussPoly(self.a, self.b, self.coeffs, self.pref * s)
-        return GaussPoly(self.a, self.b, [c * s for c in self.coeffs], self.pref)
-
     def __mul__(self, other) -> "GaussPoly":
         if not isinstance(other, GaussPoly):
             return NotImplemented

@@ -1,8 +1,10 @@
 """Univariate Laurent polynomials, the carrier for data on the real axis.
 
 Coefficients are exact scalars by default but may be CliffordElements or
-numeric types; differentiation and evaluation are termwise, valid for all
-integer exponents.
+numeric types, mixed freely: a scalar and an element add as the element
+plus the scalar blade, so sums and values of mixed data are elements.
+Differentiation and evaluation are termwise, valid for all integer
+exponents.
 """
 
 from __future__ import annotations

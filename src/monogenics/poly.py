@@ -133,10 +133,8 @@ class CliffordPolynomial:
         return CliffordPolynomial._trusted(self.m, {e: -c for e, c in self.terms.items()})
 
     def scale(self, s) -> "CliffordPolynomial":
-        return CliffordPolynomial._trusted(self.m, {e: c.scale(s) for e, c in self.terms.items()})
-
-    def right_mul_element(self, a: CliffordElement) -> "CliffordPolynomial":
-        return CliffordPolynomial._trusted(self.m, {e: c * a for e, c in self.terms.items()})
+        """Every coefficient times s from the right; s is a scalar or an element."""
+        return CliffordPolynomial._trusted(self.m, {e: c * s for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "CliffordPolynomial":
         if not isinstance(other, CliffordPolynomial):

@@ -144,11 +144,16 @@ class ProductGaussRule(NodeRule):
         super().__init__(m, *_sphere_product_rule(m, level), f"gauss:{level}")
 
 
+def product_rule_size(m: int, level: int) -> int:
+    """Node count of ``ProductGaussRule(m, level)``, known before any node is built."""
+    return 2 if m == 1 else max(2 * level, 4) * level ** (m - 2)
+
+
 def _sphere_product_rule(m: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     if m == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if m == 2:
-        n = max(2 * level, 4)
+        n = product_rule_size(2, level)
         theta = 2.0 * np.pi * np.arange(n) / n
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         weights = np.full(n, 2.0 * np.pi / n)

@@ -28,7 +28,7 @@ from .cst import (
     heat_semigroup,
     slice_cst,
     slice_cst_fourier,
-    unitarity_check,
+    unitarity_gram,
 )
 from .extensions import (
     appell_Q,
@@ -59,7 +59,7 @@ OP_REGISTRY: dict[str, list[str]] = {
     "radon_sphere": ["funk_hecke_constants", "dual_radon",
                      "plane_wave_gck_check", "cauchy_plane_wave_check"],
     "cst": ["heat_semigroup", "classical_cst", "slice_cst", "axial_cst", "fueter_cst",
-            "unitarity_check"],
+            "unitarity_gram"],
     "cli": ["run_suite", "export_payload"],
 }
 
@@ -649,16 +649,15 @@ def suite_cst(m_list: tuple[int, ...] = (2, 3), n_hermite: int = 4,
     worst = 0.0
     conv_ok = 0
     for m in m_list:
-        for i in range(n_hermite):
-            for j in range(n_hermite):
-                res = unitarity_check(fams[i], fams[j], m)
+        for i, row in enumerate(unitarity_gram(fams, fams, m)):
+            for j, res in enumerate(row):
                 want = 1.0 if i == j else 0.0
                 worst = max(worst, abs(res.rhs - want), abs(res.lhs - want))
                 if not res.converging:
                     conv_ok += 1
     s.case("unitarity_gram", "line inner products equal the weighted slice inner products "
            "on the Hermite Gram matrix, improving under refinement",
-           ["unitarity_check"], exact=False,
+           ["unitarity_gram"], exact=False,
            residual=worst + conv_ok, tol=1e-5)
     return s.report
 

@@ -153,6 +153,26 @@ def test_dimension_mismatch_raises():
         geometric_product(CliffordElement.one(2), CliffordElement.one(3))
 
 
+@pytest.mark.parametrize("s", [Fraction(-2, 3), PiScalar.pi_power(2, 3), 1.25, 0.5 - 2j])
+def test_scalar_operand_is_the_scalar_blade(s):
+    from monogenics.poly import CliffordPolynomial
+
+    m = 3
+    a = CliffordElement(m, {0: Fraction(1, 2), 0b001: Fraction(3), 0b110: Fraction(-1, 5)})
+    blade = CliffordElement.scalar(m, s)
+    assert a + s == s + a == a + blade
+    assert a - s == a - blade
+    assert s - a == blade - a
+    # a scalar cancelling the scalar part leaves no zero coefficient behind
+    assert a - Fraction(1, 2) == -Fraction(1, 2) + a == CliffordElement(
+        m, {0b001: Fraction(3), 0b110: Fraction(-1, 5)})
+    p = CliffordPolynomial.one(m)
+    for op in (lambda: a + p, lambda: p + a, lambda: a - p, lambda: p - a,
+               lambda: a + "1", lambda: "1" - a, lambda: a + [s]):
+        with pytest.raises(TypeError):
+            op()
+
+
 def _random_element(rng: random.Random, m: int, draw) -> CliffordElement:
     return CliffordElement(m, {mask: draw() for mask in range(1 << m) if rng.random() < 0.6})
 

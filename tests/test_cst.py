@@ -20,6 +20,7 @@ from monogenics.cst import (
     slice_cst,
     slice_cst_fourier,
     unitarity_check,
+    unitarity_gram,
 )
 from monogenics.extensions import gck_denominator
 from monogenics.gausspoly import GaussPoly, hermite_function
@@ -270,9 +271,14 @@ def _gram_quad_reference(Ff, Fg, nx, nr, x_cut=13.0, r_cut=9.0):
 @pytest.mark.parametrize("m", [2, 3])
 def test_unitarity_gram_matches_per_call_quadrature(m):
     (coarse, fine) = DEFAULT_QUAD_LEVELS
-    for f in HERMITES:
-        for g in HERMITES:
+    gram = unitarity_gram(HERMITES, HERMITES, m)
+    assert [len(row) for row in gram] == [len(HERMITES)] * len(HERMITES)
+    # a rectangular Gram holds the entries of the square one, bit for bit
+    assert unitarity_gram(HERMITES[1:3], HERMITES, m) == gram[1:3]
+    for f, row in zip(HERMITES, gram):
+        for g, entry in zip(HERMITES, row):
             res = unitarity_check(f, g, m)
+            assert entry == res
             lhs = complex((f.conjugate() * g).integrate_line())
             rhs = _gram_quad_reference(f.heat(), g.heat(), *fine)
             rhs_coarse = _gram_quad_reference(f.heat(), g.heat(), *coarse)

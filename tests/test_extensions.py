@@ -239,7 +239,7 @@ def test_clifford_valued_axis_data():
     assert sf.evaluate(x.x0, list(x.xv)) == x.to_element() * e1
     series = gck_extension(f0, m)
     assert series.restrict() == f0
-    assert series.to_polynomial() == appell_Q(m, 1).right_mul_element(e1)
+    assert series.to_polynomial() == appell_Q(m, 1).scale(e1)
     # element and scalar coefficients alike are scaled, differentiated and
     # evaluated by multiplying each coefficient with a scalar
     e12 = e1 * CliffordElement.generator(m, 2)
@@ -253,3 +253,13 @@ def test_clifford_valued_axis_data():
     want = (x.conj().to_element().scale(1 / x.norm_sq()) * e1 + CliffordElement.scalar(m, 2)
             + xe * xe * xe * e12)
     assert slice_extension(mixed, m).evaluate(x.x0, list(x.xv)) == want
+    # scalar and element coefficients sum in evaluation, in either order,
+    # and a scalar and an element with one exponent add into one coefficient
+    half = Fraction(1, 2)
+    want = CliffordElement.scalar(m, 2) + e1.scale(half)
+    assert LaurentPoly({0: Fraction(2), 1: e1}).evaluate(half) == want
+    assert LaurentPoly({1: e1, 0: Fraction(2)}).evaluate(half) == want
+    assert LaurentPoly({0: e1, 1: Fraction(2)}).evaluate(half) == e1 + 1
+    total = LaurentPoly({1: Fraction(2)}) + LaurentPoly({1: e1, 2: e12})
+    assert total == LaurentPoly({1: e1 + 2, 2: e12})
+    assert total - LaurentPoly({1: e1}) == LaurentPoly({1: CliffordElement.scalar(m, 2), 2: e12})

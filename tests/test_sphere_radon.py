@@ -26,6 +26,7 @@ from monogenics.sphere import (
     ProductGaussRule,
     funk_hecke_constants,
     monomial_sphere_integral,
+    product_rule_size,
     sphere_moment,
 )
 
@@ -167,6 +168,13 @@ def test_numeric_rules_are_node_rules():
     assert mc.weights[0] == mc.sigma() / 5000
     with pytest.raises(ValueError):
         gauss.integrate_monomial((2, 0))
+
+
+def test_product_rule_size_counts_the_built_nodes():
+    for m in range(1, 6):
+        for level in range(1, 5):
+            rule = ProductGaussRule(m, level)
+            assert product_rule_size(m, level) == len(rule.nodes) == len(rule.weights), (m, level)
 
 
 def test_funk_hecke_values():
@@ -416,5 +424,5 @@ def test_dual_radon_right_module_structure():
     f0 = LaurentPoly({1: e1})
     sp = slice_extension(f0, m).to_polynomial()
     rad = dual_radon(sp)
-    assert rad == appell_Q(m, 1).right_mul_element(e1)
+    assert rad == appell_Q(m, 1).scale(e1)
     assert is_monogenic(rad)
