@@ -37,7 +37,9 @@ GAUSS_NODES_MAX = 1_000_000
 # x86-64 host, CPython 3.11): export --kind Qpoly --m 6 --k 24 takes 8.6 s
 # and 392 MB, export --kind monomialP --m 6 --power 20 6.5-8.4 s, verify
 # algebra --m 6 --count 20000 12.5 s, and verify all with every bound at
-# its maximum 36 s and 555 MB.
+# its maximum 36 s and 555 MB.  The largest Monte Carlo run, radon-check
+# --m 6 --degree 10 --rule mc:5000000:7, takes 5.0 s and 591 MB (13.8-14.6
+# s and 822 MB before the blocked reduction of sphere.MonteCarloRule).
 BOUNDS = {
     "--m": (1, 6),
     "--max-degree": (0, 10),
@@ -209,8 +211,15 @@ def _cmd_radon_check(args) -> int:
                "rule": args.rule, "tol": tol, "tol_default": tol_default, "cases": cases}
     print(ser.dumps(payload), end="")
     _write(_out_path(args.out, f"radon_m{args.m}.json"), payload)
-    ok = all(c.get("exact", False) or c["residual"] < tol for c in cases)
+    ok = all(c.get("exact", False) or _radon_case_passes(c, tol) for c in cases)
     return 0 if ok else 1
+
+
+def _radon_case_passes(case: dict, tol: float) -> bool:
+    """A case with a spread (Monte Carlo) passes within five standard errors,
+    as in the suites; a case without one must stay below the tolerance."""
+    se = case.get("stderr", 0.0)
+    return case["residual"] <= 5 * se if se > 0 else case["residual"] < tol
 
 
 def _cmd_cst_check(args) -> int:
@@ -290,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--m", type=int, required=True)
     r.add_argument("--degree", type=int, default=4)
     r.add_argument("--rule", default="exact")
-    r.add_argument("--tol", type=float, default=None, help="default 1e-6")
+    r.add_argument("--tol", type=float, default=None,
+                   help="default 1e-6; a Monte Carlo case is judged by 5 standard errors")
     r.add_argument("--out", default=None)
     r.set_defaults(fn=_cmd_radon_check)
 

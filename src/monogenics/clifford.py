@@ -183,11 +183,11 @@ class CliffordElement:
     def __mul__(self, other) -> "CliffordElement":
         if isinstance(other, CliffordElement):
             return geometric_product(self, other)
-        return self.scale(other)
+        return self.scale(other) if isinstance(other, _SCALARS) else NotImplemented
 
     def __rmul__(self, other) -> "CliffordElement":
         # scalars are central, so left and right scalar action agree
-        return self.scale(other)
+        return self.scale(other) if isinstance(other, _SCALARS) else NotImplemented
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffordElement):

@@ -89,7 +89,8 @@ class LaurentPoly:
         return self.scale(other)
 
     def __rmul__(self, other) -> "LaurentPoly":
-        return self.scale(other)
+        # from the left: a Clifford element need not commute with the terms
+        return LaurentPoly({n: other * c for n, c in self.terms.items()})
 
     def scale(self, s) -> "LaurentPoly":
         return LaurentPoly({n: c * s for n, c in self.terms.items()})

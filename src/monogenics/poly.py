@@ -144,7 +144,8 @@ class CliffordPolynomial:
         return _product(self, other)
 
     def __rmul__(self, other) -> "CliffordPolynomial":
-        return self.scale(other)
+        """Every coefficient times ``other`` from the left (an element or a scalar)."""
+        return CliffordPolynomial._trusted(self.m, {e: other * c for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "CliffordPolynomial":
         if n < 0:

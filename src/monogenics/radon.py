@@ -8,9 +8,10 @@ averaging the resulting omega-polynomial with the rational sphere moments
 of ``sphere.sphere_moment``, so the exact transform runs over Q.
 
 The numeric routes (pointwise transform, plane-wave check, plane-wave
-forms of the kernels) all reduce through ``NodeRule.plane_wave_mean``: the
-slice values alpha + w beta at x0 + i<x,w> on every node at once, then the
-rule's sums of alpha and of w beta (Monte Carlo adds their spread).
+forms of the kernels) all reduce through the rule's ``plane_wave_mean``:
+the slice values alpha + w beta at x0 + i<x,w> on the nodes, then the
+rule's sums of alpha and of w beta (Monte Carlo, one block of nodes at a
+time, adds their spread).
 """
 
 from __future__ import annotations

@@ -1,7 +1,15 @@
 """Integration over the unit sphere S^(m-1): an exact monomial rule, and
 one node-and-weight type ``NodeRule`` for the numeric rules, a product
 Gauss rule and Monte Carlo for independent validation.  Every numeric
-plane-wave route reduces through ``NodeRule.plane_wave_mean``.
+plane-wave route reduces through ``plane_wave_mean``: the weighted sums of
+``NodeRule`` for the product rule, and one blocked reduction for Monte Carlo.
+
+Monte Carlo keeps its nodes component-major, one contiguous row of n
+samples per coordinate, and reduces samples in blocks of 2^14 nodes that
+stay in cache: each block in two passes (mean, then centred squares), the
+blocks merged pairwise by the update of Chan, Golub and LeVeque
+("Algorithms for computing the sample variance", Amer. Statist. 37, 1983).
+No array of all n samples times all channels is ever formed.
 
 The monomial rule uses the classical closed form
 
@@ -78,7 +86,8 @@ class ExactMonomialRule:
 class NodeRule:
     """A numeric rule on S^(m-1): nodes (n, m), weights (n,) standing for
     sigma_m (their sum unless given), a report ``label`` and a ``kind`` set
-    by each subclass.  Monte Carlo overrides ``estimate`` with its spread."""
+    by each subclass.  Monte Carlo overrides ``estimate`` and
+    ``plane_wave_mean`` with its blocked reduction and spread."""
 
     def __init__(self, m: int, nodes: np.ndarray, weights: np.ndarray, label: str,
                  sigma: float | None = None):
@@ -112,15 +121,12 @@ class NodeRule:
         ``split(z)`` gives (alpha, beta), each (n, k) for k channels, on the
         column z = x0 + i<x,w> of the nodes (z is freed before the sums).
         Returns the means of alpha, (k,), and of w beta, (k, m), and the
-        largest standard error (or None); only Monte Carlo forms w beta.
+        largest standard error, None for a weighted-sum rule.
         """
         alpha, beta = split(float(x0) + 1j * (self.nodes @ np.asarray(xv, dtype=float))[:, None])
         sig = self.sigma()
-        a, a_se = self.estimate(alpha)
-        if a_se is None:
-            return a / sig, _real_matmul(beta.T * self.weights, self.nodes) / sig, None
-        v, v_se = self.estimate(beta[:, :, None] * self.nodes[:, None, :])
-        return a / sig, v / sig, float(max(a_se.max(), v_se.max())) / sig
+        return (_real_matmul(alpha.T, self.weights) / sig,
+                _real_matmul(beta.T * self.weights, self.nodes) / sig, None)
 
 
 def _real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,9 +180,54 @@ def _sphere_product_rule(m: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+# nodes per block of the Monte Carlo reduction: the few rows of one block
+# stay in a core's cache between its two passes
+_MC_BLOCK = 1 << 14
+
+
+def _node_moments(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, M2) of each row over the nodes of a stream of (c, b) blocks.
+
+    M2 is the sum of squared deviations from the mean (complex samples
+    spread by their modulus).  Each block is reduced in two passes, its
+    mean and then its centred squares; the blocks are merged pairwise, as
+    in pairwise summation, by the update of Chan, Golub and LeVeque: with
+    d = mean_b - mean_a and n = n_a + n_b,
+        mean = mean_a + d n_b / n,   M2 = M2_a + M2_b + |d|^2 n_a n_b / n.
+    Constant rows give M2 = 0 exactly whenever each block mean is exact.
+    """
+    parts = []
+    for rows in blocks:
+        mean = rows.mean(axis=-1)
+        dev = rows - mean[:, None]
+        if np.iscomplexobj(dev):
+            dev = np.abs(dev)
+        np.multiply(dev, dev, out=dev)
+        parts.append((rows.shape[-1], mean, dev.sum(axis=-1)))
+    while len(parts) > 1:
+        pairs = [_chan_merge(a, b) for a, b in zip(parts[::2], parts[1::2])]
+        parts = pairs + parts[2 * len(pairs):]
+    _, mean, m2 = parts[0]
+    return mean, m2
+
+
+def _chan_merge(a, b):
+    (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
+    n = na + nb
+    d = mean_b - mean_a
+    return n, mean_a + d * (nb / n), m2_a + m2_b + np.abs(d) ** 2 * (na * nb / n)
+
+
 class MonteCarloRule(NodeRule):
     """Uniform Monte Carlo on S^(m-1) from a seeded generator; the equal
-    weights sigma_m/n are one read-only broadcast value."""
+    weights sigma_m/n are one read-only broadcast value.
+
+    The nodes are stored component-major: one C-contiguous (m, n) array,
+    written once from the normalized Gaussian samples (the same values as
+    the row-major draw), with ``nodes`` its (n, m) transposed view.
+    ``estimate`` and ``plane_wave_mean`` reduce through ``_node_moments``
+    in blocks of 2^14 nodes.
+    """
 
     kind = "mc"
 
@@ -186,29 +237,53 @@ class MonteCarloRule(NodeRule):
         self.n = n
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((n, m))
+        cols = np.empty((m, n))
+        norm = np.linalg.norm(v, axis=1)
+        # transposed block by block, so each block of v is read from cache
+        for s in range(0, n, _MC_BLOCK):
+            np.divide(v[s:s + _MC_BLOCK].T, norm[s:s + _MC_BLOCK], out=cols[:, s:s + _MC_BLOCK])
         sig = float(sphere_area(m))
-        super().__init__(m, v / np.linalg.norm(v, axis=1, keepdims=True),
-                         np.broadcast_to(sig / n, (n,)), f"mc:{n}:{seed}", sig)
+        super().__init__(m, cols.T, np.broadcast_to(sig / n, (n,)), f"mc:{n}:{seed}", sig)
+
+    def _spread(self, m2: np.ndarray) -> np.ndarray:
+        """Standard error of the mean from M2: the sample variance with one
+        degree of freedom taken off, as ``np.std(ddof=1)``, over n."""
+        return np.sqrt(m2 / (self.n - 1)) / math.sqrt(self.n)
 
     def estimate(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(integral estimate, standard error) of pointwise sample values.
 
-        ``values`` has any shape (n, ...), one row per node.  Each component
-        is reduced along contiguous memory (a copy with the node axis last,
-        which the centring and squaring overwrite): the mean, then the
-        centred two-pass sample variance with one degree of freedom taken
-        off, as ``np.mean`` and ``np.std(ddof=1)`` compute them (complex
-        samples spread by their modulus).  Constant samples give zero.
+        ``values`` has any shape (n, ...), one row per node, and is only
+        read: the channels of each block of nodes form the rows reduced by
+        ``_node_moments``.  Constant samples give zero spread.
         """
-        rows = np.array(np.moveaxis(np.asarray(values), 0, -1), order="C")
-        mean = rows.mean(axis=-1)
-        rows -= mean[..., None]
-        if np.iscomplexobj(rows):
-            rows = np.abs(rows)
-        np.multiply(rows, rows, out=rows)
-        var = rows.sum(axis=-1) / (rows.shape[-1] - 1)
-        se = np.sqrt(var) / math.sqrt(self.n)
-        return self._sigma * mean, self._sigma * se
+        values = np.asarray(values)
+        flat = values.reshape(len(values), -1)
+        mean, m2 = _node_moments(flat[s:s + _MC_BLOCK].T for s in range(0, len(flat), _MC_BLOCK))
+        shape = values.shape[1:]
+        return (self._sigma * mean.reshape(shape),
+                self._sigma * self._spread(m2).reshape(shape))
+
+    def plane_wave_mean(self, x0, xv, split) -> tuple[np.ndarray, np.ndarray, float]:
+        """``NodeRule.plane_wave_mean`` one block of nodes at a time: split,
+        alpha and w beta of a block are formed and reduced before the next,
+        and the largest standard error of the means is returned."""
+        xv = np.asarray(xv, dtype=float)
+        cols = self.nodes.T
+
+        def blocks():
+            for s in range(0, self.n, _MC_BLOCK):
+                w = cols[:, s:s + _MC_BLOCK]
+                alpha, beta = split(float(x0) + 1j * (xv @ w)[:, None])
+                k = alpha.shape[1]
+                rows = np.empty((k * (self.m + 1), w.shape[1]), dtype=np.result_type(alpha, beta))
+                rows[:k] = alpha.T
+                np.multiply(beta.T[:, None, :], w, out=rows[k:].reshape(k, self.m, -1))
+                yield rows
+
+        mean, m2 = _node_moments(blocks())
+        k = len(mean) // (self.m + 1)
+        return mean[:k], mean[k:].reshape(k, self.m), float(self._spread(m2).max())
 
 
 def funk_hecke_constants(m: int, j: int) -> tuple[PiScalar, PiScalar]:

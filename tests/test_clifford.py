@@ -173,6 +173,33 @@ def test_scalar_operand_is_the_scalar_blade(s):
             op()
 
 
+def test_element_times_polynomial_is_the_polynomial_product():
+    from monogenics.laurent import LaurentPoly
+    from monogenics.poly import CliffordPolynomial
+
+    m = 3
+    p = (CliffordPolynomial.vector_variable(m)
+         + CliffordPolynomial.variable(m, 0) * CliffordElement(m, {0b011: Fraction(2)})
+         + CliffordPolynomial.scalar_constant(m, Fraction(-1, 3)))
+    for e in (CliffordElement.generator(m, 1),
+              CliffordElement(m, {0: Fraction(1, 2), 0b110: Fraction(3)})):
+        const = CliffordPolynomial.constant(m, e)
+        assert e * p == const * p
+        assert p * e == p * const
+        assert type(e * p) is type(p * e) is CliffordPolynomial
+    e1 = CliffordElement.generator(m, 1)
+    assert e1 * p != p * e1
+    assert e1 * CliffordPolynomial.one(m) == CliffordPolynomial.constant(m, e1)
+    # Laurent data with Clifford terms is multiplied from the left as well
+    f0 = LaurentPoly({0: Fraction(2), 1: CliffordElement.generator(m, 2)})
+    assert e1 * f0 == LaurentPoly({0: e1 * Fraction(2), 1: e1 * f0.terms[1]})
+    assert e1 * f0 != f0 * e1
+    # an element never takes a non-scalar as a coefficient
+    for other in ("x", [1], np.ones(2)):
+        for op in (lambda: e1.__mul__(other), lambda: e1.__rmul__(other)):
+            assert op() is NotImplemented
+
+
 def _random_element(rng: random.Random, m: int, draw) -> CliffordElement:
     return CliffordElement(m, {mask: draw() for mask in range(1 << m) if rng.random() < 0.6})
 

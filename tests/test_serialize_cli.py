@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -142,6 +143,29 @@ def test_cli_radon_check(tmp_path, capsys):
           "--out", str(tmp_path / "r6.json")])
     doc = json.loads((tmp_path / "r6.json").read_text())
     assert doc["tol"] == 1e-6 and doc["tol_default"] is False
+
+
+def test_cli_radon_check_judges_monte_carlo_by_its_spread(tmp_path, monkeypatch):
+    # the README example: its residuals are far above the 1e-6 product-rule
+    # tolerance but within five of their standard errors
+    out = tmp_path / "rmc.json"
+    rc = main(["radon-check", "--m", "2", "--degree", "3", "--rule", "mc:200000:7",
+               "--out", str(out)])
+    assert rc == 0
+    cases = json.loads(out.read_text())["cases"]
+    assert any(c["stderr"] > 0 and c["residual"] > 1e-6 for c in cases)
+    assert all(c["residual"] <= 5 * c["stderr"] or c["residual"] < 1e-6 for c in cases)
+    # a residual forced to k standard errors passes at k = 4 and fails at 6
+    from monogenics import cli, radon
+
+    for k, want in ((4, 0), (6, 1)):
+        def forced(f0, m, rule, k=k):
+            rep = radon.plane_wave_gck_check(f0, m, rule)
+            return dataclasses.replace(rep, residual=k * rep.stderr) if rep.stderr else rep
+
+        monkeypatch.setattr(cli, "plane_wave_gck_check", forced)
+        assert main(["radon-check", "--m", "2", "--degree", "3", "--rule", "mc:2000:7",
+                     "--out", str(tmp_path / f"forced{k}.json")]) == want, k
 
 
 @pytest.mark.parametrize("rule", [

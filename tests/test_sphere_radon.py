@@ -131,6 +131,62 @@ def test_monte_carlo_needs_two_samples():
     assert math.isfinite(se) and se > 0
 
 
+# two nodes, less than one block of 2^14 nodes, and three blocks and a rest
+BLOCKED_SIZES = (2, 1000, 3 * 2**14 + 5)
+
+
+def _close(got, want, rel=1e-13):
+    want = np.asarray(want)
+    return np.shape(got) == want.shape and np.all(np.abs(got - want) <= rel * np.abs(want).max())
+
+
+@pytest.mark.parametrize("n", BLOCKED_SIZES)
+def test_blocked_monte_carlo_matches_the_unblocked_reduction(n):
+    # reference: np.mean and np.std(ddof=1) over all nodes of the broadcast
+    # product w beta, formed whole as the reduction never does
+    for m, split in ((3, lambda z: (z**3 - 2.0, (z**2 + z).imag)),
+                     (4, lambda z: ((z + 1.5) ** 2 * np.ones(2), 1j * z**3 * np.array([1.0, -0.5])))):
+        rule = MonteCarloRule(m, n, seed=n + m)
+        x0, xv = 0.4, np.linspace(-0.3, 0.35, m)
+        alpha, beta = split(x0 + 1j * (rule.nodes @ xv)[:, None])
+        wbeta = beta[:, :, None] * rule.nodes[:, None, :]
+        want_se = max(np.std(alpha, axis=0, ddof=1).max(),
+                      np.std(wbeta, axis=0, ddof=1).max()) / math.sqrt(n)
+        a, v, se = rule.plane_wave_mean(x0, xv, split)
+        assert _close(a, np.mean(alpha, axis=0)), (n, m)
+        assert _close(v, np.mean(wbeta, axis=0)), (n, m)
+        assert abs(se - want_se) <= 1e-13 * want_se, (n, m)
+        sig = rule.sigma()
+        est, ses = rule.estimate(wbeta)
+        assert _close(est, sig * np.mean(wbeta, axis=0)), (n, m)
+        assert _close(ses, sig * np.std(wbeta, axis=0, ddof=1) / math.sqrt(n)), (n, m)
+
+
+def test_blocked_monte_carlo_constant_data_has_no_spread():
+    n = BLOCKED_SIZES[-1]
+    rule = MonteCarloRule(3, n, seed=5)
+    values = np.tile([1.0, -2.0, 0.25], (n, 1))
+    est, se = rule.estimate(values)
+    assert np.all(se == 0.0) and np.all(est == rule.sigma() * values[0])
+    a, v, se = rule.plane_wave_mean(0.5, (0.1, 0.2, 0.3),
+                                    lambda z: (np.full((len(z), 2), 3.0), np.zeros((len(z), 2))))
+    assert se == 0.0 and np.all(a == 3.0) and np.all(v == 0.0)
+
+
+@pytest.mark.parametrize("n", BLOCKED_SIZES)
+def test_monte_carlo_nodes_are_the_row_major_draw_stored_by_component(n):
+    m, seed = 4, 12
+    v = np.random.default_rng(seed).standard_normal((n, m))
+    rule = MonteCarloRule(m, n, seed)
+    assert np.array_equal(rule.nodes, v / np.linalg.norm(v, axis=1, keepdims=True))
+    assert rule.nodes.shape == (n, m) and rule.nodes.T.flags.c_contiguous
+    # estimate reads its input and leaves it as it was, across blocks
+    values = np.random.default_rng(1).standard_normal((n, 2, 3)) * (1 + 2j)
+    kept = values.copy()
+    rule.estimate(values)
+    assert np.array_equal(values, kept)
+
+
 def test_product_gauss_matches_exact_rule():
     rng = random.Random(2)
     for m in (2, 3, 4):
