@@ -32,6 +32,8 @@ from .scalars import PiScalar
 OUT_ENV = "MONOGENICS_OUT"
 MC_SAMPLES_MAX = 5_000_000
 GAUSS_NODES_MAX = 1_000_000
+# the loosest --tol: the checks hold to 1e-6 or better, no default exceeds 1e-5
+TOL_MAX = 1e-2
 # Desk-scale bounds of the integer inputs, (lo, hi) inclusive.  The upper
 # ends keep the largest accepted run of each verb well under a minute (2-CPU
 # x86-64 host, CPython 3.11): export --kind Qpoly --m 6 --k 24 takes 8.6 s
@@ -185,8 +187,8 @@ def _tolerance(args, default: float) -> tuple[float, bool]:
     """The --tol to check against, and whether it is the verb's default."""
     if args.tol is None:
         return default, True
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        _usage_error(f"--tol must be a finite positive number, got {args.tol!r}")
+    if not 0 < args.tol <= TOL_MAX:
+        _usage_error(f"--tol must lie in (0, {TOL_MAX:g}], got {args.tol!r}")
     return args.tol, False
 
 

@@ -114,6 +114,13 @@ class CliffordElement:
                 if not is_zero_scalar(c):
                     self.coeffs[mask] = c
 
+    @classmethod
+    def _trusted(cls, m: int, coeffs: dict[int, object]) -> "CliffordElement":
+        """Wrap canonical non-zero coefficients the caller made itself."""
+        e = object.__new__(cls)
+        e.m, e.coeffs = m, coeffs
+        return e
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -252,6 +259,10 @@ class CliffordElement:
             label = "" if mask == 0 else "e" + "".join(str(j) for j in blade_indices(mask))
             parts.append(f"({c}){label}" if label else f"({c})")
         return " + ".join(parts)
+
+
+# what polynomials multiply by coefficient-wise, from either side
+COEFF_OPERANDS = (CliffordElement, *_SCALARS)
 
 
 def geometric_product(a: CliffordElement, b: CliffordElement) -> CliffordElement:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .clifford import COEFF_OPERANDS
 from .scalars import canon, is_zero_scalar
 
 
@@ -86,10 +87,12 @@ class LaurentPoly:
                     c = a * b
                     terms[n + k] = terms[n + k] + c if n + k in terms else c
             return LaurentPoly(terms)
-        return self.scale(other)
+        return self.scale(other) if isinstance(other, COEFF_OPERANDS) else NotImplemented
 
     def __rmul__(self, other) -> "LaurentPoly":
         # from the left: a Clifford element need not commute with the terms
+        if not isinstance(other, COEFF_OPERANDS):
+            return NotImplemented
         return LaurentPoly({n: other * c for n, c in self.terms.items()})
 
     def scale(self, s) -> "LaurentPoly":

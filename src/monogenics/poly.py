@@ -4,23 +4,26 @@ Variables are central scalars; only the coefficients multiply through the
 algebra.  Operators act from the left, matching the right-module convention
 of the function spaces: ``D p = d/dx0 p + sum_j e_j (d/dxj p)``.
 
-Products and the first-order operators run one exact kernel: the raw scalar
-coefficients are summed in ``exponents -> blade -> scalar`` with the signs of
-``clifford.BLADE_TABLE``, and each output ``CliffordElement`` is built once,
-which is where ``canon`` and zero-dropping run.  A factor whose every
-coefficient is one blade times the rational 1 or -1 (``x``, ``conj(x)``, the
-vector variable, ``|x|^2``) on the right permutes the left factor's blades
-with signs, so that product makes no scalar multiplication.
+Products and the first-order operators run one kernel over ``exponents ->
+blade -> value`` rows with the signs of ``clifford.BLADE_TABLE``.  A
+polynomial whose coefficients are all ``Fraction`` also has a unique integer
+form ``(den, exponents -> blade -> int)``, gcd(den, numerators) = 1: on it
+products, sums, rational scalings, derivatives and ``==`` do plain ``int``
+arithmetic, and ``terms`` builds each Fraction and element once, on first
+read.  Data with any ``PiScalar``, float or complex coefficient takes the
+scalar path, chosen by type, where each output element is built once
+through ``canon``.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 from typing import Sequence
 
-from .clifford import BLADE_TABLE, CliffordElement
+from .clifford import BLADE_TABLE, COEFF_OPERANDS, CliffordElement
 from .scalars import canon
 
 Exponents = tuple[int, ...]
@@ -38,11 +41,10 @@ class OperatorTag(enum.Enum):
 class CliffordPolynomial:
     """Sparse multivariate polynomial with CliffordElement coefficients."""
 
-    __slots__ = ("m", "terms")
+    __slots__ = ("m", "_terms", "_ints")
 
     def __init__(self, m: int, terms: dict[Exponents, CliffordElement] | None = None):
-        self.m = m
-        self.terms: dict[Exponents, CliffordElement] = {}
+        self.m, self._terms, self._ints = m, {}, None
         if terms:
             for exps, coeff in terms.items():
                 if len(exps) != m + 1:
@@ -52,20 +54,59 @@ class CliffordPolynomial:
                 if coeff.m != m:
                     raise ValueError("coefficient dimension mismatch")
                 if not coeff.is_zero():
-                    self.terms[tuple(exps)] = coeff
+                    self._terms[tuple(exps)] = coeff
 
     @classmethod
     def _trusted(cls, m: int, terms: dict[Exponents, CliffordElement]) -> "CliffordPolynomial":
         """Wrap terms the engine made itself, dropping zero coefficients only."""
         p = object.__new__(cls)
-        p.m = m
-        p.terms = {exps: coeff for exps, coeff in terms.items() if coeff.coeffs}
+        p.m, p._ints, p._terms = m, None, {exps: c for exps, c in terms.items() if c.coeffs}
         return p
 
     @classmethod
-    def _from_blades(cls, m: int, sums: dict[Exponents, dict[int, object]]) -> "CliffordPolynomial":
-        """Build each coefficient once from raw ``blade -> scalar`` sums."""
-        return cls._trusted(m, {exps: CliffordElement(m, blades) for exps, blades in sums.items()})
+    def _from_sums(cls, m: int, den: int | None, sums: dict[Exponents, dict[int, object]]
+                   ) -> "CliffordPolynomial":
+        """Wrap ``exponents -> blade -> value`` sums: numerators over ``den``,
+        reduced to the integer form, or raw scalars when ``den`` is None."""
+        if den is None:
+            return cls._trusted(m, {exps: CliffordElement(m, blades) for exps, blades in sums.items()})
+        rows, g = {}, den
+        for exps, blades in sums.items():
+            if 0 in blades.values():
+                blades = {mask: n for mask, n in blades.items() if n}
+            if blades:
+                rows[exps] = blades
+                if g != 1:
+                    g = gcd(g, *blades.values())
+        if g != 1:
+            den //= g
+            rows = {exps: {mask: n // g for mask, n in blades.items()} for exps, blades in rows.items()}
+        p = object.__new__(cls)
+        p.m, p._terms, p._ints = m, None, (den, rows)
+        return p
+
+    @property
+    def terms(self) -> dict[Exponents, CliffordElement]:
+        """exponents -> coefficient; made from the integer form on first read."""
+        if self._terms is None:
+            den, rows = self._ints
+            self._terms = {exps: CliffordElement._trusted(self.m, {
+                mask: Fraction(n, den) for mask, n in blades.items()}) for exps, blades in rows.items()}
+        return self._terms
+
+    def _int_form(self) -> tuple[int, dict[Exponents, dict[int, int]]] | None:
+        """``(den, exponents -> blade -> numerator)`` if every coefficient is a
+        Fraction, else None.  den is the lcm of the denominators, so no prime
+        divides it and every numerator."""
+        if self._ints is None:
+            coeffs = [c for coeff in self._terms.values() for c in coeff.coeffs.values()]
+            self._ints = False
+            if all(type(c) is Fraction for c in coeffs):
+                den = lcm(*(c.denominator for c in coeffs))
+                self._ints = den, {exps: {mask: c.numerator * (den // c.denominator)
+                                          for mask, c in coeff.coeffs.items()}
+                                   for exps, coeff in self._terms.items()}
+        return self._ints or None
 
     # -- constructors -------------------------------------------------
 
@@ -96,11 +137,8 @@ class CliffordPolynomial:
     @classmethod
     def vector_variable(cls, m: int) -> "CliffordPolynomial":
         """The grade-1 variable x1 e_1 + ... + xm e_m."""
-        terms = {}
-        for j in range(1, m + 1):
-            exps = tuple(1 if i == j else 0 for i in range(m + 1))
-            terms[exps] = CliffordElement.generator(m, j)
-        return cls(m, terms)
+        return cls(m, {tuple(int(i == j) for i in range(m + 1)): CliffordElement.generator(m, j)
+                       for j in range(1, m + 1)})
 
     @classmethod
     def paravector_variable(cls, m: int) -> "CliffordPolynomial":
@@ -109,10 +147,8 @@ class CliffordPolynomial:
     @classmethod
     def radial_sq(cls, m: int) -> "CliffordPolynomial":
         """|x|^2 of the vector part: x1^2 + ... + xm^2."""
-        out = cls.zero(m)
-        for j in range(1, m + 1):
-            out = out + cls.variable(m, j) * cls.variable(m, j)
-        return out
+        return cls(m, {tuple(2 * (i == j) for i in range(m + 1)): CliffordElement.one(m)
+                       for j in range(1, m + 1)})
 
     # -- ring operations ----------------------------------------------
 
@@ -121,6 +157,18 @@ class CliffordPolynomial:
             return NotImplemented
         if self.m != other.m:
             raise ValueError("dimension mismatch")
+        if ints := _int_forms(self, other):
+            (da, ra), (db, rb) = ints
+            den = lcm(da, db)
+            sums = dict(_rescaled(ra, den // da))
+            for exps, blades in _rescaled(rb, den // db).items():
+                if exps in sums:
+                    merged = dict(sums[exps])
+                    for mask, n in blades.items():
+                        merged[mask] = merged.get(mask, 0) + n
+                    blades = merged
+                sums[exps] = blades
+            return CliffordPolynomial._from_sums(self.m, den, sums)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
             terms[exps] = terms[exps] + coeff if exps in terms else coeff
@@ -130,21 +178,28 @@ class CliffordPolynomial:
         return self + (-other)
 
     def __neg__(self) -> "CliffordPolynomial":
+        if self._int_form():
+            return self.scale(-1)
         return CliffordPolynomial._trusted(self.m, {e: -c for e, c in self.terms.items()})
 
     def scale(self, s) -> "CliffordPolynomial":
         """Every coefficient times s from the right; s is a scalar or an element."""
+        if type(s) in (int, Fraction) and (ints := self._int_form()):
+            return CliffordPolynomial._from_sums(self.m, ints[0] * s.denominator,
+                                                 _rescaled(ints[1], s.numerator))
         return CliffordPolynomial._trusted(self.m, {e: c * s for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "CliffordPolynomial":
         if not isinstance(other, CliffordPolynomial):
-            return self.scale(other)
+            return self.scale(other) if isinstance(other, COEFF_OPERANDS) else NotImplemented
         if self.m != other.m:
             raise ValueError("dimension mismatch")
         return _product(self, other)
 
     def __rmul__(self, other) -> "CliffordPolynomial":
         """Every coefficient times ``other`` from the left (an element or a scalar)."""
+        if not isinstance(other, COEFF_OPERANDS):
+            return NotImplemented
         return CliffordPolynomial._trusted(self.m, {e: other * c for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "CliffordPolynomial":
@@ -158,18 +213,22 @@ class CliffordPolynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
-        return self.m == other.m and self.terms == other.terms
+        if self.m != other.m:
+            return False
+        ints = _int_forms(self, other)
+        return ints[0] == ints[1] if ints else self.terms == other.terms
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return not (self._ints[1] if self._terms is None else self._terms)
 
     # -- calculus -------------------------------------------------------
 
     def diff(self, j: int) -> "CliffordPolynomial":
         # lowering exps[j] is one-to-one on the terms that have it, so no sums
+        if ints := self._int_form():
+            return CliffordPolynomial._from_sums(self.m, ints[0], {
+                (*exps[:j], exps[j] - 1, *exps[j + 1:]): {mask: n * exps[j] for mask, n in blades.items()}
+                for exps, blades in ints[1].items() if exps[j]})
         return CliffordPolynomial._trusted(self.m, {
             (*exps[:j], exps[j] - 1, *exps[j + 1:]): coeff.scale(exps[j])
             for exps, coeff in self.terms.items() if exps[j]
@@ -208,54 +267,52 @@ class CliffordPolynomial:
         return " + ".join(parts)
 
 
-def _unit_blades(p: CliffordPolynomial) -> list[tuple[Exponents, int, bool]] | None:
-    """Each term as (exponents, blade, negate) if every coefficient is one
-    blade times the rational 1 or -1; None otherwise."""
-    units = []
-    for exps, coeff in p.terms.items():
-        if len(coeff.coeffs) != 1:
-            return None
-        [(mask, c)] = coeff.coeffs.items()
-        if not (isinstance(c, Fraction) and abs(c) == 1):
-            return None
-        units.append((exps, mask, c < 0))
-    return units
+def _int_forms(p: CliffordPolynomial, q: CliffordPolynomial) -> tuple | None:
+    """Both integer forms, or None unless both operands have one."""
+    a = p._int_form()
+    b = a and q._int_form()
+    return (a, b) if b else None
+
+
+def _rows(p: CliffordPolynomial) -> dict[Exponents, dict[int, object]]:
+    return {exps: coeff.coeffs for exps, coeff in p.terms.items()}
+
+
+def _rescaled(rows: dict, f: int) -> dict:
+    """Integer rows with every numerator times f (the same rows when f is 1)."""
+    if f == 1:
+        return rows
+    return {exps: {mask: n * f for mask, n in blades.items()} for exps, blades in rows.items()}
 
 
 def _product(p: CliffordPolynomial, q: CliffordPolynomial) -> CliffordPolynomial:
-    """p * q, summing raw scalars per exponent and blade in the order of the
-    term pairs; a unit-blade right factor only moves and signs p's scalars."""
+    """p * q, summing numerators (or raw scalars) per exponent and blade in
+    the order of the term pairs."""
     table = BLADE_TABLE
+    ints = _int_forms(p, q)
+    (dp, rp), (dq, rq) = ints or ((None, _rows(p)), (None, _rows(q)))
+    den = dp * dq if ints else None
     sums: dict[Exponents, dict[int, object]] = {}
-    if (units := _unit_blades(q)) is not None:
-        for ea, a in p.terms.items():
-            for eb, mb, flip in units:
-                blades = sums.setdefault(tuple(map(add, ea, eb)), {})
-                for ma, c in a.coeffs.items():
-                    mask, negate = table[ma][mb]
-                    if negate != flip:
+    for ea, a in rp.items():
+        for eb, b in rq.items():
+            blades = sums.setdefault(tuple(map(add, ea, eb)), {})
+            for ma, ca in a.items():
+                row = table[ma]
+                for mb, cb in b.items():
+                    mask, negate = row[mb]
+                    c = ca * cb
+                    if negate:
                         c = -c
                     blades[mask] = blades[mask] + c if mask in blades else c
-    else:
-        for ea, a in p.terms.items():
-            for eb, b in q.terms.items():
-                blades = sums.setdefault(tuple(map(add, ea, eb)), {})
-                for ma, ca in a.coeffs.items():
-                    row = table[ma]
-                    for mb, cb in b.coeffs.items():
-                        mask, negate = row[mb]
-                        c = ca * cb
-                        if negate:
-                            c = -c
-                        blades[mask] = blades[mask] + c if mask in blades else c
-    return CliffordPolynomial._from_blades(p.m, sums)
+    return CliffordPolynomial._from_sums(p.m, den, sums)
 
 
 def _first_order(p: CliffordPolynomial, with_x0: bool, flip: bool) -> CliffordPolynomial:
     """[d/dx0 p] +- sum_j e_j d/dxj p (minus when ``flip``) in one pass."""
     table = BLADE_TABLE
+    den, rows = p._int_form() or (None, _rows(p))
     sums: dict[Exponents, dict[int, object]] = {}
-    for exps, coeff in p.terms.items():
+    for exps, coeff in rows.items():
         for j in range(0 if with_x0 else 1, p.m + 1):
             n = exps[j]
             if not n:
@@ -263,13 +320,13 @@ def _first_order(p: CliffordPolynomial, with_x0: bool, flip: bool) -> CliffordPo
             blades = sums.setdefault((*exps[:j], n - 1, *exps[j + 1:]), {})
             row = table[(1 << j) >> 1]          # e_j, or the scalar blade at j = 0
             sign_flip = flip and j > 0
-            for mb, c in coeff.coeffs.items():
+            for mb, c in coeff.items():
                 mask, negate = row[mb]
                 c = c * n
                 if negate != sign_flip:
                     c = -c
                 blades[mask] = blades[mask] + c if mask in blades else c
-    return CliffordPolynomial._from_blades(p.m, sums)
+    return CliffordPolynomial._from_sums(p.m, den, sums)
 
 
 def apply_operator(tag: OperatorTag, p: CliffordPolynomial) -> CliffordPolynomial:

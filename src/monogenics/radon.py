@@ -5,7 +5,10 @@ On a slice function f the transform is
     R*[f](x0, x) = (1/sigma_m) int_{S^(m-1)} f(x0, <x,w> w) dS_w ,
 computed exactly on polynomials by substituting x_j -> w_j <x,w> and
 averaging the resulting omega-polynomial with the rational sphere moments
-of ``sphere.sphere_moment``, so the exact transform runs over Q.
+of ``sphere.sphere_moment``, so the exact transform runs over Q.  On the
+integer form of all-Fraction data (see ``poly``) every weight is an integer
+over D = prod_{j<top} (m + 2j), the moments' common denominator at the top
+vector degree; other data keeps the rational weights.
 
 The numeric routes (pointwise transform, plane-wave check, plane-wave
 forms of the kernels) all reduce through the rule's ``plane_wave_mean``:
@@ -41,23 +44,27 @@ def dual_radon(f: CliffordPolynomial) -> CliffordPolynomial:
     moments that do not vanish, are visited.  All weights are rational.
     """
     m = f.m
+    den, rows = f._int_form() or (None, {exps: coeff.coeffs for exps, coeff in f.terms.items()})
+    top = max((sum(exps) - exps[0] for exps in rows), default=0)
+    D = math.prod(range(m, m + 2 * top, 2))
     # images of sorted exponents, shared by every permutation of them
-    images: dict[tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]] = {}
+    images: dict[tuple[int, ...], list[tuple[tuple[int, ...], object]]] = {}
     sums: dict[tuple[int, ...], dict[int, object]] = {}
-    for exps, coeff in f.terms.items():
+    for exps, coeffs in rows.items():
         e0, vec = exps[0], exps[1:]
         order = sorted(range(m), key=vec.__getitem__)
         key = tuple(vec[i] for i in order)
         image = images.get(key)
         if image is None:
-            image = images[key] = _monomial_image(m, key)
+            image = images[key] = [(combo, w.numerator * (D // w.denominator) if den else w)
+                                   for combo, w in _monomial_image(m, key)]
         place = sorted(range(m), key=order.__getitem__)   # inverse of order
         for combo, weight in image:
             blades = sums.setdefault((e0, *map(combo.__getitem__, place)), {})
-            for mask, c in coeff.coeffs.items():
+            for mask, c in coeffs.items():
                 term = c * weight
                 blades[mask] = blades[mask] + term if mask in blades else term
-    return CliffordPolynomial(m, {key: CliffordElement(m, blades) for key, blades in sums.items()})
+    return CliffordPolynomial._from_sums(m, None if den is None else den * D, sums)
 
 
 def _monomial_image(m: int, vec: tuple[int, ...]) -> list[tuple[tuple[int, ...], Fraction]]:

@@ -1,0 +1,197 @@
+"""The integer form of all-Fraction polynomials against references that
+never touch it: element-by-element products through
+``clifford.geometric_product``, termwise sums and scalings, and the dual
+Radon transform summed over every multi-index with ``sphere_moment``."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from monogenics.clifford import CliffordElement, geometric_product
+from monogenics.laurent import LaurentPoly
+from monogenics.poly import CliffordPolynomial, OperatorTag, apply_operator
+from monogenics.radon import dual_radon
+from monogenics.scalars import PiScalar
+from monogenics.sphere import sphere_moment
+
+# small, pairwise coprime and large denominators, mixed within one polynomial
+DENOMINATORS = (1, 2, 3, 7, 12, 35, 2**61 - 1, 10**30 + 57)
+
+
+def rand_fraction(rng):
+    num = rng.choice([-1, 1]) * rng.choice([1, 2, 5, 9, 3**40, 10**25 + 3])
+    return Fraction(num, rng.choice(DENOMINATORS))
+
+
+def rand_poly(rng, m, draw, nterms=5, degree=4):
+    terms = {}
+    for _ in range(nterms):
+        exps = [0] * (m + 1)
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(m + 1)] += 1
+        blades = {rng.randrange(1 << m): draw() for _ in range(rng.randint(1, 3))}
+        terms[tuple(exps)] = CliffordElement(m, blades)
+    return CliffordPolynomial(m, terms)
+
+
+def accumulate(pieces):
+    """exponents -> element, summed with element + only, zeros dropped."""
+    out = {}
+    for exps, el in pieces:
+        out[exps] = out[exps] + el if exps in out else el
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def ref_product(p, q):
+    return accumulate(((tuple(a + b for a, b in zip(ea, eb)), geometric_product(ca, cb))
+                            for ea, ca in p.terms.items() for eb, cb in q.terms.items()))
+
+
+def ref_first_order(p, with_x0, sign):
+    pieces = []
+    for exps, c in p.terms.items():
+        for j in range(0 if with_x0 else 1, p.m + 1):
+            if exps[j]:
+                lowered = (*exps[:j], exps[j] - 1, *exps[j + 1:])
+                unit = CliffordElement.one(p.m) if j == 0 else CliffordElement.generator(p.m, j)
+                pieces.append((lowered, (unit * c).scale(exps[j] * (1 if j == 0 else sign))))
+    return accumulate(pieces)
+
+
+def compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in compositions(total - head, parts - 1):
+            yield (head, *tail)
+
+
+def ref_dual_radon(f):
+    """Every b with |b| = |a|, parity unfiltered, weighted by its multinomial
+    coefficient and the sphere moment of w^(a+b)."""
+    pieces = []
+    for exps, c in f.terms.items():
+        a = exps[1:]
+        for b in compositions(sum(a), f.m):
+            weight = (sphere_moment(f.m, tuple(x + y for x, y in zip(a, b)))
+                      * (math.factorial(sum(a)) // math.prod(map(math.factorial, b))))
+            if weight:
+                pieces.append(((exps[0], *b), c.scale(weight)))
+    return accumulate(pieces)
+
+
+def all_fractions(p):
+    return all(type(c) is Fraction for el in p.terms.values() for c in el.coeffs.values())
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_integer_kernels_match_element_references(m):
+    rng = random.Random(1000 + m)
+    draw = lambda: rand_fraction(rng)  # noqa: E731
+    for _ in range(3):
+        p, q = rand_poly(rng, m, draw), rand_poly(rng, m, draw)
+        s = rand_fraction(rng)
+        got = {
+            "product": p * q,
+            "sum": p + q,
+            "difference": p - q,
+            "scale": p.scale(s),
+            "scale_int": p.scale(-6),
+            "D": apply_operator(OperatorTag.D, p),
+            "DBAR": apply_operator(OperatorTag.DBAR, p),
+            "DIRAC": apply_operator(OperatorTag.DIRAC, p),
+            "diff": p.diff(1),
+            "dual_radon": dual_radon(p),
+        }
+        want = {
+            "product": ref_product(p, q),
+            "sum": accumulate([*p.terms.items(), *q.terms.items()]),
+            "difference": accumulate([*p.terms.items(),
+                                         *((e, -c) for e, c in q.terms.items())]),
+            "scale": {e: c.scale(s) for e, c in p.terms.items()},
+            "scale_int": {e: c.scale(-6) for e, c in p.terms.items()},
+            "D": ref_first_order(p, True, 1),
+            "DBAR": ref_first_order(p, True, -1),
+            "DIRAC": ref_first_order(p, False, 1),
+            "diff": {(e[0], e[1] - 1, *e[2:]): c.scale(e[1]) for e, c in p.terms.items() if e[1]},
+            "dual_radon": ref_dual_radon(p),
+        }
+        for name, result in got.items():
+            assert result.terms == want[name], name
+            assert all_fractions(result), name
+            assert result == CliffordPolynomial(m, want[name]), name
+
+
+def test_integer_form_is_reduced_and_cancels_to_zero():
+    m = 3
+    rng = random.Random(5)
+    p = rand_poly(rng, m, lambda: rand_fraction(rng))
+    assert (p - p).is_zero() and (p - p).terms == {}
+    assert p.scale(0).is_zero()
+    # 1/6 x0 + 1/3 x1 twice is 1/3 x0 + 2/3 x1: the common denominator shrinks
+    half = CliffordPolynomial(m, {
+        (1, 0, 0, 0): CliffordElement.scalar(m, Fraction(1, 6)),
+        (0, 1, 0, 0): CliffordElement.scalar(m, Fraction(1, 3))})
+    doubled = half + half
+    assert doubled == half.scale(2)
+    assert doubled.terms[(1, 0, 0, 0)].coeffs == {0: Fraction(1, 3)}
+    assert doubled.terms[(0, 1, 0, 0)].coeffs == {0: Fraction(2, 3)}
+
+
+@pytest.mark.parametrize("kind", ["pi", "float"])
+def test_non_rational_data_keeps_the_scalar_path(kind):
+    m = 3
+    rng = random.Random(len(kind))
+    pi = PiScalar.pi_power(2)
+    special = pi if kind == "pi" else 0.375
+    p = rand_poly(rng, m, lambda: rand_fraction(rng))
+    p = p + CliffordPolynomial(m, {(1, 1, 0, 0): CliffordElement(m, {0b101: special})})
+    q = rand_poly(rng, m, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+    assert p._int_form() is None
+    assert (p * q).terms == ref_product(p, q)
+    assert (q * p).terms == ref_product(q, p)
+    assert apply_operator(OperatorTag.D, p).terms == ref_first_order(p, True, 1)
+    assert p.scale(Fraction(2, 3)).terms == {e: c.scale(Fraction(2, 3)) for e, c in p.terms.items()}
+    coeff = (p * q).terms
+    kinds = {type(c) for el in coeff.values() for c in el.coeffs.values()}
+    assert (PiScalar if kind == "pi" else float) in kinds
+    if kind == "pi":
+        # exact data stays exact: the transform of pi-weighted data is exact too
+        assert dual_radon(p).terms == ref_dual_radon(p)
+
+
+def test_integer_and_scalar_paths_build_equal_polynomials():
+    m = 4
+    rng = random.Random(17)
+    p = rand_poly(rng, m, lambda: rand_fraction(rng))
+    q = rand_poly(rng, m, lambda: rand_fraction(rng))
+    i = PiScalar.imaginary(1)
+    # (i p)(i q) = -pq runs on the scalar path; i^2 = -1 leaves Fraction data
+    via_scalars = p.scale(i) * q.scale(i)
+    via_ints = -(p * q)
+    assert p.scale(i)._int_form() is None
+    assert all_fractions(via_scalars)
+    assert via_scalars == via_ints and via_ints == via_scalars
+    assert via_scalars.terms == via_ints.terms
+    # a float twin compares by value, as the elements do
+    floats = CliffordPolynomial(m, {(1,) + (0,) * m: CliffordElement.scalar(m, 0.5)})
+    halves = CliffordPolynomial(m, {(1,) + (0,) * m: CliffordElement.scalar(m, Fraction(1, 2))})
+    assert floats == halves and halves == floats
+
+
+def test_laurent_and_polynomial_do_not_multiply():
+    lp = LaurentPoly.monomial(1)
+    one = CliffordPolynomial.one(3)
+    for op in (lambda: lp * one, lambda: one * lp):
+        with pytest.raises(TypeError):
+            op()
+    # elements and scalars still act on both
+    e1 = CliffordElement.generator(3, 1)
+    assert lp * e1 == LaurentPoly.monomial(1, e1) == e1 * lp
+    assert one * Fraction(1, 2) == CliffordPolynomial.scalar_constant(3, Fraction(1, 2))
+    for other in ("x", [1], object()):
+        assert lp.__mul__(other) is NotImplemented and lp.__rmul__(other) is NotImplemented
+        assert one.__mul__(other) is NotImplemented and one.__rmul__(other) is NotImplemented
