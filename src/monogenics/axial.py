@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .clifford import CliffordElement, axial_element
+from .laurent import LaurentPoly
 from .poly import CliffordPolynomial
 from .scalars import PiScalar, canon, is_zero_scalar, sqrt_exact_or_float
 
@@ -195,6 +196,8 @@ class AxialClosedForm:
     A must be even and B odd in r on the domain; the optional sign power
     keeps half-axis factors explicit instead of folding them into floats.
     Evaluation at a singular point raises DomainError, never returns NaN.
+    A polynomial closed form reaches Cartesian form through ``to_series``,
+    the axial series sum_j x^j f_j(x0), and its one expander.
     """
 
     m: int
@@ -272,26 +275,34 @@ class AxialClosedForm:
         a, b = self.value_parts(x0, r)
         return axial_element(m, a, [c / r for c in xv], b)
 
-    def to_polynomial(self) -> CliffordPolynomial:
-        """Expand into a genuine polynomial; fails if any power is negative."""
-        m = self.m
+    def to_series(self) -> "AxialSeries":
+        """The axial series sum_j x^j f_j(x0) of a polynomial closed form.
+
+        With r^2 = -x^2, w r = x and rho^h = sum_k C(h, k) x0^(2h-2k) r^(2k),
+        the k-th term of c x0^p r^q rho^h in A (q even) or in w B (q odd)
+        adds c (-1)^(q//2+k) C(h, k) x0^(p+2h-2k) to f_(q+2k).  Fails if any
+        power is negative or a sign factor is present.
+        """
+        from .extensions import AxialSeries
+
         if self.sign_power % 2:
             raise ValueError("sign factor prevents polynomial form")
-        a_poly = self.A.is_polynomial() and all(q % 2 == 0 for (_, q, _) in self.A.terms)
-        b_shift = self.B.div_r()
-        b_poly = b_shift.is_polynomial() and all(q % 2 == 0 for (_, q, _) in b_shift.terms)
-        if not (a_poly and b_poly):
-            raise ValueError("closed form is not polynomial")
-        x0 = CliffordPolynomial.variable(m, 0)
-        r2 = CliffordPolynomial.radial_sq(m)
-        rho = x0 * x0 + r2
-        vec = CliffordPolynomial.vector_variable(m)
-        out = CliffordPolynomial.zero(m)
-        for (p, q, e), c in self.A.terms.items():
-            out = out + ((x0**p) * (r2 ** (q // 2)) * (rho ** (e // 2))).scale(c)
-        for (p, q, e), c in self.B.terms.items():
-            out = out + (vec * (x0**p) * (r2 ** ((q - 1) // 2)) * (rho ** (e // 2))).scale(c)
-        return out
+        fs: dict[int, dict[int, object]] = {}
+        for expr, odd in ((self.A, 0), (self.B, 1)):
+            for (p, q, e), c in expr.terms.items():
+                if min(p, q, e) < 0 or e % 2 or q % 2 != odd:
+                    raise ValueError("closed form is not polynomial")
+                h = e // 2
+                for k in range(h + 1):
+                    f, n = fs.setdefault(q + 2 * k, {}), p + 2 * h - 2 * k
+                    v = c * ((-1) ** (q // 2 + k) * math.comb(h, k))
+                    f[n] = f[n] + v if n in f else v
+        return AxialSeries(self.m, [LaurentPoly(fs.get(j, {})) for j in range(max(fs, default=0) + 1)],
+                           exact=True)
+
+    def to_polynomial(self) -> CliffordPolynomial:
+        """Expand into a genuine polynomial through the axial series."""
+        return self.to_series().to_polynomial()
 
 
 def paravector_power_closed(m: int, n: int) -> AxialClosedForm:

@@ -11,6 +11,13 @@ operator termwise with ``d_x x^j = -j x^(j-1)`` (j even) and
     f_j = f_{j-1}' / (m+j-1)  (j odd)
 
 On polynomial data the series terminates and everything here is exact.
+
+Since x^2 = -|x|^2 is a scalar, no Clifford product is needed to reach the
+Cartesian form or a value.  ``AxialSeries.to_polynomial`` writes x^j as
+integer rows from a multinomial sum and shifts their x0 exponents by the
+powers of f_j; ``AxialSeries.evaluate`` sums the even and the odd terms as
+two scalars and returns ``even + x * odd``.  The slice extension and
+``appell_sum`` keep their polynomial products, as independent witnesses.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .clifford import CliffordElement, axial_element
 from .laurent import LaurentPoly
 from .poly import CliffordPolynomial, paravector_power
 from .scalars import PiScalar, canon, gamma_half, pochhammer, sqrt_exact_or_float
+from .sphere import _compositions, _multinomial
 
 
 # ---------------------------------------------------------------------------
@@ -198,45 +206,57 @@ class AxialSeries:
         return self.m == other.m and self.trimmed() == other.trimmed()
 
     def evaluate(self, x0, xv: Sequence) -> CliffordElement:
-        m = self.m
-        vec = CliffordElement.vector(m, list(xv))
+        """even + x * odd, where x^(2i) = (-r^2)^i sums the values of f_(2i)
+        into even and those of f_(2i+1) into odd: one Clifford product."""
         r2 = canon(sum(c * c for c in xv))
-        out = CliffordElement.zero(m)
-        even_pow = Fraction(1)  # (-r^2)^i at j = 2i
+        sums, power = [0, 0], Fraction(1)  # (-r^2)^i at j = 2i and j = 2i+1
         for j, f in enumerate(self.coeffs):
-            if f.is_zero():
-                if j % 2 == 1:
-                    even_pow = even_pow * (-r2)
-                continue
-            val = f.evaluate(x0)
-            if j % 2 == 0:
-                out = out + val * even_pow
-            else:
-                out = out + vec * val * even_pow
-                even_pow = even_pow * (-r2)
-        return out
+            if not f.is_zero():
+                sums[j % 2] = sums[j % 2] + f.evaluate(x0) * power
+            if j % 2:
+                power = power * (-r2)
+        return sums[0] + CliffordElement.vector(self.m, list(xv)) * sums[1]
 
     def to_polynomial(self) -> CliffordPolynomial:
-        """sum_j x^j f_j(x0): each power c x0^n of f_j shifts the x0 exponent
-        of the terms of x^j, whose coefficients it multiplies from the right."""
+        """sum_j x^j f_j(x0) through the rows of ``_vector_power_rows``: each
+        power c x0^n of f_j shifts the x0 exponent of the rows of x^j, whose
+        coefficients it multiplies from the right.  All-Fraction data goes
+        over one common denominator straight into the integer form."""
         m = self.m
         if not all(f.is_polynomial() for f in self.coeffs):
             raise ValueError("series with negative powers is not a polynomial")
-        vec = CliffordPolynomial.vector_variable(m)
-        vp = CliffordPolynomial.one(m)
-        terms: dict[tuple[int, ...], CliffordElement] = {}
-        for j, f in enumerate(self.trimmed()):
-            if j:
-                vp = vp * vec
-            # x^j has no x0 and x-degree j, so no two (j, n) share a monomial
-            terms.update(((n, *exps[1:]), coeff * c)
-                         for n, c in f.terms.items() for exps, coeff in vp.terms.items())
-        return CliffordPolynomial._trusted(m, terms)
+        powers = [(f.terms, _vector_power_rows(m, j)) for j, f in enumerate(self.trimmed()) if f.terms]
+        scalars = [c for terms, _ in powers for c in terms.values()]
+        # x^j has no x0 and x-degree j, so no two (j, n) share a monomial
+        if all(type(c) is Fraction for c in scalars):
+            den = math.lcm(*(c.denominator for c in scalars))
+            return CliffordPolynomial._from_sums(m, den, {
+                (n, *tail): {mask: k * c.numerator * (den // c.denominator)}
+                for terms, rows in powers for n, c in terms.items() for tail, mask, k in rows})
+        return CliffordPolynomial._trusted(m, {
+            (n, *tail): CliffordElement._trusted(m, {mask: Fraction(k)}) * c
+            for terms, rows in powers for n, c in terms.items() for tail, mask, k in rows})
 
     def truncation_residual(self, x0, xv: Sequence) -> float:
         """|x^N f_N'(x0)|, the exact Cauchy-Riemann defect of the truncation."""
         tail = AxialSeries(self.m, [LaurentPoly.zero()] * self.order + [self.coeffs[-1].derivative()])
         return tail.evaluate(x0, xv).to_numeric().norm_inf()
+
+
+def _vector_power_rows(m: int, j: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """x^j as ``(x1..xm exponents, blade, int)`` rows, with no products:
+    x^(2s) = (-|x|^2)^s = (-1)^s sum_(|a|=s) multinomial(a) x^(2a) on the
+    scalar blade, and x^(2s+1) is that times sum_i x_i e_i.  Each (a, i)
+    gives its own monomial."""
+    s, odd = divmod(j, 2)
+    rows = []
+    for a in _compositions(s, m):
+        k, tail = (-1) ** s * _multinomial(a), tuple(2 * e for e in a)
+        if not odd:
+            rows.append((tail, 0, k))
+            continue
+        rows.extend(((*tail[:i], tail[i] + 1, *tail[i + 1:]), 1 << i, k) for i in range(m))
+    return rows
 
 
 def gck_extension(f0: LaurentPoly, m: int, order: int | None = None) -> AxialSeries:

@@ -144,12 +144,6 @@ class CliffordPolynomial:
     def paravector_variable(cls, m: int) -> "CliffordPolynomial":
         return cls.variable(m, 0) + cls.vector_variable(m)
 
-    @classmethod
-    def radial_sq(cls, m: int) -> "CliffordPolynomial":
-        """|x|^2 of the vector part: x1^2 + ... + xm^2."""
-        return cls(m, {tuple(2 * (i == j) for i in range(m + 1)): CliffordElement.one(m)
-                       for j in range(1, m + 1)})
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "CliffordPolynomial":

@@ -157,14 +157,15 @@ def plane_wave_gck_check(f0: LaurentPoly, m: int, rule,
     Under a node rule the sphere mean is the rule's plane-wave mean of the
     slice values, for scalar, complex and Clifford-valued coefficients
     alike, and the residual is the largest blade coefficient of its gap to
-    the axial extension.  Monte Carlo checks only the first point, and the
+    the value of the axial series, with no Cartesian expansion.  Monte Carlo checks only the first point, and the
     report carries its largest standard error divided by sigma_m.
     """
     if not f0.is_polynomial():
         raise ValueError("plane-wave check needs polynomial data")
     deg = f0.max_exp()
-    gck_poly = gck_extension(f0, m).to_polynomial()
+    gck = gck_extension(f0, m)
     if rule.kind == "exact":
+        gck_poly = gck.to_polynomial()
         lhs = dual_radon(slice_extension(f0, m).to_polynomial())
         ok = lhs == gck_poly
         gap = 0.0 if ok else (lhs.map_coeffs(lambda c: c.to_numeric())
@@ -174,7 +175,7 @@ def plane_wave_gck_check(f0: LaurentPoly, m: int, rule,
     worst = 0.0
     for x0, xv in points[:1] if rule.kind == "mc" else points:
         lhs, se = _slice_plane_wave(f0, m, rule, x0, xv)
-        rhs = gck_poly.evaluate(x0, xv).to_numeric()
+        rhs = gck.evaluate(x0, xv).to_numeric()
         worst = max(worst, (lhs - rhs).norm_inf())
     return ResidualReport("gck_plane_wave", m, deg, rule.label, worst, False, se)
 

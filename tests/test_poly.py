@@ -14,6 +14,12 @@ from monogenics.poly import (
 )
 
 
+def radial_sq(m):
+    """|x|^2 = x1^2 + ... + xm^2 with unit scalar coefficients."""
+    return CliffordPolynomial(m, {tuple(2 * (i == j) for i in range(m + 1)): CliffordElement.one(m)
+                                  for j in range(1, m + 1)})
+
+
 def rand_poly(rng, m, degree, nterms=5):
     terms = {}
     for _ in range(nterms):
@@ -47,7 +53,7 @@ def test_paravector_power_expansion():
     assert paravector_power(m, 0) == CliffordPolynomial.one(m)
     x0 = CliffordPolynomial.variable(m, 0)
     vec = CliffordPolynomial.vector_variable(m)
-    want = x0 * x0 - CliffordPolynomial.radial_sq(m) + (x0 * vec).scale(2)
+    want = x0 * x0 - radial_sq(m) + (x0 * vec).scale(2)
     assert paravector_power(m, 2) == want
 
 

@@ -18,6 +18,7 @@ from monogenics.laurent import LaurentPoly
 from monogenics.poly import CliffordPolynomial, OperatorTag, apply_operator
 from monogenics.scalars import PiScalar
 from test_clifford import brute_force_blade_product
+from test_poly import radial_sq
 
 
 def naive_product(p: CliffordPolynomial, q: CliffordPolynomial) -> CliffordPolynomial:
@@ -84,7 +85,7 @@ def rand_unit_poly(rng, m, nterms=3):
 def unit_factors(m):
     x0 = CliffordPolynomial.variable(m, 0)
     vec = CliffordPolynomial.vector_variable(m)
-    return [x0 + vec, x0 - vec, vec, x0 ** 3, CliffordPolynomial.radial_sq(m)]
+    return [x0 + vec, x0 - vec, vec, x0 ** 3, radial_sq(m)]
 
 
 def test_blade_table_fills_on_use_at_any_m():
