@@ -180,9 +180,7 @@ def fueter_cst(f: GaussPoly, m: int, x0: float, xv, order: int | None = None,
                tol: float = 1e-10) -> CliffordElement:
     """Slice-to-axial CST: gamma_m times the axial extension of the
     (m-1)-th derivative of the smoothed function."""
-    g = f.heat()
-    for _ in range(m - 1):
-        g = g.derivative()
+    g = f.heat().derivatives(m - 1)[-1]
     return _axial_from_smooth(g, m, x0, xv, order, tol).scale(_gamma(m))
 
 
@@ -204,10 +202,7 @@ def fueter_cst_routes(f: GaussPoly, m: int, x0: float, xv,
     if rule is None:
         rule = ProductGaussRule(m, 24)
     gamma = _gamma(m)
-    fd = f
-    for _ in range(m - 1):
-        fd = fd.derivative()
-    d_then_heat = fd.heat()
+    d_then_heat = f.derivatives(m - 1)[-1].heat()
     return {
         "heat_then_derivative": fueter_cst(f, m, x0, xv, None, tol),
         "derivative_then_heat": _axial_from_smooth(d_then_heat, m, x0, xv, None, tol).scale(gamma),
@@ -256,23 +251,33 @@ def unitarity_gram(fs: Sequence[GaussPoly], gs: Sequence[GaussPoly],
     Once the sphere is integrated out the reduced identity no longer
     depends on m, so ``m`` is not read; it stays in the signature to name
     the space the identity is about.  The identity is checked at two
-    quadrature levels, ``DEFAULT_QUAD_LEVELS``; each distinct function is
-    smoothed once and split once on each level's grid.
+    quadrature levels, ``DEFAULT_QUAD_LEVELS``.  ``f.heat()`` and its split
+    on each level's grid are kept in the memos of f and f.heat(), so a later
+    call, for any pair and any m, only sums products of splits it has.
     """
-    smooth = {id(f): f for f in (*fs, *gs)}
-    smooth = {key: f.heat() for key, f in smooth.items()}
     coarse, fine = [], []   # rhs of the pairs, row by row
     for (nx, nr), rhs in zip(DEFAULT_QUAD_LEVELS, (coarse, fine)):
         xs, wxs = _legendre_grid(nx, -GRAM_X_CUT, GRAM_X_CUT)
         rs, wrs = _legendre_grid(nr, 0.0, GRAM_R_CUT, 1.0)   # e^{-r^2} is in wrs
         Z = xs[:, None] + 1j * rs[None, :]
-        split = {key: _entire_split(F, Z) for key, F in smooth.items()}
-        for (af, bf), (ag, bg) in product([split[id(f)] for f in fs], [split[id(g)] for g in gs]):
+        for (af, bf), (ag, bg) in product([_gram_split(f.heat(), Z) for f in fs],
+                                          [_gram_split(g.heat(), Z) for g in gs]):
             total = np.einsum("i,j,ij->", wxs, wrs, np.conj(af) * ag + np.conj(bf) * bg)
             rhs.append(complex(2.0 / math.sqrt(math.pi) * total))
     lhs = [to_complex((f.conjugate() * g).integrate_line()) for f, g in product(fs, gs)]
     flat = [UnitarityResult(a, b, c, abs(b - a), abs(c - a)) for a, b, c in zip(lhs, fine, coarse)]
     return [flat[i * len(gs):(i + 1) * len(gs)] for i in range(len(fs))]
+
+
+def _gram_split(F: GaussPoly, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slice split of the smoothed F on the Gram grid Z, kept read-only
+    in F's memo under Z's shape (nx, nr), the level: the cuts are fixed."""
+    def build():
+        parts = _entire_split(F, Z)
+        for part in parts:
+            part.flags.writeable = False
+        return parts
+    return F._cached(("gram", Z.shape), build)
 
 
 def unitarity_check(f: GaussPoly, g: GaussPoly, m: int) -> UnitarityResult:

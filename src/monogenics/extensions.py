@@ -221,7 +221,8 @@ class AxialSeries:
         """sum_j x^j f_j(x0) through the rows of ``_vector_power_rows``: each
         power c x0^n of f_j shifts the x0 exponent of the rows of x^j, whose
         coefficients it multiplies from the right.  All-Fraction data goes
-        over one common denominator straight into the integer form."""
+        over one common denominator straight into the integer form; a scalar
+        c of f_j forms each product c k once per distinct multinomial k."""
         m = self.m
         if not all(f.is_polynomial() for f in self.coeffs):
             raise ValueError("series with negative powers is not a polynomial")
@@ -233,9 +234,17 @@ class AxialSeries:
             return CliffordPolynomial._from_sums(m, den, {
                 (n, *tail): {mask: k * c.numerator * (den // c.denominator)}
                 for terms, rows in powers for n, c in terms.items() for tail, mask, k in rows})
-        return CliffordPolynomial._trusted(m, {
-            (n, *tail): CliffordElement._trusted(m, {mask: Fraction(k)}) * c
-            for terms, rows in powers for n, c in terms.items() for tail, mask, k in rows})
+        out = {}
+        for terms, rows in powers:
+            for n, c in terms.items():
+                if isinstance(c, CliffordElement):
+                    out.update(((n, *tail), CliffordElement._trusted(m, {mask: Fraction(k)}) * c)
+                               for tail, mask, k in rows)
+                    continue
+                # c and k are nonzero, so c k is too
+                ck = {k: canon(Fraction(k) * c) for k in {k for _, _, k in rows}}
+                out.update(((n, *tail), CliffordElement._trusted(m, {mask: ck[k]})) for tail, mask, k in rows)
+        return CliffordPolynomial._trusted(m, out)
 
     def truncation_residual(self, x0, xv: Sequence) -> float:
         """|x^N f_N'(x0)|, the exact Cauchy-Riemann defect of the truncation."""

@@ -17,10 +17,16 @@ and the line integral stay exact.  A nonzero linear term b or numeric
 coefficients demote the result to complex arithmetic.  Evaluation accepts
 complex points and numpy arrays, which is how entire extensions are read
 off.
+
+A ``GaussPoly`` is immutable and keeps what it derives in a private memo
+that lives and dies with it: ``heat()``, ``derivative()`` and the slice
+splits of ``cst.unitarity_gram`` are built on the first call on that object
+and the same result is returned on every later one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -29,8 +35,16 @@ import numpy as np
 from .scalars import PiScalar, Radical, double_factorial, to_complex
 
 
+def _memoized(method):
+    """A no-argument method whose result the instance keeps in its memo."""
+    return functools.wraps(method)(lambda self: self._cached(method.__name__, lambda: method(self)))
+
+
 class GaussPoly:
-    __slots__ = ("a", "b", "coeffs", "pref")
+    """pref p(x) exp(-a x^2 + b x).  Immutable: nothing changes a, b, coeffs
+    or pref after ``__init__``, so ``_memo`` keeps what is derived from them."""
+
+    __slots__ = ("a", "b", "coeffs", "pref", "_memo")
 
     def __init__(self, a, b, coeffs, pref):
         if a <= 0:
@@ -42,6 +56,7 @@ class GaussPoly:
         while len(self.coeffs) > 1 and not self.coeffs[-1]:
             self.coeffs.pop()
         self.pref = pref
+        self._memo = {}
 
     # -- constructors ----------------------------------------------------
 
@@ -53,6 +68,10 @@ class GaussPoly:
     def gaussian(cls, a) -> "GaussPoly":
         """Plain exp(-a x^2)."""
         return cls.exact(a, [1])
+
+    def _cached(self, key, build):
+        """The value kept under ``key``, built by ``build()`` on first use."""
+        return self._memo[key] if key in self._memo else self._memo.setdefault(key, build())
 
     def is_exact(self) -> bool:
         return isinstance(self.pref, Radical)
@@ -96,6 +115,7 @@ class GaussPoly:
         return GaussPoly(self.a, self.b.conjugate(),
                          [c.conjugate() for c in self.coeffs], self.pref)
 
+    @_memoized
     def derivative(self) -> "GaussPoly":
         """d/dx: p -> p' + (b - 2a x) p, exact."""
         out = [PiScalar() if self.is_exact() else 0j] * (len(self.coeffs) + 1)
@@ -158,6 +178,7 @@ class GaussPoly:
 
     # -- Gaussian averages: heat flow, line integral, Fourier transform --------
 
+    @_memoized
     def heat(self) -> "GaussPoly":
         """Time-one heat semigroup, the Gaussian convolution in closed form.
 
