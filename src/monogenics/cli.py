@@ -36,12 +36,14 @@ GAUSS_NODES_MAX = 1_000_000
 TOL_MAX = 1e-2
 # Desk-scale bounds of the integer inputs, (lo, hi) inclusive.  The upper
 # ends keep the largest accepted run of each verb well under a minute (2-CPU
-# x86-64 host, CPython 3.11): export --kind Qpoly --m 6 --k 24 takes 8.6 s
-# and 392 MB, export --kind monomialP --m 6 --power 20 6.5-8.4 s, verify
-# algebra --m 6 --count 20000 12.5 s, and verify all with every bound at
-# its maximum 36 s and 555 MB.  The largest Monte Carlo run, radon-check
-# --m 6 --degree 10 --rule mc:5000000:7, takes 5.0 s and 591 MB (13.8-14.6
-# s and 822 MB before the blocked reduction of sphere.MonteCarloRule).
+# x86-64 host, CPython 3.11): export --kind Qpoly --m 6 --k 24 takes
+# 5.4-6.1 s and 369 MB, export --kind monomialP --m 6 --power 20 2.2-2.5 s,
+# verify algebra --m 6 --count 20000 17.8-19.4 s, and verify all with every
+# bound at its maximum 30 s and 459 MB.  The largest Monte Carlo run,
+# radon-check --m 6 --degree 10 --rule mc:5000000:7, takes 3.9 s and 494 MB
+# (13.8-14.6 s and 822 MB before the blocked reduction of
+# sphere.MonteCarloRule); the largest Gauss run, radon-check --m 3 --degree
+# 10 --rule gauss:707 (999,698 nodes), takes 1.6-1.7 s and 102 MB.
 BOUNDS = {
     "--m": (1, 6),
     "--max-degree": (0, 10),

@@ -21,6 +21,7 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .clifford import CliffordElement, axial_element
 from .constants import constants
@@ -109,7 +110,7 @@ def _legendre_grid(n: int, lo: float, hi: float,
     Built on first use and shared by every later call with the same
     arguments, so both arrays are read-only.
     """
-    u, w = np.polynomial.legendre.leggauss(n)
+    u, w = leggauss(n)
     half = (hi - lo) / 2
     x = (hi + lo) / 2 + half * u
     wx = half * w * np.exp(-decay * x * x)

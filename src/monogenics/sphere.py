@@ -11,6 +11,12 @@ blocks merged pairwise by the update of Chan, Golub and LeVeque
 ("Algorithms for computing the sample variance", Amer. Statist. 37, 1983).
 No array of all n samples times all channels is ever formed.
 
+The product rule's Gauss-Gegenbauer nodes are the eigenvalues of the Jacobi
+matrix (Golub and Welsch, "Calculation of Gauss quadrature rules", Math.
+Comp. 23, 1969), polished by two Newton steps on the three-term recurrence
+of the orthonormal polynomials p_k; the weights are the Christoffel numbers
+1/sum_k p_k(t_j)^2.
+
 The monomial rule uses the classical closed form
 
     int_{S^(m-1)} w^a dS = 2 prod_i Gamma((a_i+1)/2) / Gamma((|a|+m)/2)
@@ -36,7 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .constants import sphere_area
 from .scalars import PiScalar, double_factorial, gamma_half
@@ -166,7 +171,7 @@ def _sphere_product_rule(m: int, level: int) -> tuple[np.ndarray, np.ndarray]:
         return nodes, weights
     sub_nodes, sub_weights = _sphere_product_rule(m - 1, level)
     alpha = (m - 3) / 2.0
-    u, wu = roots_jacobi(level, alpha, alpha)
+    u, wu = _gauss_gegenbauer(level, alpha)
     s = np.sqrt(1.0 - u**2)
     nodes = np.concatenate(
         [
@@ -178,6 +183,25 @@ def _sphere_product_rule(m: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     )
     weights = np.concatenate([wi * sub_weights for wi in wu])
     return nodes, weights
+
+
+def _gauss_gegenbauer(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of n nodes for the weight (1-t^2)^alpha on [-1, 1], alpha >= 0:
+    ascending nodes, exactly antisymmetric, and exactly symmetric weights."""
+    k = np.arange(1, n + 1)
+    b = np.sqrt(k * (k + 2 * alpha) / ((2 * k + 2 * alpha) ** 2 - 1))  # b[k-1] = b_k
+    t = np.linalg.eigvalsh(np.diag(b[:-1], -1))
+    for _ in range(2):
+        # p_k = sqrt(mu0) p^_k and p'_k by b_(k+1) p_(k+1) = t p_k - b_k p_(k-1)
+        p_prev, p, d_prev, d, ssq = 0.0, np.ones(n), 0.0, np.zeros(n), np.zeros(n)
+        for j in range(n):
+            ssq += p * p
+            bj = b[j - 1] if j else 0.0
+            p_prev, p, d_prev, d = p, (t * p - bj * p_prev) / b[j], d, (p + t * d - bj * d_prev) / b[j]
+        t = t - p / d
+    mu0 = 2.0 ** (2 * alpha + 1) * math.gamma(alpha + 1) ** 2 / math.gamma(2 * alpha + 2)
+    w = mu0 / ssq
+    return (t - t[::-1]) / 2, (w + w[::-1]) / 2
 
 
 # nodes per block of the Monte Carlo reduction: the few rows of one block
@@ -238,10 +262,15 @@ class MonteCarloRule(NodeRule):
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((n, m))
         cols = np.empty((m, n))
-        norm = np.linalg.norm(v, axis=1)
-        # transposed block by block, so each block of v is read from cache
+        # transposed and normalized block by block, so each block of v is read
+        # from cache; squares summed row by row, np.linalg.norm's order for m < 8
         for s in range(0, n, _MC_BLOCK):
-            np.divide(v[s:s + _MC_BLOCK].T, norm[s:s + _MC_BLOCK], out=cols[:, s:s + _MC_BLOCK])
+            block = cols[:, s:s + _MC_BLOCK]
+            block[...] = v[s:s + _MC_BLOCK].T
+            norm = block[0] * block[0]
+            for row in block[1:]:
+                norm += row * row
+            block /= np.sqrt(norm, out=norm)
         sig = float(sphere_area(m))
         super().__init__(m, cols.T, np.broadcast_to(sig / n, (n,)), f"mc:{n}:{seed}", sig)
 
