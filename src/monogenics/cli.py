@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import serialize as ser
+from .clifford import nan_max
 from .laurent import LaurentPoly
 from .radon import cauchy_plane_wave_check, plane_wave_gck_check
 from .sphere import ExactMonomialRule, MonteCarloRule, ProductGaussRule, product_rule_size
@@ -40,7 +41,7 @@ TOL_MAX = 1e-2
 # 5.4-6.1 s and 369 MB, export --kind monomialP --m 6 --power 20 2.2-2.5 s,
 # verify algebra --m 6 --count 20000 17.8-19.4 s, and verify all with every
 # bound at its maximum 30 s and 459 MB.  The largest Monte Carlo run,
-# radon-check --m 6 --degree 10 --rule mc:5000000:7, takes 3.9 s and 494 MB
+# radon-check --m 6 --degree 10 --rule mc:5000000:7, takes 3.4-4.0 s and 495 MB
 # (13.8-14.6 s and 822 MB before the blocked reduction of
 # sphere.MonteCarloRule); the largest Gauss run, radon-check --m 3 --degree
 # 10 --rule gauss:707 (999,698 nodes), takes 1.6-1.7 s and 102 MB.
@@ -253,7 +254,7 @@ def _cmd_cst_check(args) -> int:
                          - axial_cst_radon_route(f, args.m, x0, xv, rule)).norm_inf()
                 else:
                     a, *others = fueter_cst_routes(f, args.m, x0, xv, rule).values()
-                    d = max((a - b).norm_inf() for b in others)
+                    d = nan_max((a - b).norm_inf() for b in others)
                 passed = d < tol
                 ok &= passed
                 cases.append({"n": n, "x0": x0, "r": r, "residual": d, "pass": passed})

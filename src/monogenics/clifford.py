@@ -28,6 +28,16 @@ from .scalars import PiScalar, canon, is_zero_scalar, scalar_conj, to_complex
 _SCALARS = (int, Fraction, PiScalar, float, complex)
 
 
+def nan_max(values: Iterable[float]) -> float:
+    """Largest of non-negative residuals (0.0 for none), NaN if any is NaN:
+    the built-in ``max`` drops a NaN that follows a finite value."""
+    worst = 0.0
+    for v in values:
+        if v > worst or v != v:
+            worst = v
+    return worst
+
+
 def reorder_sign(a: int, b: int) -> int:
     """Sign from sorting the concatenation of blades ``a`` and ``b``."""
     a >>= 1
@@ -247,8 +257,8 @@ class CliffordElement:
         return self.map_scalars(conv)
 
     def norm_inf(self) -> float:
-        """Largest coefficient magnitude, for numeric residuals."""
-        return max((abs(to_complex(c)) for c in self.coeffs.values()), default=0.0)
+        """Largest coefficient magnitude, for numeric residuals; NaN if any is NaN."""
+        return nan_max(abs(to_complex(c)) for c in self.coeffs.values())
 
     def __repr__(self) -> str:
         if not self.coeffs:

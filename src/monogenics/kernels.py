@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .axial import AxialClosedForm, DomainError, RhoExpr
-from .clifford import CliffordElement, Paravector
+from .clifford import CliffordElement, Paravector, nan_max
 from .constants import constants
 from .extensions import AxialSeries, appell_Q, gck_extension
 from .laurent import LaurentPoly
@@ -130,14 +130,14 @@ class IdentityReport:
 
 def _max_residual(closed: AxialClosedForm, series: AxialSeries, scale, sign_power: int,
                   points) -> float:
-    worst = 0.0
+    gaps = []
     for x0, xv in points:
         lhs = closed.evaluate(x0, xv).to_numeric()
         rhs = series.evaluate(x0, xv).to_numeric().scale(to_complex(scale))
         if sign_power % 2 and x0 < 0:
             rhs = -rhs
-        worst = max(worst, (lhs - rhs).norm_inf())
-    return worst
+        gaps.append((lhs - rhs).norm_inf())
+    return nan_max(gaps)
 
 
 def verify_monomial_identities(m: int, k: int, order: int = 20, ratio: float = 0.4) -> list[IdentityReport]:

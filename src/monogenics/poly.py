@@ -23,7 +23,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Sequence
 
-from .clifford import BLADE_TABLE, COEFF_OPERANDS, CliffordElement
+from .clifford import BLADE_TABLE, COEFF_OPERANDS, CliffordElement, nan_max
 from .scalars import canon
 
 Exponents = tuple[int, ...]
@@ -245,7 +245,7 @@ class CliffordPolynomial:
         return CliffordPolynomial(self.m, {e: fn(c) for e, c in self.terms.items()})
 
     def norm_inf(self) -> float:
-        return max((c.norm_inf() for c in self.terms.values()), default=0.0)
+        return nan_max(c.norm_inf() for c in self.terms.values())
 
     def __repr__(self) -> str:
         if not self.terms:
