@@ -112,20 +112,13 @@ def monomial_constant(m: int, k: int) -> PiScalar:
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """``exact`` is the identity's kind of comparison; if exact, ``residual`` counts failures."""
+
     identity: str
     m: int
     k: int
     residual: float
     exact: bool
-
-    def to_json(self) -> dict:
-        return {
-            "identity": self.identity,
-            "m": self.m,
-            "k": self.k,
-            "residual": self.residual,
-            "exact": self.exact,
-        }
 
 
 def _max_residual(closed: AxialClosedForm, series: AxialSeries, scale, sign_power: int,
@@ -171,22 +164,13 @@ def verify_monomial_identities(m: int, k: int, order: int = 20, ratio: float = 0
     p_pos = monogenic_monomial(m, k - 1)
     lhs_poly = p_pos.as_polynomial()
     rhs_poly = appell_Q(m, k - 1).scale(const)
-    exact_ok = lhs_poly == rhs_poly
-    reports.append(IdentityReport("pos_order_restriction", m, k,
-                                  0.0 if exact_ok else _poly_gap(lhs_poly, rhs_poly), exact_ok))
+    reports.append(IdentityReport("pos_order_restriction", m, k, float(lhs_poly != rhs_poly), True))
 
     # nonnegative order, derivative form: const'' * GCK[d^(m-1) x0^(m+k-2)]
     f0 = LaurentPoly.monomial(m + k - 2).derivative(m - 1)
     rhs2 = gck_extension(f0, m).to_polynomial().scale(cst.lam * Fraction(1, math.factorial(m - 1)))
-    exact_ok2 = lhs_poly == rhs2
-    reports.append(IdentityReport("pos_order_derivative", m, k,
-                                  0.0 if exact_ok2 else _poly_gap(lhs_poly, rhs2), exact_ok2))
+    reports.append(IdentityReport("pos_order_derivative", m, k, float(lhs_poly != rhs2), True))
     return reports
-
-
-def _poly_gap(a: CliffordPolynomial, b: CliffordPolynomial) -> float:
-    return (a.map_coeffs(lambda c: c.to_numeric())
-            - b.map_coeffs(lambda c: c.to_numeric())).norm_inf()
 
 
 def _unit_dir(m: int) -> tuple:

@@ -10,11 +10,11 @@ integer form of all-Fraction data (see ``poly``) every weight is an integer
 over D = prod_{j<top} (m + 2j), the moments' common denominator at the top
 vector degree; other data keeps the rational weights.
 
-The numeric routes (pointwise transform, plane-wave check, plane-wave
-forms of the kernels) all reduce through the rule's ``plane_wave_mean``:
-the slice values alpha + w beta at x0 + i<x,w> on the nodes, then the
-rule's sums of alpha and of w beta (Monte Carlo, one block of nodes at a
-time, adds their spread).
+The numeric routes (pointwise transform, plane-wave check, and the kernel
+plane waves, which average a power of z) share one slice path,
+``_slice_plane_wave``, through the rule's ``plane_wave_mean``: the slice
+values alpha + w beta at z = x0 + i<x,w> on the nodes, then the rule's sums
+of alpha and of w beta (Monte Carlo, one block at a time, adds the spread).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from operator import add
 import numpy as np
 
 from .clifford import CliffordElement, axial_element, nan_max
-from .constants import sphere_area
+from .constants import constants
 from .extensions import SliceFunction, gck_extension, slice_extension
 from .laurent import LaurentPoly
 from .poly import CliffordPolynomial
@@ -112,7 +112,7 @@ def _slice_plane_wave(f0: LaurentPoly, m: int, rule: NodeRule, x0, xv
     coeffs = np.column_stack([rows[key] for key in keys])
 
     def split(z):
-        if lo < 0 and not z.all():
+        if lo < 0 and x0 == 0 and not z.all():   # z = x0 + i<x,w> vanishes only if x0 does
             raise ZeroDivisionError("negative powers require x0 + <x,w> w != 0")
         vals = np.empty((len(z), len(keys)), dtype=complex)
         vals[:] = coeffs[-1]
@@ -124,15 +124,17 @@ def _slice_plane_wave(f0: LaurentPoly, m: int, rule: NodeRule, x0, xv
         return vals.real, vals.imag
 
     a, v, se = rule.plane_wave_mean(x0, xv, split)
-    acc = CliffordElement.zero(m)
-    for (mask, imag), ac, vc in zip(keys, a.tolist(), v.tolist()):
-        unit = CliffordElement(m, {mask: 1j if imag else 1.0})
-        acc = acc + axial_element(m, unit.scale(ac), vc, unit)
-    return acc, se
+    # a scalar unit scales; only a blade unit needs the Clifford product
+    units = [CliffordElement(m, {mask: 1j if imag else 1.0}) if mask else 1j if imag else 1.0
+             for mask, imag in keys]
+    parts = [axial_element(m, u * ac, vc, u) for u, ac, vc in zip(units, a.tolist(), v.tolist())]
+    return sum(parts[1:], parts[0]), se
 
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """``exact`` is the rule's kind of comparison; if exact, ``residual`` counts failures."""
+
     check: str
     m: int
     degree: int
@@ -151,26 +153,24 @@ class ResidualReport:
 def plane_wave_gck_check(f0: LaurentPoly, m: int, rule,
                          point: tuple | None = None) -> ResidualReport:
     """Compare (1/sigma_m) int S[f0](x0 + <x,w>w) dS against the axial
-    extension of f0: exact polynomial equality under the monomial rule,
-    pointwise residual under node rules.
+    extension of f0: exact polynomial equality under the monomial rule
+    (residual 1.0 when it fails), pointwise residual under node rules.
 
     Under a node rule the sphere mean is the rule's plane-wave mean of the
     slice values, for scalar, complex and Clifford-valued coefficients
     alike, and the residual is the largest blade coefficient of its gap to
-    the value of the axial series, with no Cartesian expansion.  Monte Carlo checks only the first point, and the
-    report carries its largest standard error divided by sigma_m.
+    the value of the axial series, with no Cartesian expansion.  Monte Carlo
+    checks only the first point, and the report carries its largest standard
+    error divided by sigma_m.
     """
     if not f0.is_polynomial():
         raise ValueError("plane-wave check needs polynomial data")
     deg = f0.max_exp()
     gck = gck_extension(f0, m)
     if rule.kind == "exact":
-        gck_poly = gck.to_polynomial()
         lhs = dual_radon(slice_extension(f0, m).to_polynomial())
-        ok = lhs == gck_poly
-        gap = 0.0 if ok else (lhs.map_coeffs(lambda c: c.to_numeric())
-                              - gck_poly.map_coeffs(lambda c: c.to_numeric())).norm_inf()
-        return ResidualReport("gck_plane_wave", m, deg, "exact", gap, ok)
+        return ResidualReport("gck_plane_wave", m, deg, "exact",
+                              float(lhs != gck.to_polynomial()), True)
     points = [point] if point is not None else _check_points(m)
     gaps = []
     for x0, xv in points[:1] if rule.kind == "mc" else points:
@@ -190,21 +190,14 @@ def _check_points(m: int) -> list[tuple[float, tuple]]:
 
 def _plane_wave_vs_closed(m: int, exponent: int, const: float, closed, point: tuple,
                           rule: NodeRule) -> float:
-    """Residual of const times the sphere mean of (x0 + <x,w> w)^exponent
-    against the closed form at the point."""
+    """Residual of const * sgn(x0)^(m+1) times the sphere mean of
+    (x0 + <x,w> w)^exponent against the closed form at the point."""
     x0, xv = point[0], list(point[1:])
     if x0 == 0:
         raise ValueError("plane-wave form needs x0 != 0 on the chosen points")
-
-    def split(z):
-        # inside the plane of 1 and w, (x0 + <x,w> w)^n = Re z^n + w Im z^n
-        zn = z ** exponent
-        return zn.real, zn.imag
-
-    a, v, _ = rule.plane_wave_mean(x0, xv, split)
-    quad = axial_element(m, const * a.item(), v[0].tolist(), const)
-    closed_val = closed.evaluate(x0, xv).to_numeric()
-    return (quad - closed_val).norm_inf()
+    sgn = 1.0 if x0 > 0 else (-1.0) ** (m + 1)
+    mean = _slice_plane_wave(LaurentPoly.monomial(exponent), m, rule, x0, xv)[0]
+    return (mean.scale(const * sgn) - closed.evaluate(x0, xv).to_numeric()).norm_inf()
 
 
 def cauchy_plane_wave_check(m: int, point: tuple, rule: NodeRule) -> float:
@@ -216,9 +209,7 @@ def cauchy_plane_wave_check(m: int, point: tuple, rule: NodeRule) -> float:
     against the closed form, off the singular set."""
     from .kernels import cauchy_kernel
 
-    x0 = point[0]
-    sgn = 1.0 if x0 > 0 else (-1.0) ** (m + 1)
-    const = sgn / float(sphere_area(m + 1))   # 1/sigma_m is in the mean
+    const = 1.0 / float(constants(m).sigma_next)   # 1/sigma_m is in the mean
     return _plane_wave_vs_closed(m, -m, const, cauchy_kernel(m), point, rule)
 
 
@@ -227,8 +218,5 @@ def monomial_plane_wave_check(m: int, k: int, point: tuple, rule: NodeRule) -> f
     constant * sgn(x0)^(m+1)/sigma_m * int (x0 + <x,w>w)^(1-k-m) dS."""
     from .kernels import monogenic_monomial, monomial_constant
 
-    x0 = point[0]
-    sgn = 1.0 if x0 > 0 else (-1.0) ** (m + 1)
-    const = float(monomial_constant(m, k)) * sgn   # 1/sigma_m is in the mean
     closed = monogenic_monomial(m, -k).closed
-    return _plane_wave_vs_closed(m, 1 - k - m, const, closed, point, rule)
+    return _plane_wave_vs_closed(m, 1 - k - m, float(monomial_constant(m, k)), closed, point, rule)

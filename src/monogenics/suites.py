@@ -105,7 +105,7 @@ class VerificationReport:
         return all(c.passed for c in self.cases)
 
     def covered_ops(self) -> set[str]:
-        return {op for c in self.cases for op in c.ops}
+        return {op for c in self.cases if c.checked for op in c.ops}
 
     def to_json(self, timing: bool = False) -> dict:
         out = {"suite": self.suite, "params": self.params,

@@ -127,9 +127,10 @@ def _monomial_numeric_worst(order: int, ratio: float = 0.4) -> float:
 
 def test_criterion_5_exact_representations():
     for m, k in [(2, 1), (3, 1), (3, 2), (4, 2), (5, 1)]:
-        for rep in verify_monomial_identities(m, k, order=24):
-            if rep.exact:
-                assert rep.residual == 0.0
+        exact = [rep for rep in verify_monomial_identities(m, k, order=24) if rep.exact]
+        # both polynomial identities are exact comparisons, and neither failed
+        assert [rep.identity for rep in exact] == ["pos_order_restriction", "pos_order_derivative"]
+        assert all(rep.residual == 0.0 for rep in exact)
     record("criterion  5 PASS  polynomial monomial representations exact")
 
 

@@ -221,6 +221,7 @@ def test_verify_monomial_identities_grid(m, k):
     assert by_name["pos_order_restriction"].exact
     assert by_name["pos_order_restriction"].residual == 0.0
     assert by_name["pos_order_derivative"].exact
+    assert by_name["pos_order_derivative"].residual == 0.0
     assert by_name["neg_order_restriction"].residual < 1e-8
     assert by_name["neg_order_derivative"].residual < 1e-8
 

@@ -131,7 +131,10 @@ def test_cli_radon_check(tmp_path, capsys):
                "--out", str(tmp_path / "r.json")])
     assert rc == 0
     doc = json.loads((tmp_path / "r.json").read_text())
-    assert all(c.get("exact", False) or c["residual"] < 1e-6 for c in doc["cases"])
+    # an exact row compared over Q: its residual counts the failed equalities
+    assert all(c["residual"] == 0.0 if c.get("exact") else c["residual"] < 1e-6
+               for c in doc["cases"])
+    assert sum(bool(c.get("exact")) for c in doc["cases"]) == 5
     assert doc["tol"] == 1e-6 and doc["tol_default"] is True
     rc = main(["radon-check", "--m", "2", "--degree", "3", "--rule", "mc:20000:5",
                "--tol", "0.005", "--out", str(tmp_path / "rmc.json")])
@@ -154,6 +157,7 @@ def test_cli_radon_check_judges_monte_carlo_by_its_spread(tmp_path, monkeypatch)
     assert rc == 0
     cases = json.loads(out.read_text())["cases"]
     assert any(c["stderr"] > 0 and c["residual"] > 1e-6 for c in cases)
+    assert not any(c["exact"] for c in cases)
     assert all(c["residual"] <= 5 * c["stderr"] or c["residual"] < 1e-6 for c in cases)
     # a residual forced to k standard errors passes at k = 4 and fails at 6
     from monogenics import cli, radon
@@ -252,6 +256,26 @@ def test_registry_covered_by_all_suite():
     for module, ops in OP_REGISTRY.items():
         for op in ops:
             assert op in covered, f"{module}.{op} not exercised"
+
+
+def test_coverage_counts_only_cases_that_compared_something():
+    # at m = 1 the loops of radon_bridge and plane_wave_exact start at m = 2,
+    # so dual_radon is never called although both cases name it
+    report = run_suite("all", {"m": 1, "count": 20, "mc_samples": 2000})
+    coverage = {c.case_id: c for c in report.cases}["coverage"]
+    assert not coverage.passed and "dual_radon" in coverage.params["missing"]
+    assert "dual_radon" not in report.covered_ops()
+
+
+def test_cli_verify_timing_only_adds_a_timing_map(tmp_path):
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    assert main(["verify", "monomials", "--out", str(plain)]) == 0
+    assert main(["verify", "monomials", "--timing", "--out", str(timed)]) == 0
+    doc, doc_timed = json.loads(plain.read_text()), json.loads(timed.read_text())
+    timing = doc_timed.pop("timing_ms")
+    assert doc_timed == doc
+    assert sorted(timing) == sorted(c["id"] for c in doc["cases"])
+    assert all(isinstance(ms, float) and ms >= 0.0 for ms in timing.values())
 
 
 def test_registry_names_public_functions():
@@ -442,6 +466,35 @@ def test_cli_fueter_rejects_malformed_laurent_files(tmp_path, capsys, content):
     src.write_text(content)
     _assert_usage_error(capsys, ["fueter", "--m", "3", "--power", "2", "--laurent", str(src)],
                         tmp_path / "out.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "all", "--m", "x"],
+    ["verify", "algebra", "--count", "1.5"],
+    ["verify", "bogus"],
+    ["export", "--kind", "bogus", "--m", "2"],
+    ["export", "--kind", "Qpoly"],
+    ["radon-check", "--degree", "1"],
+    ["cst-check", "--m", "2"],
+    ["fueter", "--m", "2", "--power", "1", "--unknown"],
+    [],
+])
+def test_cli_parser_errors_are_one_line(tmp_path, capsys, argv):
+    # argparse's own refusals: a bad type or choice, a missing or unknown flag
+    _assert_usage_error(capsys, argv, tmp_path / "out.json")
+
+
+@pytest.mark.parametrize("m, order", [(3, 0), (2, 1), (1, 2)])
+def test_cli_fueter_refuses_an_order_below_the_data_degree(tmp_path, capsys, m, order):
+    # the map extends d^(m-1) of x^3, of degree 4 - m, which needs that order
+    src = tmp_path / "data.json"
+    src.write_text(json.dumps({"terms": [{"n": 3, "re": "1"}, {"n": 0, "im": "2"}]}))
+    _assert_usage_error(capsys, ["fueter", "--m", str(m), "--power", "2", "--laurent", str(src),
+                                 "--order", str(order)], tmp_path / "out.json")
+    out = tmp_path / "ok.json"
+    assert main(["fueter", "--m", str(m), "--power", "2", "--laurent", str(src),
+                 "--order", str(order + 1), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["laurent_image"]
 
 
 def test_cli_fueter_rejects_a_missing_laurent_file(tmp_path, capsys):
