@@ -40,10 +40,10 @@ TOL_MAX = 1e-2
 # x86-64 host, CPython 3.11): export --kind Qpoly --m 6 --k 24 takes
 # 5.4-6.1 s and 369 MB, export --kind monomialP --m 6 --power 20 2.2-2.5 s,
 # verify algebra --m 6 --count 20000 17.8-19.4 s, and verify all with every
-# bound at its maximum 30 s and 459 MB.  The largest Monte Carlo run,
-# radon-check --m 6 --degree 10 --rule mc:5000000:7, takes 3.4-4.0 s and 495 MB
-# (13.8-14.6 s and 822 MB before the blocked reduction of
-# sphere.MonteCarloRule); the largest Gauss run, radon-check --m 3 --degree
+# bound at its maximum 26 s and 309 MB.  The largest Monte Carlo run,
+# radon-check --m 6 --degree 10 --rule mc:5000000:7, takes 3.1-3.3 s and 270 MB,
+# 240 MB of it the nodes of sphere.MonteCarloRule (3.4-4.0 s and 495 MB while
+# the rule held its whole draw); the largest Gauss run, radon-check --m 3 --degree
 # 10 --rule gauss:707 (999,698 nodes), takes 1.6-1.7 s and 102 MB.
 BOUNDS = {
     "--m": (1, 6),

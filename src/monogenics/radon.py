@@ -19,12 +19,14 @@ of alpha and of w beta (Monte Carlo, one block at a time, adds the spread).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import add
 import numpy as np
 
+from .axial import AxialClosedForm
 from .clifford import CliffordElement, axial_element, nan_max
 from .constants import constants
 from .extensions import SliceFunction, gck_extension, slice_extension
@@ -207,16 +209,26 @@ def cauchy_plane_wave_check(m: int, point: tuple, rule: NodeRule) -> float:
                * int (x0 + <x,w> w)^(-m) dS_w ,
 
     against the closed form, off the singular set."""
-    from .kernels import cauchy_kernel
-
-    const = 1.0 / float(constants(m).sigma_next)   # 1/sigma_m is in the mean
-    return _plane_wave_vs_closed(m, -m, const, cauchy_kernel(m), point, rule)
+    return _plane_wave_vs_closed(m, -m, *_cauchy_form(m), point, rule)
 
 
 def monomial_plane_wave_check(m: int, k: int, point: tuple, rule: NodeRule) -> float:
     """Plane-wave representation of the negative-order monomial P^(-k):
     constant * sgn(x0)^(m+1)/sigma_m * int (x0 + <x,w>w)^(1-k-m) dS."""
+    return _plane_wave_vs_closed(m, 1 - k - m, *_monomial_form(m, k), point, rule)
+
+
+# The closed forms depend on (m, k) alone and are only evaluated, so each is
+# built once rather than once per checked point.
+@functools.lru_cache(maxsize=None)
+def _cauchy_form(m: int) -> tuple[float, AxialClosedForm]:
+    from .kernels import cauchy_kernel
+
+    return 1.0 / float(constants(m).sigma_next), cauchy_kernel(m)   # 1/sigma_m is in the mean
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_form(m: int, k: int) -> tuple[float, AxialClosedForm]:
     from .kernels import monogenic_monomial, monomial_constant
 
-    closed = monogenic_monomial(m, -k).closed
-    return _plane_wave_vs_closed(m, 1 - k - m, float(monomial_constant(m, k)), closed, point, rule)
+    return float(monomial_constant(m, k)), monogenic_monomial(m, -k).closed

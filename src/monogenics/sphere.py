@@ -9,7 +9,11 @@ samples per coordinate, and reduces samples in blocks of 2^14 nodes that
 stay in cache: each block in two passes (mean, then centred squares), the
 blocks merged pairwise by the update of Chan, Golub and LeVeque
 ("Algorithms for computing the sample variance", Amer. Statist. 37, 1983).
-No array of all n samples times all channels is ever formed.
+No array of all n samples times all channels is ever formed, nor the
+row-major draw of all n nodes: the generator fills one chunk of 2^16 rows
+at a time (at most 4 MB at m <= 8), and each reduction writes its blocks
+into one workspace per call, so beyond the n m stored coordinates the
+working memory is bounded by a chunk, whatever n is.
 
 The product rule's Gauss-Gegenbauer nodes are the eigenvalues of the Jacobi
 matrix (Golub and Welsch, "Calculation of Gauss quadrature rules", Math.
@@ -91,8 +95,9 @@ class ExactMonomialRule:
 class NodeRule:
     """A numeric rule on S^(m-1): nodes (n, m), weights (n,) standing for
     sigma_m (their sum unless given), a report ``label`` and a ``kind`` set
-    by each subclass.  Monte Carlo overrides ``estimate`` and
-    ``plane_wave_mean`` with its blocked reduction and spread."""
+    by each subclass.  Monte Carlo overrides ``estimate``,
+    ``integrate_monomial`` and ``plane_wave_mean`` with its blocked
+    reduction and spread."""
 
     def __init__(self, m: int, nodes: np.ndarray, weights: np.ndarray, label: str,
                  sigma: float | None = None):
@@ -207,6 +212,8 @@ def _gauss_gegenbauer(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 # nodes per block of the Monte Carlo reduction: the few rows of one block
 # stay in a core's cache between its two passes
 _MC_BLOCK = 1 << 14
+# rows per chunk of the Monte Carlo draw, four blocks: at most 4 MB at m <= 8
+_MC_DRAW = 4 * _MC_BLOCK
 
 
 def _node_moments(blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -219,15 +226,23 @@ def _node_moments(blocks) -> tuple[np.ndarray, np.ndarray]:
     d = mean_b - mean_a and n = n_a + n_b,
         mean = mean_a + d n_b / n,   M2 = M2_a + M2_b + |d|^2 n_a n_b / n.
     Constant rows give M2 = 0 exactly whenever each block mean is exact.
+    The deviations of every block are written into one workspace, laid
+    out as the first block, which is the largest, so a block may be
+    overwritten once the next is asked for.
     """
     parts = []
+    work = None
     for rows in blocks:
+        b = rows.shape[-1]
+        if work is None:
+            work = np.empty_like(rows)
+            modulus = np.empty_like(rows, dtype=float) if np.iscomplexobj(rows) else None
         mean = rows.mean(axis=-1)
-        dev = rows - mean[:, None]
-        if np.iscomplexobj(dev):
-            dev = np.abs(dev)
+        dev = np.subtract(rows, mean[:, None], out=work[:, :b])
+        if modulus is not None:
+            dev = np.abs(dev, out=modulus[:, :b])
         np.multiply(dev, dev, out=dev)
-        parts.append((rows.shape[-1], mean, dev.sum(axis=-1)))
+        parts.append((b, mean, dev.sum(axis=-1)))
     while len(parts) > 1:
         pairs = [_chan_merge(a, b) for a, b in zip(parts[::2], parts[1::2])]
         parts = pairs + parts[2 * len(pairs):]
@@ -248,9 +263,20 @@ class MonteCarloRule(NodeRule):
 
     The nodes are stored component-major: one C-contiguous (m, n) array,
     written once from the normalized Gaussian samples (the same values as
-    the row-major draw), with ``nodes`` its (n, m) transposed view.
-    ``estimate`` and ``plane_wave_mean`` reduce through ``_node_moments``
-    in blocks of 2^14 nodes.
+    the row-major draw), with ``nodes`` its (n, m) transposed view.  No
+    row-major draw of all n nodes is held: the generator fills one buffer
+    of ``_MC_DRAW`` rows at a time, at most 4 MB at m <= 8, which is
+    transposed and normalized into the store one block at a time.  The
+    chunk is four blocks rather than one for glibc's allocator: freeing
+    the chunk raises its dynamic mmap threshold to the chunk's size and
+    its trim threshold to twice that, so the temporaries of later numpy
+    calls, a block or a few hundred KiB each, are reused from the heap;
+    after a one-block chunk many are mapped and page-faulted afresh on
+    every call.
+
+    ``estimate``, ``integrate_monomial`` and ``plane_wave_mean`` reduce
+    through ``_node_moments`` in blocks of 2^14 nodes, each call writing
+    its blocks into one workspace of a block's size.
     """
 
     kind = "mc"
@@ -260,17 +286,23 @@ class MonteCarloRule(NodeRule):
             raise ValueError("Monte Carlo needs n >= 2 samples for a standard error")
         self.n = n
         rng = np.random.default_rng(seed)
-        v = rng.standard_normal((n, m))
         cols = np.empty((m, n))
-        # transposed and normalized block by block, so each block of v is read
-        # from cache; squares summed row by row, np.linalg.norm's order for m < 8
-        for s in range(0, n, _MC_BLOCK):
-            block = cols[:, s:s + _MC_BLOCK]
-            block[...] = v[s:s + _MC_BLOCK].T
-            norm = block[0] * block[0]
-            for row in block[1:]:
-                norm += row * row
-            block /= np.sqrt(norm, out=norm)
+        draw = np.empty((min(n, _MC_DRAW), m))
+        norm, square = np.empty((2, min(n, _MC_BLOCK)))
+        for c in range(0, n, _MC_DRAW):
+            v = rng.standard_normal(out=draw[:n - c])
+            # transposed and normalized block by block, so each block of v is
+            # read from cache; squares summed row by row, np.linalg.norm's
+            # order for m <= 7 (at m = 8 it sums pairwise, and a node may
+            # differ from its quotient by up to 1.5 eps, 3.3e-16)
+            for s in range(0, len(v), _MC_BLOCK):
+                block = cols[:, c + s:c + s + _MC_BLOCK]
+                block[...] = v[s:s + _MC_BLOCK].T
+                nb, sq = norm[:block.shape[1]], square[:block.shape[1]]
+                np.multiply(block[0], block[0], out=nb)
+                for row in block[1:]:
+                    nb += np.multiply(row, row, out=sq)
+                block /= np.sqrt(nb, out=nb)
         sig = float(sphere_area(m))
         super().__init__(m, cols.T, np.broadcast_to(sig / n, (n,)), f"mc:{n}:{seed}", sig)
 
@@ -293,21 +325,50 @@ class MonteCarloRule(NodeRule):
         return (self._sigma * mean.reshape(shape),
                 self._sigma * self._spread(m2).reshape(shape))
 
+    def integrate_monomial(self, exps: tuple[int, ...]) -> tuple[float, float]:
+        """``NodeRule.integrate_monomial`` one block of nodes at a time: the
+        product of the powers is formed in one block-sized row and reduced
+        before the next block."""
+        _check_exponents(self.m, exps)
+        cols = self.nodes.T
+
+        def blocks():
+            vals = np.empty((1, min(self.n, _MC_BLOCK)))
+            for s in range(0, self.n, _MC_BLOCK):
+                v = vals[:, :min(_MC_BLOCK, self.n - s)]
+                v.fill(1.0)
+                for j, e in enumerate(exps):
+                    if e:
+                        v *= cols[j, s:s + _MC_BLOCK] ** e
+                yield v
+
+        mean, m2 = _node_moments(blocks())
+        return float(self._sigma * mean[0]), float(self._sigma * self._spread(m2)[0])
+
     def plane_wave_mean(self, x0, xv, split) -> tuple[np.ndarray, np.ndarray, float]:
         """``NodeRule.plane_wave_mean`` one block of nodes at a time: split,
         alpha and w beta of a block are formed and reduced before the next,
-        and the largest standard error of the means is returned."""
+        and the largest standard error of the means is returned.  The column
+        z and the rows of alpha and w beta are written into one workspace
+        per call, allocated once the first block gives the channel count
+        and type."""
         xv = np.asarray(xv, dtype=float)
         cols = self.nodes.T
 
         def blocks():
+            size = min(self.n, _MC_BLOCK)
+            t, z, work = np.empty(size), np.empty((size, 1), dtype=complex), None
             for s in range(0, self.n, _MC_BLOCK):
                 w = cols[:, s:s + _MC_BLOCK]
-                alpha, beta = split(float(x0) + 1j * (xv @ w)[:, None])
+                b = w.shape[1]
+                zb = np.multiply(1j, np.matmul(xv, w, out=t[:b])[:, None], out=z[:b])
+                alpha, beta = split(np.add(float(x0), zb, out=zb))
                 k = alpha.shape[1]
-                rows = np.empty((k * (self.m + 1), w.shape[1]), dtype=np.result_type(alpha, beta))
+                if work is None:
+                    work = np.empty((k * (self.m + 1), size), dtype=np.result_type(alpha, beta))
+                rows = work[:, :b]
                 rows[:k] = alpha.T
-                np.multiply(beta.T[:, None, :], w, out=rows[k:].reshape(k, self.m, -1))
+                np.multiply(beta.T[:, None, :], w, out=work[k:].reshape(k, self.m, size)[:, :, :b])
                 yield rows
 
         mean, m2 = _node_moments(blocks())

@@ -1,7 +1,7 @@
 """The numeric sphere rules on numpy alone: the Gauss-Gegenbauer rule behind
 ``ProductGaussRule`` against exact moments and an independent Legendre
-witness, the Monte Carlo nodes against a plain normalization, and an import
-guard that keeps scipy out of the library."""
+witness, the Monte Carlo nodes against a plain normalization and the memory
+they are built in, and an import guard that keeps scipy out of the library."""
 
 import math
 import subprocess
@@ -48,9 +48,42 @@ def test_gauss_gegenbauer_rule(n, alpha):
         assert np.max(np.abs(w - wl) / wl) <= 1e-11
 
 
-@pytest.mark.parametrize("m", range(1, 7))
-@pytest.mark.parametrize("n", [2, _MC_BLOCK - 1, _MC_BLOCK + 1, 3 * _MC_BLOCK + 5])
+@pytest.mark.parametrize("m", range(1, 8))
+@pytest.mark.parametrize("n", [2, _MC_BLOCK - 1, _MC_BLOCK + 1, 3 * _MC_BLOCK + 5, 4 * _MC_BLOCK + 1])
 def test_monte_carlo_nodes_are_the_normalized_draw(m, n):
     seed = 100 * m + n % 97
     v = np.random.default_rng(seed).standard_normal((n, m))
     assert np.array_equal(MonteCarloRule(m, n, seed).nodes, v / np.linalg.norm(v, axis=1)[:, None])
+
+
+def test_monte_carlo_nodes_at_m8_are_the_normalized_draw_within_an_ulp_of_the_norm():
+    # np.linalg.norm sums eight squares pairwise, the rule row by row: the two
+    # norms may round apart by an ulp, which moves a node of modulus <= 1 by
+    # at most 1.5 eps (3.3e-16) once both quotients are rounded
+    m, n, seed = 8, 50_001, 8
+    v = np.random.default_rng(seed).standard_normal((n, m))
+    gap = np.abs(MonteCarloRule(m, n, seed).nodes - v / np.linalg.norm(v, axis=1)[:, None])
+    assert gap.max() <= 1.5 * np.finfo(float).eps
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB")
+def test_monte_carlo_rule_builds_and_integrates_in_bounded_memory():
+    # building the rule holds the (m, n) store and one chunk of the draw,
+    # never the whole row-major draw beside it, and a monomial is reduced one
+    # block at a time.  A process starts with the peak RSS of the one that
+    # launched it, so the measuring process is launched by a bare interpreter,
+    # not by this test process, whose peak would hide the growth.
+    code = ("import resource\n"
+            "from monogenics.sphere import MonteCarloRule\n"
+            "def peak():\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+            "start = peak()\n"
+            "rule = MonteCarloRule(4, 10**6, 0)\n"
+            "built = peak()\n"
+            "rule.integrate_monomial((2, 2, 0, 0))\n"
+            "print(built - start, peak() - built, rule.nodes.nbytes)")
+    launch = "import subprocess, sys; subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)"
+    out = subprocess.run([sys.executable, "-c", launch, code], capture_output=True, text=True, check=True)
+    build, monomial, nbytes = map(int, out.stdout.split())
+    assert build <= 1.5 * nbytes, (build, nbytes)
+    assert monomial <= 2 * 2**20, monomial

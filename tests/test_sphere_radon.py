@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from monogenics import radon
 from monogenics.clifford import CliffordElement
 from monogenics.constants import constants, sphere_area
 from monogenics.extensions import appell_Q, gck_extension, slice_extension
@@ -20,6 +21,7 @@ from monogenics.radon import (
 )
 from monogenics.scalars import PiScalar
 from monogenics.sphere import (
+    _MC_BLOCK,
     ExactMonomialRule,
     MonteCarloRule,
     NodeRule,
@@ -27,6 +29,7 @@ from monogenics.sphere import (
     funk_hecke_constants,
     monomial_sphere_integral,
     product_rule_size,
+    _node_moments,
     sphere_moment,
 )
 
@@ -160,6 +163,57 @@ def test_blocked_monte_carlo_matches_the_unblocked_reduction(n):
         est, ses = rule.estimate(wbeta)
         assert _close(est, sig * np.mean(wbeta, axis=0)), (n, m)
         assert _close(ses, sig * np.std(wbeta, axis=0, ddof=1) / math.sqrt(n)), (n, m)
+
+
+def test_monte_carlo_workspace_changes_no_value():
+    # three blocks and a rest, and a complex Clifford-valued f0 with several
+    # channels: every block the reductions write into their reused workspace
+    # must reduce as a fresh array of its own does, so a block overwritten
+    # before it is reduced shows
+    m, n = 3, 3 * _MC_BLOCK + 5
+    rule = MonteCarloRule(m, n, seed=9)
+    cols = rule.nodes.T
+    f0 = LaurentPoly({0: CliffordElement(m, {0b011: 1 - 2j}),
+                      1: CliffordElement(m, {0: 0.5, 0b101: 2j}),
+                      3: CliffordElement(m, {0b110: -1.5 + 0.25j, 0b111: 3.0})})
+    splits = []
+
+    class Recording:
+        def plane_wave_mean(self, x0, xv, split):
+            splits.append(split)
+            return rule.plane_wave_mean(x0, xv, split)
+
+    x0, xv = 0.6, np.array([0.2, -0.35, 0.1])
+    radon._slice_plane_wave(f0, m, Recording(), x0, xv)
+    (split,) = splits
+
+    def fresh_rows():
+        for s in range(0, n, _MC_BLOCK):
+            w = cols[:, s:s + _MC_BLOCK]
+            alpha, beta = split(x0 + 1j * (xv @ w)[:, None])
+            yield np.concatenate([alpha.T, (beta.T[:, None, :] * w).reshape(-1, w.shape[1])])
+
+    mean, m2 = _node_moments(fresh_rows())
+    k = len(mean) // (m + 1)
+    assert k == 7
+    a, v, se = rule.plane_wave_mean(x0, xv, split)
+    assert np.array_equal(a, mean[:k]) and np.array_equal(v, mean[k:].reshape(k, m))
+    assert se == rule._spread(m2).max()
+
+    for exps in ((2, 0, 1), (0, 3, 4), (1, 1, 1), (0, 0, 0)):
+        def fresh_products():
+            for s in range(0, n, _MC_BLOCK):
+                vals = np.ones(min(_MC_BLOCK, n - s))
+                for j, e in enumerate(exps):
+                    if e:
+                        vals = vals * cols[j, s:s + _MC_BLOCK] ** e
+                yield vals[None, :]
+
+        mean, m2 = _node_moments(fresh_products())
+        got = rule.integrate_monomial(exps)
+        assert got == (rule.sigma() * mean[0], rule.sigma() * rule._spread(m2)[0]), exps
+        # and the product over all n nodes at once, reduced by ``estimate``
+        assert got == NodeRule.integrate_monomial(rule, exps), exps
 
 
 def test_blocked_monte_carlo_constant_data_has_no_spread():
