@@ -31,7 +31,6 @@ from .extensions import (
 )
 from .axial import AxialClosedForm, DomainError, RhoExpr
 from .kernels import (
-    MonogenicMonomial,
     cauchy_kernel,
     kelvin_inversion,
     monogenic_monomial,

@@ -157,9 +157,6 @@ class RhoExpr:
             out = term if out is None else out + term
         return out if out is not None else Fraction(0)
 
-    def is_polynomial(self) -> bool:
-        return all(p >= 0 and q >= 0 and e >= 0 and e % 2 == 0 for (p, q, e) in self.terms)
-
     def r_parity(self) -> int | None:
         """0 if even in r, 1 if odd, None if mixed (rho is even in r)."""
         ps = {q % 2 for (_, q, _) in self.terms}

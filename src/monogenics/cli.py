@@ -84,9 +84,9 @@ def _write(path: Path, payload: dict) -> None:
 
 
 def _cmd_verify(args) -> int:
-    if args.m:
+    if args.m is not None:   # omitted: each suite's default
         _bound("--m", args.m)
-    if args.max_degree:
+    if args.max_degree is not None:
         _bound("--max-degree", args.max_degree)
     _bound("--count", args.count)
     _bound("--mc-samples", args.mc_samples)
@@ -276,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=SUITE_NAMES)
-    v.add_argument("--m", type=int, default=0, help="largest algebra dimension")
-    v.add_argument("--max-degree", type=int, default=0)
+    v.add_argument("--m", type=int, help="largest algebra dimension")
+    v.add_argument("--max-degree", type=int)
     v.add_argument("--seed", type=int, default=42)
     v.add_argument("--count", type=int, default=2000, help="randomized algebra checks")
     v.add_argument("--mc-samples", type=int, default=200_000)

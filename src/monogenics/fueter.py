@@ -11,7 +11,7 @@ cross-check instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .axial import AxialClosedForm, RhoExpr, paravector_power_closed
@@ -38,9 +38,6 @@ class FueterResult:
     output: object                      # CliffordPolynomial or AxialSeries
     closed: AxialClosedForm | None = None
 
-    def is_zero(self) -> bool:
-        return self.branch == "kernel"
-
 
 def fueter_on_power(m: int, ell: int, order: int | None = None) -> FueterResult:
     """Action on one integer power via the identity gamma * GCK[d^(m-1) x0^ell].
@@ -61,9 +58,7 @@ def fueter_on_power(m: int, ell: int, order: int | None = None) -> FueterResult:
         order = 2 * m + 28
     series = gck_extension(f0, m, order).scale(gamma)
     phase = PiScalar.i_power(1 - m) * Fraction((-1) ** (m - 1))  # sgn(-x0) = -sgn(x0)
-    closed = monogenic_monomial(m, ell).closed.scale(phase)
-    closed = AxialClosedForm(m, closed.A, closed.B, (closed.sign_power + m - 1) % 2,
-                             closed.singular_origin)
+    closed = replace(monogenic_monomial(m, ell).scale(phase), sign_power=(m - 1) % 2)
     return FueterResult(m, ell, "negative", series, closed)
 
 

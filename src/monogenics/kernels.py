@@ -2,15 +2,17 @@
 monomials, together with the exact/numeric checks of their axial-extension
 representations.
 
-Derivatives of the kernel are taken symbolically on the closed forms from
-``axial``; the inversion is symbolic on closed forms and a pointwise wrapper
-for anything merely evaluable.
+The kernel and every monomial are ``AxialClosedForm``s: derivatives of the
+kernel are taken symbolically on the closed forms from ``axial``, and a
+half-axis factor sgn(x0)^s is the form's ``sign_power``, set with
+``dataclasses.replace``.  The inversion is symbolic on closed forms and a
+pointwise wrapper for anything merely evaluable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .axial import AxialClosedForm, DomainError, RhoExpr
@@ -18,7 +20,6 @@ from .clifford import CliffordElement, Paravector, nan_max
 from .constants import constants
 from .extensions import AxialSeries, appell_Q, gck_extension
 from .laurent import LaurentPoly
-from .poly import CliffordPolynomial
 from .scalars import PiScalar, to_complex
 
 
@@ -68,27 +69,10 @@ def kelvin_inversion(f, m: int):
     return KelvinWrapped(f, m)
 
 
-@dataclass(frozen=True)
-class MonogenicMonomial:
-    """One member of the monomial family: negative orders are kernel
-    derivatives, nonnegative orders their Kelvin inversions (polynomials)."""
-
-    m: int
-    order: int
-    closed: AxialClosedForm
-
-    def evaluate(self, x0, xv) -> CliffordElement:
-        return self.closed.evaluate(x0, xv)
-
-    def as_polynomial(self) -> CliffordPolynomial:
-        if self.order < 0:
-            raise ValueError("negative-order monomials are not polynomial")
-        return self.closed.to_polynomial()
-
-
-def monogenic_monomial(m: int, order: int) -> MonogenicMonomial:
+def monogenic_monomial(m: int, order: int) -> AxialClosedForm:
     """P^(order): for order = -k, ((-1)^(k-1) sigma_(m+1) lam / (k-1)!) d_x0^(k-1) E;
-    for order = k-1 >= 0 the Kelvin inversion of P^(-k)."""
+    for order = k-1 >= 0 the Kelvin inversion of P^(-k), whose ``to_polynomial``
+    is the Cartesian form."""
     if order < 0:
         k = -order
         form = cauchy_kernel(m)
@@ -96,9 +80,8 @@ def monogenic_monomial(m: int, order: int) -> MonogenicMonomial:
             form = form.diff_x0()
         cst = constants(m)
         coeff = cst.sigma_next * cst.lam * Fraction((-1) ** (k - 1), math.factorial(k - 1))
-        return MonogenicMonomial(m, order, form.scale(coeff))
-    neg = monogenic_monomial(m, -(order + 1))
-    return MonogenicMonomial(m, order, neg.closed.kelvin())
+        return form.scale(coeff)
+    return monogenic_monomial(m, -(order + 1)).kelvin()
 
 
 def monomial_constant(m: int, k: int) -> PiScalar:
@@ -121,16 +104,12 @@ class IdentityReport:
     exact: bool
 
 
-def _max_residual(closed: AxialClosedForm, series: AxialSeries, scale, sign_power: int,
-                  points) -> float:
-    gaps = []
-    for x0, xv in points:
-        lhs = closed.evaluate(x0, xv).to_numeric()
-        rhs = series.evaluate(x0, xv).to_numeric().scale(to_complex(scale))
-        if sign_power % 2 and x0 < 0:
-            rhs = -rhs
-        gaps.append((lhs - rhs).norm_inf())
-    return nan_max(gaps)
+def _max_residual(closed: AxialClosedForm, series: AxialSeries, scale, points) -> float:
+    """Largest gap between a closed form, its half-axis sign included, and
+    ``scale`` times an axial series over the points."""
+    return nan_max((closed.evaluate(x0, xv).to_numeric()
+                    - series.evaluate(x0, xv).to_numeric().scale(to_complex(scale))).norm_inf()
+                   for x0, xv in points)
 
 
 def verify_monomial_identities(m: int, k: int, order: int = 20, ratio: float = 0.4) -> list[IdentityReport]:
@@ -148,21 +127,20 @@ def verify_monomial_identities(m: int, k: int, order: int = 20, ratio: float = 0
 
     reports = []
 
-    # negative order, restriction form: P^(-k) vs const * sgn^(m-1) * GCK[x0^(1-k-m)]
-    p_neg = monogenic_monomial(m, -k)
+    # negative order, restriction form: sgn^(m-1) * P^(-k) vs const * GCK[x0^(1-k-m)]
+    p_neg = replace(monogenic_monomial(m, -k), sign_power=m - 1)
     series = gck_extension(LaurentPoly.monomial(1 - k - m), m, order)
-    res = _max_residual(p_neg.closed, series, const, m - 1, points)
+    res = _max_residual(p_neg, series, const, points)
     reports.append(IdentityReport("neg_order_restriction", m, k, res, False))
 
     # negative order, derivative form: const' * sgn(-x0)^(m-1) * GCK[d^(m-1) x0^(-k)]
     series_d = gck_extension(LaurentPoly.monomial(-k).derivative(m - 1), m, order)
     const_d = cst.lam * Fraction((-1) ** (m - 1), math.factorial(m - 1))
-    res = _max_residual(p_neg.closed, series_d, const_d, m - 1, points)
+    res = _max_residual(p_neg, series_d, const_d, points)
     reports.append(IdentityReport("neg_order_derivative", m, k, res, False))
 
     # nonnegative order, restriction form: P^(k-1) = const * GCK[x0^(k-1)] exactly
-    p_pos = monogenic_monomial(m, k - 1)
-    lhs_poly = p_pos.as_polynomial()
+    lhs_poly = monogenic_monomial(m, k - 1).to_polynomial()
     rhs_poly = appell_Q(m, k - 1).scale(const)
     reports.append(IdentityReport("pos_order_restriction", m, k, float(lhs_poly != rhs_poly), True))
 

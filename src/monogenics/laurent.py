@@ -52,9 +52,6 @@ class LaurentPoly:
     def max_exp(self) -> int:
         return max(self.terms, default=0)
 
-    def coeff(self, n: int):
-        return self.terms.get(n, Fraction(0))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented

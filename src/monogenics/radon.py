@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from operator import add
 import numpy as np
@@ -190,16 +190,15 @@ def _check_points(m: int) -> list[tuple[float, tuple]]:
     ]
 
 
-def _plane_wave_vs_closed(m: int, exponent: int, const: float, closed, point: tuple,
-                          rule: NodeRule) -> float:
-    """Residual of const * sgn(x0)^(m+1) times the sphere mean of
-    (x0 + <x,w> w)^exponent against the closed form at the point."""
+def _plane_wave_vs_closed(m: int, exponent: int, const: float, closed: AxialClosedForm,
+                          point: tuple, rule: NodeRule) -> float:
+    """Residual of const times the sphere mean of (x0 + <x,w> w)^exponent
+    against the closed form, which carries sgn(x0)^(m+1), at the point."""
     x0, xv = point[0], list(point[1:])
     if x0 == 0:
         raise ValueError("plane-wave form needs x0 != 0 on the chosen points")
-    sgn = 1.0 if x0 > 0 else (-1.0) ** (m + 1)
     mean = _slice_plane_wave(LaurentPoly.monomial(exponent), m, rule, x0, xv)[0]
-    return (mean.scale(const * sgn) - closed.evaluate(x0, xv).to_numeric()).norm_inf()
+    return (mean.scale(const) - closed.evaluate(x0, xv).to_numeric()).norm_inf()
 
 
 def cauchy_plane_wave_check(m: int, point: tuple, rule: NodeRule) -> float:
@@ -219,16 +218,18 @@ def monomial_plane_wave_check(m: int, k: int, point: tuple, rule: NodeRule) -> f
 
 
 # The closed forms depend on (m, k) alone and are only evaluated, so each is
-# built once rather than once per checked point.
+# built once rather than once per checked point, with the plane waves'
+# sgn(x0)^(m+1) moved onto it.
 @functools.lru_cache(maxsize=None)
 def _cauchy_form(m: int) -> tuple[float, AxialClosedForm]:
     from .kernels import cauchy_kernel
 
-    return 1.0 / float(constants(m).sigma_next), cauchy_kernel(m)   # 1/sigma_m is in the mean
+    # 1/sigma_m is in the mean
+    return 1.0 / float(constants(m).sigma_next), replace(cauchy_kernel(m), sign_power=m + 1)
 
 
 @functools.lru_cache(maxsize=None)
 def _monomial_form(m: int, k: int) -> tuple[float, AxialClosedForm]:
     from .kernels import monogenic_monomial, monomial_constant
 
-    return float(monomial_constant(m, k)), monogenic_monomial(m, -k).closed
+    return float(monomial_constant(m, k)), replace(monogenic_monomial(m, -k), sign_power=m + 1)

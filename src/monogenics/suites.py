@@ -23,7 +23,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .clifford import CliffordElement, Paravector, axial_element, nan_max
+from .clifford import (CliffordElement, Paravector, axial_element, clifford_conjugate,
+                       hermitian_conjugate, nan_max)
 from .constants import constants, gamma_odd_closed_form, sphere_area
 from .cst import (
     CHECK_POINTS,
@@ -47,7 +48,8 @@ from .extensions import (
 from .fueter import (fueter_kernel_range, fueter_on_laurent, fueter_on_power,
                      laplacian_power_route, radial_route_components)
 from .gausspoly import hermite_function
-from .kernels import cauchy_kernel, kelvin_inversion, monogenic_monomial, verify_monomial_identities
+from .kernels import (_max_residual, cauchy_kernel, kelvin_inversion, monogenic_monomial,
+                      verify_monomial_identities)
 from .laurent import LaurentPoly
 from .poly import CliffordPolynomial, OperatorTag, apply_operator, is_monogenic, paravector_power
 from .radon import cauchy_plane_wave_check, dual_radon, monomial_plane_wave_check, plane_wave_gck_check
@@ -193,14 +195,14 @@ def suite_algebra(m_max: int = 5, count: int = 2000, seed: int = 42) -> Verifica
             a, b, c = (_rand_element(rng, m) for _ in range(3))
             check((a * b) * c == a * (b * c))
             check(a * (b + c) == a * b + a * c)
-            check((a * b).conjugate() == b.conjugate() * a.conjugate())
+            check(clifford_conjugate(a * b) == clifford_conjugate(b) * clifford_conjugate(a))
 
     with s.case("paravector_norm_anticommutator", "x conj(x) = |x|^2; uv+vu = -2<u,v>",
                 ["geometric_product", "clifford_conjugate"]) as check:
         for _ in range(max(200, count // 10)):
             m = rng.randint(1, m_max)
             x = Paravector(_rand_fraction(rng), tuple(_rand_fraction(rng) for _ in range(m)))
-            lhs = x.to_element() * x.to_element().conjugate()
+            lhs = x.to_element() * clifford_conjugate(x.to_element())
             check(lhs == CliffordElement.scalar(m, x.norm_sq()))
             u = CliffordElement.vector(m, [Fraction(rng.randint(-5, 5)) for _ in range(m)])
             v = CliffordElement.vector(m, [Fraction(rng.randint(-5, 5)) for _ in range(m)])
@@ -212,8 +214,8 @@ def suite_algebra(m_max: int = 5, count: int = 2000, seed: int = 42) -> Verifica
         for _ in range(max(200, count // 10)):
             m = rng.randint(1, m_max)
             a, b = _rand_element(rng, m, True), _rand_element(rng, m, True)
-            check(a.hermitian().hermitian() == a)
-            check((a * b).hermitian() == b.hermitian() * a.hermitian())
+            check(hermitian_conjugate(hermitian_conjugate(a)) == a)
+            check(hermitian_conjugate(a * b) == hermitian_conjugate(b) * hermitian_conjugate(a))
 
     with s.case("float_backend_agreement", "exact and float products agree to relative 1e-12",
                 ["geometric_product"], tol=1e-12) as check:
@@ -335,11 +337,7 @@ def suite_fueter(m_max: int = 6, degree: int = 8, seed: int = 11) -> Verificatio
         for m in (2, 3, 4):
             for k in (1, 2, 3):
                 res = fueter_on_power(m, -k, order=48)
-                for x0 in (1.0, -1.0):
-                    xv = tuple(0.4 / math.sqrt(m) for _ in range(m))
-                    lhs = res.output.evaluate(x0, xv).to_numeric()
-                    rhs = res.closed.evaluate(x0, list(xv)).to_numeric()
-                    check((lhs - rhs).norm_inf())
+                check(_max_residual(res.closed, res.output, 1, _half_axis_points(m)))
 
     with s.case("pointwise_components",
                 "(m-1)!! radial-derivative components reproduce the map on powers",
@@ -363,6 +361,12 @@ def suite_fueter(m_max: int = 6, degree: int = 8, seed: int = 11) -> Verificatio
         check(combined == direct)
         check(combined.restrict() == f0.derivative(2).scale(constants(m).gamma))
     return s.report
+
+
+def _half_axis_points(m: int) -> list[tuple[float, tuple]]:
+    """x0 = +1 and -1 with |x| = 0.4, where the negative-power series converge."""
+    xv = (0.4 / math.sqrt(m),) * m
+    return [(1.0, xv), (-1.0, xv)]
 
 
 def _monomial_truncation_order(m: int, k: int, ratio: float, target: float = 1e-9) -> int:
@@ -594,7 +598,7 @@ def export_payload(kind: str, m: int, k: int = 0, power: int = 0) -> dict:
         return {"kind": "Qpoly", "m": m, "k": k, "object": ser.poly_json(appell_Q(m, k))}
     if kind == "monomialP":
         mono = monogenic_monomial(m, power)
-        body = ser.poly_json(mono.as_polynomial()) if power >= 0 else ser.closed_form_json(mono.closed)
+        body = ser.poly_json(mono.to_polynomial()) if power >= 0 else ser.closed_form_json(mono)
         return {"kind": "monomialP", "m": m, "order": power, "object": body}
     if kind == "cauchyE":
         return {"kind": "cauchyE", "m": m, "object": ser.closed_form_json(cauchy_kernel(m))}
@@ -607,44 +611,48 @@ def export_payload(kind: str, m: int, k: int = 0, power: int = 0) -> dict:
         else:
             out["object"] = ser.series_json(res.output)
             out["closed_form"] = ser.closed_form_json(res.closed)
-            xv = [0.4 / math.sqrt(m)] * m
-            out["closed_form_residual"] = nan_max(
-                (res.output.evaluate(x0, xv).to_numeric() - res.closed.evaluate(x0, xv).to_numeric())
-                .norm_inf() for x0 in (1.0, -1.0))
+            out["closed_form_residual"] = _max_residual(res.closed, res.output, 1,
+                                                        _half_axis_points(m))
         return out
     raise ValueError(f"unknown export kind {kind!r}")
 
 
 def run_suite(name: str, params: dict | None = None) -> VerificationReport:
-    """Entry point used by the command line: dispatch one suite (or all)."""
+    """Entry point used by the command line: dispatch one suite (or all).
+
+    An omitted or None ``m`` or ``max_degree`` means each suite's default;
+    any other value, 0 included, is used as given."""
     params = dict(params or {})
-    m = int(params.pop("m", 0) or 0)
-    degree = int(params.pop("max_degree", 0) or 0)
+    m, degree = params.pop("m", None), params.pop("max_degree", None)
+
+    def pick(value, default: int) -> int:
+        return default if value is None else int(value)
+
     seed = int(params.pop("seed", 42))
     count = int(params.pop("count", 2000))
     mc_n = int(params.pop("mc_samples", 200_000))
     if name == "algebra":
-        return suite_algebra(m or 5, count, seed)
+        return suite_algebra(pick(m, 5), count, seed)
     if name == "gck":
-        return suite_gck(m or 5, degree or 8)
+        return suite_gck(pick(m, 5), pick(degree, 8))
     if name == "fueter":
-        return suite_fueter(m or 6, degree or 8, seed)
+        return suite_fueter(pick(m, 6), pick(degree, 8), seed)
     if name == "monomials":
-        return suite_monomials(m or 5, 4)
+        return suite_monomials(pick(m, 5), 4)
     if name == "radon":
-        return suite_radon(m or 4, degree or 6, mc_n, seed)
+        return suite_radon(pick(m, 4), pick(degree, 6), mc_n, seed)
     if name == "cst":
         return suite_cst((2, 3), 4)
     if name == "all":
         reports = [
-            suite_algebra(m or 5, count, seed),
-            suite_gck(min(m or 5, 5), degree or 8),
-            suite_fueter(m or 6, degree or 8, seed),
-            suite_monomials(min(m or 5, 5), 4),
-            suite_radon(min(m or 4, 4), min(degree or 6, 6), mc_n, seed),
+            suite_algebra(pick(m, 5), count, seed),
+            suite_gck(min(pick(m, 5), 5), pick(degree, 8)),
+            suite_fueter(pick(m, 6), pick(degree, 8), seed),
+            suite_monomials(min(pick(m, 5), 5), 4),
+            suite_radon(min(pick(m, 4), 4), min(pick(degree, 6), 6), mc_n, seed),
             suite_cst((2, 3), 4),
         ]
-        s = _Suite("all", {"m": m or None, "max_degree": degree or None, "seed": seed})
+        s = _Suite("all", {"m": m, "max_degree": degree, "seed": seed})
         s.report.cases = [dataclasses.replace(case, case_id=f"{rep.suite}.{case.case_id}")
                           for rep in reports for case in rep.cases]
         # exercise the export path too, round-tripping one canonical object

@@ -114,7 +114,7 @@ def test_paravector_power_closed_equals_product_reference(m):
 @pytest.mark.parametrize("m", range(2, 7))
 def test_monogenic_monomial_equals_product_reference(m):
     for k in range(7):
-        form = monogenic_monomial(m, k).closed
+        form = monogenic_monomial(m, k)
         got = form.to_polynomial()
         want = product_built_closed(form)
         assert got == want, (m, k)

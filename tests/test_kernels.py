@@ -1,14 +1,16 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from monogenics.axial import DomainError, RhoExpr, paravector_power_closed
+from monogenics.axial import AxialClosedForm, DomainError, RhoExpr, paravector_power_closed
 from monogenics.clifford import CliffordElement, Paravector
 from monogenics.constants import constants, sphere_area
 from monogenics.extensions import appell_Q, gck_extension
 from monogenics.kernels import (
+    _max_residual,
     cauchy_kernel,
     kelvin_inversion,
     monogenic_monomial,
@@ -16,6 +18,7 @@ from monogenics.kernels import (
     verify_monomial_identities,
 )
 from monogenics.laurent import LaurentPoly
+from monogenics.scalars import to_complex
 
 
 
@@ -172,7 +175,7 @@ def test_p_minus_one_is_scaled_kernel():
         cst = constants(m)
         P = monogenic_monomial(m, -1)
         want = cauchy_kernel(m).scale(cst.sigma_next * cst.lam)
-        assert P.closed.A == want.A and P.closed.B == want.B
+        assert P.A == want.A and P.B == want.B
 
 
 def test_p_negative_restriction_formula():
@@ -190,7 +193,7 @@ def test_p_negative_restriction_formula():
 def test_p_positive_is_scaled_appell():
     for m in (2, 3):
         for k in range(1, 6):
-            got = monogenic_monomial(m, k - 1).as_polynomial()
+            got = monogenic_monomial(m, k - 1).to_polynomial()
             want = appell_Q(m, k - 1).scale(monomial_constant(m, k))
             assert got == want
 
@@ -198,7 +201,7 @@ def test_p_positive_is_scaled_appell():
 def test_p_negative_axially_monogenic_fd():
     for m in (2, 3):
         P = monogenic_monomial(m, -2)
-        assert fd_cauchy_riemann(P.closed, m, 1.1, [0.3, 0.2, -0.1][:m]) < 1e-6
+        assert fd_cauchy_riemann(P, m, 1.1, [0.3, 0.2, -0.1][:m]) < 1e-6
 
 
 def test_sign_factors_trivial_for_odd_m():
@@ -229,8 +232,42 @@ def test_verify_monomial_identities_grid(m, k):
 def test_monomial_identity_instances():
     # degree-2 axis data: lam_3/2! * GCK[6 x0] equals P^(1) for (m,k) = (3,2)
     m, k = 3, 2
-    lhs = monogenic_monomial(m, k - 1).as_polynomial()
+    lhs = monogenic_monomial(m, k - 1).to_polynomial()
     f0 = LaurentPoly.monomial(m + k - 2).derivative(m - 1)  # 6 x0
     rhs = gck_extension(f0, m).to_polynomial().scale(
         constants(m).lam * Fraction(1, math.factorial(m - 1)))
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_monogenic_monomial_is_the_closed_form(m):
+    for k in range(-3, 4):
+        P = monogenic_monomial(m, k)
+        assert isinstance(P, AxialClosedForm) and P.sign_power == 0
+        if k < 0:
+            with pytest.raises(ValueError):
+                P.to_polynomial()
+
+
+def test_residual_sign_power_matches_the_explicit_flip():
+    # the old residual negated the scaled series at x0 < 0 by hand
+    def flipped(closed, series, scale, sign_power, points):
+        gaps = []
+        for x0, xv in points:
+            lhs = closed.evaluate(x0, xv).to_numeric()
+            rhs = series.evaluate(x0, xv).to_numeric().scale(to_complex(scale))
+            if sign_power % 2 and x0 < 0:
+                rhs = -rhs
+            gaps.append((lhs - rhs).norm_inf())
+        return max(gaps)
+
+    m, k = 2, 2
+    const = monomial_constant(m, k)
+    series = gck_extension(LaurentPoly.monomial(1 - k - m), m, 30)
+    P = monogenic_monomial(m, -k)
+    for x0 in (-1.0, -0.8):
+        points = [(x0, (0.3, 0.2))]
+        want = flipped(P, series, const, 1, points)
+        assert _max_residual(replace(P, sign_power=1), series, const, points) == want < 1e-6
+        # without the sign the two sides differ by twice their value
+        assert _max_residual(P, series, const, points) > 1.0

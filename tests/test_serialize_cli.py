@@ -82,6 +82,7 @@ def test_cli_verify_gck_degree_zero(tmp_path):
     out = tmp_path / "gck.json"
     rc = main(["verify", "gck", "--m", "4", "--max-degree", "0", "--out", str(out)])
     assert rc == 0
+    assert json.loads(out.read_text())["params"]["degree"] == 0
 
 
 def test_cli_report_determinism(tmp_path):
@@ -331,6 +332,7 @@ def _assert_usage_error(capsys, argv, out):
     ["verify", "monomials", "--count", "0"],
     ["verify", "monomials", "--count", "20001"],
     ["verify", "monomials", "--mc-samples", "1"],
+    ["verify", "algebra", "--m", "0"],
 ])
 def test_cli_bounds_reject_out_of_range_integers(tmp_path, capsys, argv):
     # each argv stays cheap even if it were accepted: the rejected value is

@@ -146,7 +146,7 @@ def test_monomial_residual_keeps_a_nan_point():
             return CliffordElement(2, {0: next(self.left)})
 
     points = [(1.0, [0.1, 0.1]), (1.0, [0.2, 0.1])]
-    gap = kernels._max_residual(Values(1.0, NAN), Values(0.5, 0.0), 1, 0, points)
+    gap = kernels._max_residual(Values(1.0, NAN), Values(0.5, 0.0), 1, points)
     assert math.isnan(gap)
 
 
@@ -170,3 +170,18 @@ def test_truncation_order_refuses_to_certify_what_it_cannot():
         _monomial_truncation_order(5, 4, 0.8)
     orders = {_monomial_truncation_order(m, k, 0.4) for m in range(2, 7) for k in range(1, 5)}
     assert min(orders) >= 30 and max(orders) <= 48
+
+
+def test_algebra_suite_calls_the_registry_conjugations(monkeypatch):
+    # the coverage case counts these ops, so the suite must really call them
+    calls = {"clifford_conjugate": 0, "hermitian_conjugate": 0}
+    for name in calls:
+        fn = getattr(suites, name)
+
+        def counted(a, name=name, fn=fn):
+            calls[name] += 1
+            return fn(a)
+
+        monkeypatch.setattr(suites, name, counted)
+    assert suites.suite_algebra(3, 20).passed
+    assert all(calls.values()), calls
