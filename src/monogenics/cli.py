@@ -23,11 +23,7 @@ from . import serialize as ser
 from .clifford import nan_max
 from .laurent import LaurentPoly
 from .radon import cauchy_plane_wave_check, plane_wave_gck_check
-from .sphere import ExactMonomialRule, MonteCarloRule, ProductGaussRule, product_rule_size
 from .suites import SUITE_NAMES, _se_ratio, export_payload, run_suite
-from .cst import (CHECK_POINTS, axial_cst, axial_cst_radon_route, fueter_cst_routes,
-                  unitarity_gram)
-from .gausspoly import hermite_function
 from .scalars import PiScalar
 
 OUT_ENV = "MONOGENICS_OUT"
@@ -38,13 +34,14 @@ TOL_MAX = 1e-2
 # Desk-scale bounds of the integer inputs, (lo, hi) inclusive.  The upper
 # ends keep the largest accepted run of each verb well under a minute (2-CPU
 # x86-64 host, CPython 3.11): export --kind Qpoly --m 6 --k 24 takes
-# 5.4-6.1 s and 369 MB, export --kind monomialP --m 6 --power 20 2.2-2.5 s,
-# verify algebra --m 6 --count 20000 17.8-19.4 s, and verify all with every
-# bound at its maximum 26 s and 309 MB.  The largest Monte Carlo run,
+# 2.4-3.3 s and 334 MB (4.2-5.7 s and 370 MB through json's indented
+# encoder), export --kind monomialP --m 6 --power 20 1.2-1.3 s, verify
+# algebra --m 6 --count 20000 17.8-19.4 s, and verify all with every bound
+# at its maximum 26 s and 309 MB.  The largest Monte Carlo run,
 # radon-check --m 6 --degree 10 --rule mc:5000000:7, takes 3.1-3.3 s and 270 MB,
 # 240 MB of it the nodes of sphere.MonteCarloRule (3.4-4.0 s and 495 MB while
 # the rule held its whole draw); the largest Gauss run, radon-check --m 3 --degree
-# 10 --rule gauss:707 (999,698 nodes), takes 1.6-1.7 s and 102 MB.
+# 10 --rule gauss:707 (999,698 nodes), takes 1.3-1.4 s and 115 MB.
 BOUNDS = {
     "--m": (1, 6),
     "--max-degree": (0, 10),
@@ -165,9 +162,11 @@ def _parse_frac(s) -> Fraction:
     return Fraction(int(match[1]), int(match[2] or "1"))
 
 
-def _gauss_rule(m: int, level: int) -> ProductGaussRule:
+def _gauss_rule(m: int, level: int):
     """The product Gauss rule, refused before any node is built if it
     would have more than GAUSS_NODES_MAX nodes."""
+    from .sphere import ProductGaussRule, product_rule_size
+
     nodes = product_rule_size(m, level)
     if nodes > GAUSS_NODES_MAX:
         _usage_error(f"desk-scale bound: gauss:{level} needs {nodes} nodes at m={m}, "
@@ -176,6 +175,8 @@ def _gauss_rule(m: int, level: int) -> ProductGaussRule:
 
 
 def _parse_rule(rule_arg: str, m: int):
+    from .sphere import ExactMonomialRule, MonteCarloRule
+
     if rule_arg == "exact":
         return ExactMonomialRule(m)
     if match := re.fullmatch(r"gauss:([1-9][0-9]{0,17})", rule_arg):
@@ -226,6 +227,9 @@ def _cmd_radon_check(args) -> int:
 
 
 def _cmd_cst_check(args) -> int:
+    from .cst import CHECK_POINTS, axial_cst, axial_cst_radon_route, fueter_cst_routes, unitarity_gram
+    from .gausspoly import hermite_function
+
     _bound("--m", args.m)
     tol, tol_default = _tolerance(args, 1e-7)
     match = re.fullmatch(r"hermite(?::([0-9]{1,3}))?", args.family)

@@ -31,8 +31,8 @@ from .axial import RhoExpr
 from .clifford import CliffordElement, axial_element
 from .laurent import LaurentPoly
 from .poly import CliffordPolynomial, paravector_power
-from .scalars import PiScalar, canon, gamma_half, pochhammer, sqrt_exact_or_float
-from .sphere import _compositions, _multinomial
+from .scalars import (PiScalar, _compositions, _multinomial, canon, gamma_half, pochhammer,
+                      sqrt_exact_or_float)
 
 
 # ---------------------------------------------------------------------------

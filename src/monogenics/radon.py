@@ -5,16 +5,17 @@ On a slice function f the transform is
     R*[f](x0, x) = (1/sigma_m) int_{S^(m-1)} f(x0, <x,w> w) dS_w ,
 computed exactly on polynomials by substituting x_j -> w_j <x,w> and
 averaging the resulting omega-polynomial with the rational sphere moments
-of ``sphere.sphere_moment``, so the exact transform runs over Q.  On the
-integer form of all-Fraction data (see ``poly``) every weight is an integer
-over D = prod_{j<top} (m + 2j), the moments' common denominator at the top
-vector degree; other data keeps the rational weights.
+of ``scalars.sphere_moment``, so the exact transform runs over Q without
+numpy.  On the integer form of all-Fraction data (see ``poly``) every weight
+is an integer over D = prod_{j<top} (m + 2j), the moments' common
+denominator at the top vector degree; other data keeps the rational weights.
 
 The numeric routes (pointwise transform, plane-wave check, and the kernel
 plane waves, which average a power of z) share one slice path,
 ``_slice_plane_wave``, through the rule's ``plane_wave_mean``: the slice
 values alpha + w beta at z = x0 + i<x,w> on the nodes, then the rule's sums
 of alpha and of w beta (Monte Carlo, one block at a time, adds the spread).
+Only that path imports numpy, when it first runs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from operator import add
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .axial import AxialClosedForm
 from .clifford import CliffordElement, axial_element, nan_max
@@ -32,8 +33,10 @@ from .constants import constants
 from .extensions import SliceFunction, gck_extension, slice_extension
 from .laurent import LaurentPoly
 from .poly import CliffordPolynomial
-from .scalars import to_complex
-from .sphere import NodeRule, sphere_moment
+from .scalars import sphere_moment, to_complex
+
+if TYPE_CHECKING:
+    from .sphere import NodeRule
 
 
 def dual_radon(f: CliffordPolynomial) -> CliffordPolynomial:
@@ -102,6 +105,8 @@ def _slice_plane_wave(f0: LaurentPoly, m: int, rule: NodeRule, x0, xv
     P_c has the slice value Re P_c(z) + w Im P_c(z) at z = x0 + i<x,w>, and
     Horner evaluates all P_c at once in one preallocated array.
     """
+    import numpy as np
+
     lo = min(f0.min_exp(), 0)
     rows: dict[tuple[int, bool], np.ndarray] = {(0, False): np.zeros(f0.max_exp() - lo + 1)}
     for n, c in f0.terms.items():

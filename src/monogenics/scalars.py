@@ -342,6 +342,43 @@ def double_factorial(n: int) -> int:
     return out
 
 
+def _check_exponents(m: int, exps: tuple[int, ...]) -> None:
+    if len(exps) != m:
+        raise ValueError("need one exponent per component")
+    if any(e < 0 for e in exps):
+        raise ValueError("negative exponent")
+
+
+def sphere_moment(m: int, exps: tuple[int, ...]) -> Fraction:
+    """Mean of prod_i w_i^(a_i) over S^(m-1), exactly; zero unless all even:
+    prod_i (a_i-1)!! / prod_{j<|a|/2} (m+2j) (Folland, "How to integrate a
+    polynomial over a sphere", Amer. Math. Monthly 108, 2001)."""
+    _check_exponents(m, exps)
+    if any(e % 2 for e in exps):
+        return Fraction(0)
+    num = 1
+    for e in exps:
+        num *= double_factorial(e - 1)
+    den = 1
+    for j in range(sum(exps) // 2):
+        den *= m + 2 * j
+    return Fraction(num, den)
+
+
+def _compositions(total: int, parts: int):
+    """Every exponent vector with ``parts`` entries summing to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head, *tail)
+
+
+def _multinomial(a: tuple[int, ...]) -> int:
+    return math.factorial(sum(a)) // math.prod(map(math.factorial, a))
+
+
 def pochhammer(a: Rat, n: int) -> Fraction:
     """Rising factorial a(a+1)...(a+n-1)."""
     a = _as_frac(a)

@@ -2,12 +2,16 @@
 
 All emitters sort keys and terms, and rationals are printed as "p/q" with a
 positive denominator, so identical objects serialize to identical bytes.
+``dumps`` writes the bytes of ``json.dumps(payload, sort_keys=True,
+indent=2)`` with its own emitter, in about half the time of json's
+pure-Python indented encoder.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .axial import AxialClosedForm, RhoExpr
 from .clifford import CliffordElement, blade_indices
@@ -105,4 +109,38 @@ def closed_form_json(f: AxialClosedForm) -> dict:
 def dumps(obj: dict) -> str:
     payload = {"schema": SCHEMA_VERSION}
     payload.update(obj)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    out: list[str] = []
+    _emit(payload, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _emit(o, newline: str, out: list[str]) -> None:
+    """Append ``o`` as ``json.dumps(o, sort_keys=True, indent=2)`` writes it
+    (str keys only), nested under ``newline``, a line break and the indent
+    of its line; str and int members, most leaves, are written inline."""
+    inner = newline + "  "
+    if isinstance(o, dict):
+        sep = "{" + inner
+        for k in sorted(o):
+            v = o[k]
+            if type(v) is str:
+                out.append(sep + _quote(k) + ": " + _quote(v))
+            elif type(v) is int:
+                out.append(sep + _quote(k) + ": " + int.__repr__(v))
+            else:
+                out.append(sep + _quote(k) + ": ")
+                _emit(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "}" if o else "{}")
+    elif isinstance(o, (list, tuple)):
+        sep = "[" + inner
+        for v in o:
+            if type(v) is int:
+                out.append(sep + int.__repr__(v))
+            else:
+                out.append(sep)
+                _emit(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]" if o else "[]")
+    else:
+        out.append(json.dumps(o))   # a scalar, NaN and Infinity included, as json writes it

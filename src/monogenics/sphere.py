@@ -4,6 +4,10 @@ Gauss rule and Monte Carlo for independent validation.  Every numeric
 plane-wave route reduces through ``plane_wave_mean``: the weighted sums of
 ``NodeRule`` for the product rule, and one blocked reduction for Monte Carlo.
 
+The package loads this numeric module, and numpy, on first use.  Weighted
+sums run in ``np.einsum``'s own loops, not BLAS, so no thread count changes
+the order in which the nodes are added.
+
 Monte Carlo keeps its nodes component-major, one contiguous row of n
 samples per coordinate, and reduces samples in blocks of 2^14 nodes that
 stay in cache: each block in two passes (mean, then centred squares), the
@@ -35,27 +39,20 @@ moment is the plain rational
     (1/sigma_m) int_{S^(m-1)} w^a dS = prod_i (a_i-1)!! / prod_{j<|a|/2} (m+2j)
 
 (Folland, "How to integrate a polynomial over a sphere", Amer. Math.
-Monthly 108, 2001).  ``sphere_moment`` computes it over Q; the dual Radon
-transform runs on it, and the tests tie it to the validated rule exactly.
+Monthly 108, 2001).  ``scalars.sphere_moment`` computes it over Q without
+numpy; the dual Radon transform runs on it, and the tests tie it to the
+validated rule exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .constants import sphere_area
-from .scalars import PiScalar, double_factorial, gamma_half
-
-
-def _check_exponents(m: int, exps: tuple[int, ...]) -> None:
-    if len(exps) != m:
-        raise ValueError("need one exponent per component")
-    if any(e < 0 for e in exps):
-        raise ValueError("negative exponent")
+from .scalars import PiScalar, _check_exponents, _compositions, _multinomial, gamma_half
 
 
 def monomial_sphere_integral(m: int, exps: tuple[int, ...]) -> PiScalar:
@@ -67,20 +64,6 @@ def monomial_sphere_integral(m: int, exps: tuple[int, ...]) -> PiScalar:
     for e in exps:
         num = num * gamma_half(e + 1)
     return num / gamma_half(sum(exps) + m)
-
-
-def sphere_moment(m: int, exps: tuple[int, ...]) -> Fraction:
-    """Mean of prod_i w_i^(a_i) over S^(m-1), exactly; zero unless all even."""
-    _check_exponents(m, exps)
-    if any(e % 2 for e in exps):
-        return Fraction(0)
-    num = 1
-    for e in exps:
-        num *= double_factorial(e - 1)
-    den = 1
-    for j in range(sum(exps) // 2):
-        den *= m + 2 * j
-    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -97,12 +80,13 @@ class NodeRule:
     sigma_m (their sum unless given), a report ``label`` and a ``kind`` set
     by each subclass.  Monte Carlo overrides ``estimate``,
     ``integrate_monomial`` and ``plane_wave_mean`` with its blocked
-    reduction and spread."""
+    reduction and spread.  The nodes are kept component-major (``nodes.T``
+    is C-contiguous), so each weighted sum is a contiguous dot product."""
 
     def __init__(self, m: int, nodes: np.ndarray, weights: np.ndarray, label: str,
                  sigma: float | None = None):
         self.m = m
-        self.nodes = nodes
+        self.nodes = np.ascontiguousarray(nodes.T).T
         self.weights = weights
         self.label = label
         self._sigma = float(weights.sum()) if sigma is None else sigma
@@ -113,7 +97,7 @@ class NodeRule:
     def estimate(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """(integral, standard error or None) of samples of shape (n,) or
         (n, k), one row per node."""
-        return _real_matmul(values.T, self.weights), None
+        return _node_sum("...n,n->...", np.moveaxis(values, 0, -1), self.weights), None
 
     def integrate_monomial(self, exps: tuple[int, ...]) -> tuple[float, float | None]:
         _check_exponents(self.m, exps)
@@ -133,15 +117,21 @@ class NodeRule:
         Returns the means of alpha, (k,), and of w beta, (k, m), and the
         largest standard error, None for a weighted-sum rule.
         """
-        alpha, beta = split(float(x0) + 1j * (self.nodes @ np.asarray(xv, dtype=float))[:, None])
+        cols = self.nodes.T
+        t = np.einsum("jn,j->n", cols, np.asarray(xv, dtype=float))
+        alpha, beta = split(float(x0) + 1j * t[:, None])
         sig = self.sigma()
-        return (_real_matmul(alpha.T, self.weights) / sig,
-                _real_matmul(beta.T * self.weights, self.nodes) / sig, None)
+        return (_node_sum("kn,n->k", alpha.T, self.weights) / sig,
+                _node_sum("kn,jn->kj", beta.T * self.weights, cols) / sig, None)
 
 
-def _real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a real b, a complex a taken part by part: b is never cast."""
-    return a.real @ b + 1j * (a.imag @ b) if np.iscomplexobj(a) else a @ b
+def _node_sum(spec: str, rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """``np.einsum(spec, rows, other)`` summed over the node axis, last in
+    both, with ``rows`` made C-contiguous: einsum's own dot products, never
+    BLAS.  Complex rows are summed part by part, so ``other`` is never cast."""
+    if np.iscomplexobj(rows):
+        return _node_sum(spec, rows.real, other) + 1j * _node_sum(spec, rows.imag, other)
+    return np.einsum(spec, np.ascontiguousarray(rows), other)
 
 
 class ProductGaussRule(NodeRule):
@@ -416,16 +406,3 @@ def _radialized(m: int, j: int, with_omega: bool) -> PiScalar:
         raise AssertionError("radialization failed: integral is not radial")
     return c
 
-
-def _compositions(total: int, parts: int):
-    """Every exponent vector with ``parts`` entries summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head, *tail)
-
-
-def _multinomial(a: tuple[int, ...]) -> int:
-    return math.factorial(sum(a)) // math.prod(map(math.factorial, a))

@@ -21,22 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
-import numpy as np
-
 from .clifford import (CliffordElement, Paravector, axial_element, clifford_conjugate,
                        hermitian_conjugate, nan_max)
 from .constants import constants, gamma_odd_closed_form, sphere_area
-from .cst import (
-    CHECK_POINTS,
-    axial_cst,
-    axial_cst_radon_route,
-    classical_cst,
-    fueter_cst_routes,
-    heat_semigroup,
-    slice_cst,
-    slice_cst_fourier,
-    unitarity_gram,
-)
 from .extensions import (
     appell_Q,
     appell_sum,
@@ -47,14 +34,12 @@ from .extensions import (
 )
 from .fueter import (fueter_kernel_range, fueter_on_laurent, fueter_on_power,
                      laplacian_power_route, radial_route_components)
-from .gausspoly import hermite_function
 from .kernels import (_max_residual, cauchy_kernel, kelvin_inversion, monogenic_monomial,
                       verify_monomial_identities)
 from .laurent import LaurentPoly
 from .poly import CliffordPolynomial, OperatorTag, apply_operator, is_monogenic, paravector_power
 from .radon import cauchy_plane_wave_check, dual_radon, monomial_plane_wave_check, plane_wave_gck_check
 from .scalars import PiScalar
-from .sphere import ExactMonomialRule, MonteCarloRule, ProductGaussRule, funk_hecke_constants
 
 OP_REGISTRY: dict[str, list[str]] = {
     "clifford_core": ["geometric_product", "clifford_conjugate", "hermitian_conjugate", "constants"],
@@ -472,6 +457,8 @@ def _se_ratio(gap: float, se: float) -> float:
 
 def suite_radon(m_max: int = 4, degree: int = 6, mc_n: int = 200_000,
                 seed: int = 5) -> VerificationReport:
+    from .sphere import ExactMonomialRule, MonteCarloRule, ProductGaussRule, funk_hecke_constants
+
     s = _Suite("radon", {"m_max": m_max, "degree": degree, "mc_n": mc_n, "seed": seed})
 
     with s.case("radon_bridge", "R*[S[x0^k]] = GCK[x0^k] exactly (pi cancels) and is monogenic",
@@ -524,6 +511,14 @@ def suite_radon(m_max: int = 4, degree: int = 6, mc_n: int = 200_000,
 
 def suite_cst(m_list: tuple[int, ...] = (2, 3), n_hermite: int = 4,
               tol: float = 1e-7) -> VerificationReport:
+    import numpy as np
+
+    from .cst import (CHECK_POINTS, axial_cst, axial_cst_radon_route, classical_cst,
+                      fueter_cst_routes, heat_semigroup, slice_cst, slice_cst_fourier,
+                      unitarity_gram)
+    from .gausspoly import hermite_function
+    from .sphere import ProductGaussRule
+
     s = _Suite("cst", {"m": list(m_list), "hermite": n_hermite, "tol": tol})
     fams = [hermite_function(n) for n in range(n_hermite)]
 

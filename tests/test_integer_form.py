@@ -13,8 +13,7 @@ from monogenics.clifford import CliffordElement, geometric_product
 from monogenics.laurent import LaurentPoly
 from monogenics.poly import CliffordPolynomial, OperatorTag, apply_operator
 from monogenics.radon import dual_radon
-from monogenics.scalars import PiScalar
-from monogenics.sphere import sphere_moment
+from monogenics.scalars import PiScalar, sphere_moment
 
 # small, pairwise coprime and large denominators, mixed within one polynomial
 DENOMINATORS = (1, 2, 3, 7, 12, 35, 2**61 - 1, 10**30 + 57)

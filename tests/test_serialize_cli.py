@@ -217,10 +217,10 @@ def test_cli_radon_check_accepts_the_sample_bounds(tmp_path, monkeypatch):
     doc = json.loads(out.read_text(), parse_constant=pytest.fail)
     assert all(math.isfinite(c["stderr"]) for c in doc["cases"])
     # the largest is accepted without drawing five million samples here
-    from monogenics import cli
+    from monogenics import cli, sphere
 
     made = []
-    monkeypatch.setattr(cli, "MonteCarloRule", lambda m, n, seed: made.append((m, n, seed)))
+    monkeypatch.setattr(sphere, "MonteCarloRule", lambda m, n, seed: made.append((m, n, seed)))
     cli._parse_rule("mc:5000000:3", 2)
     assert made == [(2, 5_000_000, 3)]
 
@@ -389,10 +389,10 @@ def test_cli_checks_accept_tolerances_up_to_1e_2(tmp_path, argv):
 
 
 def test_cli_gauss_rule_size_is_capped_before_building(tmp_path, capsys, monkeypatch):
-    from monogenics import cli
+    from monogenics import cli, sphere
 
     made = []
-    monkeypatch.setattr(cli, "ProductGaussRule", lambda m, level: made.append((m, level)))
+    monkeypatch.setattr(sphere, "ProductGaussRule", lambda m, level: made.append((m, level)))
     # 2 * 100^5 = 2e10 nodes at m = 6 and 2e12 at m = 2, terabytes if built
     for m, rule in ((6, "gauss:100"), (2, "gauss:999999999999"), (3, "gauss:708"),
                     (6, "gauss:14")):
@@ -408,10 +408,10 @@ def test_cli_gauss_rule_size_is_capped_before_building(tmp_path, capsys, monkeyp
 def test_cli_builtin_gauss_rules_are_capped_before_building(tmp_path, capsys, monkeypatch):
     # the level-24 rule of the Cauchy case and of the CST routes has
     # 48 * 24^4 = 15,925,248 nodes at m = 6, gigabytes if built
-    from monogenics import cli
+    from monogenics import cli, sphere
 
     made = []
-    monkeypatch.setattr(cli, "ProductGaussRule", lambda m, level: made.append((m, level)))
+    monkeypatch.setattr(sphere, "ProductGaussRule", lambda m, level: made.append((m, level)))
     for argv in (["radon-check", "--m", "6", "--rule", "exact"],
                  ["cst-check", "--m", "6", "--which", "fueter-routes", "--family", "hermite:1"],
                  ["cst-check", "--m", "6", "--which", "ua-routes", "--family", "hermite:1"]):

@@ -19,7 +19,7 @@ from monogenics.radon import (
     monomial_plane_wave_check,
     plane_wave_gck_check,
 )
-from monogenics.scalars import PiScalar
+from monogenics.scalars import PiScalar, sphere_moment
 from monogenics.sphere import (
     _MC_BLOCK,
     ExactMonomialRule,
@@ -30,7 +30,6 @@ from monogenics.sphere import (
     monomial_sphere_integral,
     product_rule_size,
     _node_moments,
-    sphere_moment,
 )
 
 

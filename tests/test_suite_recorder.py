@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from monogenics import cli, kernels, radon, suites
+from monogenics import cst, kernels, radon, suites
 from monogenics.cli import main
 from monogenics.clifford import CliffordElement
 from monogenics.laurent import LaurentPoly
@@ -104,8 +104,8 @@ def _nan_e1(elem: CliffordElement) -> CliffordElement:
 
 
 def test_suite_cst_fails_when_a_route_turns_nan(monkeypatch):
-    route = suites.axial_cst_radon_route
-    monkeypatch.setattr(suites, "axial_cst_radon_route", lambda *a: _nan_e1(route(*a)))
+    route = cst.axial_cst_radon_route
+    monkeypatch.setattr(cst, "axial_cst_radon_route", lambda *a: _nan_e1(route(*a)))
     report = suites.suite_cst((2,), 2)
     by_id = {c.case_id: c for c in report.cases}
     assert math.isnan(by_id["axial_two_routes"].residual)
@@ -116,10 +116,10 @@ def test_suite_cst_fails_when_a_route_turns_nan(monkeypatch):
 @pytest.mark.parametrize("which", ["ua-routes", "fueter-routes"])
 def test_cst_check_fails_when_a_route_turns_nan(tmp_path, monkeypatch, which):
     if which == "ua-routes":
-        route = cli.axial_cst_radon_route
-        monkeypatch.setattr(cli, "axial_cst_radon_route", lambda *a: _nan_e1(route(*a)))
+        route = cst.axial_cst_radon_route
+        monkeypatch.setattr(cst, "axial_cst_radon_route", lambda *a: _nan_e1(route(*a)))
     else:
-        routes = cli.fueter_cst_routes
+        routes = cst.fueter_cst_routes
 
         def last_route_nan(*a):
             out = dict(routes(*a))
@@ -127,7 +127,7 @@ def test_cst_check_fails_when_a_route_turns_nan(tmp_path, monkeypatch, which):
             out[last] = _nan_e1(out[last])
             return out
 
-        monkeypatch.setattr(cli, "fueter_cst_routes", last_route_nan)
+        monkeypatch.setattr(cst, "fueter_cst_routes", last_route_nan)
     out = tmp_path / "c.json"
     rc = main(["cst-check", "--m", "2", "--which", which, "--family", "hermite:1",
                "--out", str(out)])
