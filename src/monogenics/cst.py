@@ -5,11 +5,11 @@ them together through the dual Radon transform and the slice-to-axial map.
 Test functions live in the Gaussian polynomial algebra; identities at the
 operator level are exact there, and pointwise route agreements are checked
 with certified series truncation and spectral sphere quadrature.  One
-even/odd split of the entire extension serves the slice transform, the
-unitarity Gram and the quadrature route, which is the rule's plane-wave
-mean of that split; the series reads its terms off one Taylor expansion at
-x0 (a three-term Hermite recurrence, ``GaussPoly.taylor``) up to an order
-certified from the exact function.
+closed form of the slice split in (x0, t), real on real data, serves the
+slice transform, the unitarity Gram and the quadrature route, the rule's
+plane-wave mean of it over the signed radii t = <x,w>.  The series reads
+its terms off one Taylor expansion at x0 (``GaussPoly.taylor``) up to an
+order certified from the exact function; the split shifts p by binomials.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .constants import constants
 from .extensions import gck_denominator
 from .gausspoly import GaussPoly
 from .scalars import to_complex
-from .sphere import NodeRule, ProductGaussRule
+from .sphere import NodeRule, ProductGaussRule, _even_odd, _shift_matrix
 
 
 # (x0, r) points at which cst-check and the cst suite compare the routes
@@ -60,25 +60,33 @@ class SliceValue:
         return axial_element(m, self.alpha, omega, self.beta)
 
 
-def _entire_split(F: GaussPoly, z):
-    """Even and odd parts of the entire F at z = x0 + i r, a scalar or an
-    array: alpha = (F(z) + F(conj z))/2 and beta = (F(z) - F(conj z))/2i,
-    so that alpha + w beta is the slice value at x0 + r w."""
-    zp = F.evaluate(z)
-    zm = F.evaluate(np.conj(z))
-    return (zp + zm) / 2, (zp - zm) / 2j
+def _slice_split(F: GaussPoly, x0, t):
+    """alpha = (F(x0+it) + F(x0-it))/2 and beta = (F(x0+it) - F(x0-it))/2i
+    of the entire F at broadcasting x0 and t: alpha + w beta is the slice
+    value at x0 + t w.  For F = pref p(x) e^(-a x^2 + b x), with K = pref
+    e^(-a x0^2 + b x0), kappa = b - 2a x0 and A + i t B = p(x0 + it) from the
+    coefficients of p(x0 + s), F(x0 + it) = K e^(a t^2) e^(i t kappa) (A + i t B),
+    so alpha = K e^(a t^2) (A cos(t kappa) - t B sin(t kappa)) and beta =
+    K e^(a t^2) (A sin(t kappa) + t B cos(t kappa)), for complex b, p and pref
+    too: one real exp, cos and sin per point on real data."""
+    data = np.array([to_complex(c) for c in (F.b, F.pref, *F.coeffs)])
+    b, pref, *coeffs = data if data.imag.any() else data.real   # real data stays real
+    a, bx = float(F.a), b * x0
+    # q_k times pref and the phase of e^(b x0); the modulus goes in the exp
+    q = (np.einsum("...kj,j->k...", _shift_matrix(len(coeffs), x0), coeffs)
+         * (pref * np.exp(bx - np.real(bx))))
+    even, odd = _even_odd(q, t)
+    growth = np.exp(a * t * t + (np.real(bx) - a * x0 * x0))
+    angle = t * (b - 2.0 * a * x0)
+    cos, sin = np.cos(angle), np.sin(angle)
+    return growth * (even * cos - odd * sin), growth * (even * sin + odd * cos)
 
 
 def slice_cst(f: GaussPoly, x0: float, r: float) -> SliceValue:
-    """Slice transform: heat flow followed by the slice extension.
-
-    The central complex unit splits the entire extension F of the smoothed
-    function into even/odd parts: alpha = (F(x0+ir)+F(x0-ir))/2 and
-    beta = (F(x0+ir)-F(x0-ir))/2i.
-    """
+    """Slice transform, heat flow then slice extension: ``_slice_split`` at t = r."""
     if r < 0:
         raise ValueError("radius must be >= 0")
-    alpha, beta = _entire_split(f.heat(), complex(x0, float(r)))
+    alpha, beta = _slice_split(f.heat(), float(x0), float(r))
     return SliceValue(complex(alpha), complex(beta))
 
 
@@ -168,12 +176,8 @@ def axial_cst_radon_route(f: GaussPoly, m: int, x0: float, xv,
 
 
 def _radon_of_entire(F: GaussPoly, m: int, x0: float, xv, rule: NodeRule) -> CliffordElement:
-    """The rule's plane-wave mean of the slice split of F.
-
-    Along w the radius is the signed t = <x,w>: beta is odd in t, so
-    alpha + w beta at (x0, t) is the slice value at x0 + t w.
-    """
-    a, v, _ = rule.plane_wave_mean(x0, xv, functools.partial(_entire_split, F))
+    """The rule's plane-wave mean of the slice split of F at x0."""
+    a, v, _ = rule.plane_wave_mean(xv, functools.partial(_slice_split, F, float(x0)))
     return axial_element(m, a.item(), v[0].tolist(), 1)
 
 
@@ -260,9 +264,8 @@ def unitarity_gram(fs: Sequence[GaussPoly], gs: Sequence[GaussPoly],
     for (nx, nr), rhs in zip(DEFAULT_QUAD_LEVELS, (coarse, fine)):
         xs, wxs = _legendre_grid(nx, -GRAM_X_CUT, GRAM_X_CUT)
         rs, wrs = _legendre_grid(nr, 0.0, GRAM_R_CUT, 1.0)   # e^{-r^2} is in wrs
-        Z = xs[:, None] + 1j * rs[None, :]
-        for (af, bf), (ag, bg) in product([_gram_split(f.heat(), Z) for f in fs],
-                                          [_gram_split(g.heat(), Z) for g in gs]):
+        for (af, bf), (ag, bg) in product([_gram_split(f.heat(), xs, rs) for f in fs],
+                                          [_gram_split(g.heat(), xs, rs) for g in gs]):
             total = np.einsum("i,j,ij->", wxs, wrs, np.conj(af) * ag + np.conj(bf) * bg)
             rhs.append(complex(2.0 / math.sqrt(math.pi) * total))
     lhs = [to_complex((f.conjugate() * g).integrate_line()) for f, g in product(fs, gs)]
@@ -270,15 +273,15 @@ def unitarity_gram(fs: Sequence[GaussPoly], gs: Sequence[GaussPoly],
     return [flat[i * len(gs):(i + 1) * len(gs)] for i in range(len(fs))]
 
 
-def _gram_split(F: GaussPoly, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The slice split of the smoothed F on the Gram grid Z, kept read-only
-    in F's memo under Z's shape (nx, nr), the level: the cuts are fixed."""
+def _gram_split(F: GaussPoly, xs: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slice split of the smoothed F on the Gram grid, the column xs
+    against the row rs, kept read-only in F's memo under the grid's shape
+    (nx, nr), the level: the cuts are fixed."""
     def build():
-        parts = _entire_split(F, Z)
-        for part in parts:
-            part.flags.writeable = False
-        return parts
-    return F._cached(("gram", Z.shape), build)
+        alpha, beta = _slice_split(F, xs[:, None], rs)
+        alpha.flags.writeable = beta.flags.writeable = False
+        return alpha, beta
+    return F._cached(("gram", (len(xs), len(rs))), build)
 
 
 def unitarity_check(f: GaussPoly, g: GaussPoly, m: int) -> UnitarityResult:

@@ -14,9 +14,7 @@ test family) its weights are rational and the heat flow
     a -> a/(1+2a),  prefactor -> prefactor / sqrt(1+2a)
 
 and the line integral stay exact.  A nonzero linear term b or numeric
-coefficients demote the result to complex arithmetic.  Evaluation accepts
-complex points and numpy arrays, which is how entire extensions are read
-off.
+coefficients demote the result to complex arithmetic.
 
 A ``GaussPoly`` is immutable and keeps what it derives in a private memo
 that lives and dies with it: ``heat()``, ``derivative()`` and the slice
@@ -63,11 +61,6 @@ class GaussPoly:
     @classmethod
     def exact(cls, a, coeffs, b=0, pref: Radical | None = None) -> "GaussPoly":
         return cls(Fraction(a), b, coeffs, pref if pref is not None else Radical.one())
-
-    @classmethod
-    def gaussian(cls, a) -> "GaussPoly":
-        """Plain exp(-a x^2)."""
-        return cls.exact(a, [1])
 
     def _cached(self, key, build):
         """The value kept under ``key``, built by ``build()`` on first use."""

@@ -12,10 +12,10 @@ denominator at the top vector degree; other data keeps the rational weights.
 
 The numeric routes (pointwise transform, plane-wave check, and the kernel
 plane waves, which average a power of z) share one slice path,
-``_slice_plane_wave``, through the rule's ``plane_wave_mean``: the slice
-values alpha + w beta at z = x0 + i<x,w> on the nodes, then the rule's sums
-of alpha and of w beta (Monte Carlo, one block at a time, adds the spread).
-Only that path imports numpy, when it first runs.
+``_slice_plane_wave``: its split gives the slice values alpha + w beta in
+closed form in the signed radius t = <x,w>, real on every channel, and the
+rule's ``plane_wave_mean`` sums them over the nodes (Monte Carlo, a block at
+a time, adds the spread).  Only that path imports numpy, when it first runs.
 """
 
 from __future__ import annotations
@@ -102,35 +102,39 @@ def _slice_plane_wave(f0: LaurentPoly, m: int, rule: NodeRule, x0, xv
 
     f0 = sum_c P_c(z) u_c: one real polynomial P_c per blade and real or
     imaginary part, with the unit u_c = e_A or i e_A acting from the right.
-    P_c has the slice value Re P_c(z) + w Im P_c(z) at z = x0 + i<x,w>, and
-    Horner evaluates all P_c at once in one preallocated array.
+    P_c has the slice value Re P_c(z) + w Im P_c(z) at z = x0 + it.  With
+    n = -lo, 1/z^n = (x0 - it)^n / (x0^2 + t^2)^n, so one Q(s) = P(x0 + s)
+    (x0 - s)^n for all channels gives Re = sum_j Q_2j (-t^2)^j / (x0^2 +
+    t^2)^n and Im = t sum_j Q_(2j+1) (-t^2)^j / (x0^2 + t^2)^n, in reals.
     """
     import numpy as np
+    from .sphere import _even_odd, _shift_matrix
 
     lo = min(f0.min_exp(), 0)
     rows: dict[tuple[int, bool], np.ndarray] = {(0, False): np.zeros(f0.max_exp() - lo + 1)}
-    for n, c in f0.terms.items():
+    for k, c in f0.terms.items():
         for mask, b in (c.coeffs if isinstance(c, CliffordElement) else {0: c}).items():
             b = to_complex(b)
             for imag, part in ((False, b.real), (True, b.imag)):
                 if part:
-                    rows.setdefault((mask, imag), np.zeros_like(rows[0, False]))[n - lo] = part
+                    rows.setdefault((mask, imag), np.zeros_like(rows[0, False]))[k - lo] = part
     keys = sorted(rows)
-    coeffs = np.column_stack([rows[key] for key in keys])
+    x0, n = float(x0), -lo
+    shifted = np.einsum("kj,jc->kc", _shift_matrix(len(rows[0, False]), x0),
+                        np.column_stack([rows[key] for key in keys]))
+    r = [math.comb(n, j) * (-1) ** j * x0 ** (n - j) for j in range(n + 1)]   # (x0 - s)^n
+    q = np.column_stack([np.convolve(col, r) for col in shifted.T])
 
-    def split(z):
-        if lo < 0 and x0 == 0 and not z.all():   # z = x0 + i<x,w> vanishes only if x0 does
+    def split(t):
+        if n and x0 == 0 and not t.all():   # x0 + it vanishes only if x0 does
             raise ZeroDivisionError("negative powers require x0 + <x,w> w != 0")
-        vals = np.empty((len(z), len(keys)), dtype=complex)
-        vals[:] = coeffs[-1]
-        for row in coeffs[-2::-1]:
-            vals *= z
-            vals += row
-        if lo:
-            vals *= z ** lo
-        return vals.real, vals.imag
+        alpha, beta = _even_odd(q, t)
+        if n:
+            scale = (x0 * x0 + t * t) ** -n
+            return alpha * scale, beta * scale
+        return alpha, beta
 
-    a, v, se = rule.plane_wave_mean(x0, xv, split)
+    a, v, se = rule.plane_wave_mean(xv, split)
     # a scalar unit scales; only a blade unit needs the Clifford product
     units = [CliffordElement(m, {mask: 1j if imag else 1.0}) if mask else 1j if imag else 1.0
              for mask, imag in keys]

@@ -1,23 +1,19 @@
 """Integration over the unit sphere S^(m-1): an exact monomial rule, and
 one node-and-weight type ``NodeRule`` for the numeric rules, a product
 Gauss rule and Monte Carlo for independent validation.  Every numeric
-plane-wave route reduces through ``plane_wave_mean``: the weighted sums of
-``NodeRule`` for the product rule, and one blocked reduction for Monte Carlo.
+plane-wave route reduces through ``plane_wave_mean``: it hands the route's
+``split`` the nodes' signed radii t = <x,w>, and sums the slice values
+alpha + w beta of the split's closed form, in reals on real data, by the
+weighted sums of ``NodeRule`` or one blocked reduction for Monte Carlo.
 
 The package loads this numeric module, and numpy, on first use.  Weighted
 sums run in ``np.einsum``'s own loops, not BLAS, so no thread count changes
 the order in which the nodes are added.
 
-Monte Carlo keeps its nodes component-major, one contiguous row of n
-samples per coordinate, and reduces samples in blocks of 2^14 nodes that
-stay in cache: each block in two passes (mean, then centred squares), the
-blocks merged pairwise by the update of Chan, Golub and LeVeque
-("Algorithms for computing the sample variance", Amer. Statist. 37, 1983).
-No array of all n samples times all channels is ever formed, nor the
-row-major draw of all n nodes: the generator fills one chunk of 2^16 rows
-at a time (at most 4 MB at m <= 8), and each reduction writes its blocks
-into one workspace per call, so beyond the n m stored coordinates the
-working memory is bounded by a chunk, whatever n is.
+Monte Carlo keeps its nodes component-major and reduces them in blocks of
+2^14 that stay in cache, merged pairwise by the update of Chan, Golub and
+LeVeque ("Algorithms for computing the sample variance", Amer. Statist. 37,
+1983); beyond its n m coordinates its working memory is bounded by a 2^16-row chunk.
 
 The product rule's Gauss-Gegenbauer nodes are the eigenvalues of the Jacobi
 matrix (Golub and Welsch, "Calculation of Gauss quadrature rules", Math.
@@ -46,6 +42,7 @@ validated rule exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,17 +106,16 @@ class NodeRule:
         est, se = self.estimate(vals)
         return float(est), None if se is None else float(se)
 
-    def plane_wave_mean(self, x0, xv, split) -> tuple[np.ndarray, np.ndarray, float | None]:
+    def plane_wave_mean(self, xv, split) -> tuple[np.ndarray, np.ndarray, float | None]:
         """Sphere mean of the slice values alpha + w beta along x0 + <x,w> w.
 
-        ``split(z)`` gives (alpha, beta), each (n, k) for k channels, on the
-        column z = x0 + i<x,w> of the nodes (z is freed before the sums).
+        ``split(t)`` gives (alpha, beta), each (n, k) for k channels, on the
+        column t = <x,w> of the nodes' signed radii; the split holds x0.
         Returns the means of alpha, (k,), and of w beta, (k, m), and the
         largest standard error, None for a weighted-sum rule.
         """
         cols = self.nodes.T
-        t = np.einsum("jn,j->n", cols, np.asarray(xv, dtype=float))
-        alpha, beta = split(float(x0) + 1j * t[:, None])
+        alpha, beta = split(np.einsum("jn,j->n", cols, np.asarray(xv, dtype=float))[:, None])
         sig = self.sigma()
         return (_node_sum("kn,n->k", alpha.T, self.weights) / sig,
                 _node_sum("kn,jn->kj", beta.T * self.weights, cols) / sig, None)
@@ -335,24 +331,22 @@ class MonteCarloRule(NodeRule):
         mean, m2 = _node_moments(blocks())
         return float(self._sigma * mean[0]), float(self._sigma * self._spread(m2)[0])
 
-    def plane_wave_mean(self, x0, xv, split) -> tuple[np.ndarray, np.ndarray, float]:
+    def plane_wave_mean(self, xv, split) -> tuple[np.ndarray, np.ndarray, float]:
         """``NodeRule.plane_wave_mean`` one block of nodes at a time: split,
         alpha and w beta of a block are formed and reduced before the next,
-        and the largest standard error of the means is returned.  The column
-        z and the rows of alpha and w beta are written into one workspace
-        per call, allocated once the first block gives the channel count
-        and type."""
+        and the largest standard error of the means is returned.  The radii
+        t and the rows of alpha and w beta go into one workspace per call,
+        the rows allocated once the first block gives the channels."""
         xv = np.asarray(xv, dtype=float)
         cols = self.nodes.T
 
         def blocks():
             size = min(self.n, _MC_BLOCK)
-            t, z, work = np.empty(size), np.empty((size, 1), dtype=complex), None
+            t, work = np.empty(size), None
             for s in range(0, self.n, _MC_BLOCK):
                 w = cols[:, s:s + _MC_BLOCK]
                 b = w.shape[1]
-                zb = np.multiply(1j, np.matmul(xv, w, out=t[:b])[:, None], out=z[:b])
-                alpha, beta = split(np.add(float(x0), zb, out=zb))
+                alpha, beta = split(np.matmul(xv, w, out=t[:b])[:, None])
                 k = alpha.shape[1]
                 if work is None:
                     work = np.empty((k * (self.m + 1), size), dtype=np.result_type(alpha, beta))
@@ -364,6 +358,37 @@ class MonteCarloRule(NodeRule):
         mean, m2 = _node_moments(blocks())
         k = len(mean) // (self.m + 1)
         return mean[:k], mean[k:].reshape(k, self.m), float(self._spread(m2).max())
+
+
+@functools.lru_cache(maxsize=None)
+def _pascal(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(j, k) and max(j - k, 0) at [k, j] for j, k < n, shared and read-only."""
+    j = np.arange(n)
+    binom = np.array([[math.comb(c, k) for c in range(n)] for k in range(n)], dtype=float)
+    gap = np.maximum(j - j[:, None], 0)
+    binom.flags.writeable = gap.flags.writeable = False
+    return binom, gap
+
+
+def _shift_matrix(n: int, x0) -> np.ndarray:
+    """S[k, j] = C(j, k) x0^(j-k), which takes the n coefficients of p to
+    those of p(x0 + s); stacked as (*x0.shape, n, n) for an array x0."""
+    binom, gap = _pascal(n)
+    return binom * np.power.outer(x0, gap)
+
+
+def _even_odd(q, t) -> tuple[np.ndarray, np.ndarray]:
+    """(E, O) with q(it) = E + iO for coefficients q_k along q's first axis,
+    E = sum_j q_2j (-t^2)^j and O = t sum_j q_(2j+1) (-t^2)^j, by Horner."""
+    u = -t * t
+    shape, dtype = np.broadcast(u, q[0]).shape, np.result_type(u, q)
+    even, odd = np.zeros(shape, dtype), np.zeros(shape, dtype)
+    for acc, half in ((even, q[0::2]), (odd, q[1::2])):
+        for c in half[::-1]:
+            acc *= u
+            acc += c
+    odd *= t
+    return even, odd
 
 
 def funk_hecke_constants(m: int, j: int) -> tuple[PiScalar, PiScalar]:

@@ -31,7 +31,7 @@ POINTS = [(0.7, 0.5), (0.3, 0.8), (-0.6, 0.4)]
 
 
 def test_classical_cst_of_gaussian():
-    f = GaussPoly.gaussian(Fraction(1, 2))
+    f = GaussPoly.exact(Fraction(1, 2), [1])
     for z in (0.4 + 0.0j, 0.5 + 0.3j, -1.0 + 0.8j):
         want = cmath.exp(-z * z / 4) / math.sqrt(2)
         assert abs(classical_cst(f, z) - want) < 1e-14
@@ -61,10 +61,10 @@ def test_slice_cst_axis_restriction_and_parity():
         assert sv.beta == 0
     for x0, r in POINTS:
         plus = slice_cst(f, x0, r)
-        # beta is odd under r -> -r: compare against the split at -r
-        from monogenics.cst import _entire_split
+        # beta is odd under r -> -r: compare against the split at t = -r
+        from monogenics.cst import _slice_split
 
-        minus_alpha, minus_beta = _entire_split(heat_semigroup(f), complex(x0, -r))
+        minus_alpha, minus_beta = _slice_split(heat_semigroup(f), x0, -r)
         assert abs(plus.beta + minus_beta) < 1e-10
         assert abs(plus.alpha - minus_alpha) < 1e-10
 
@@ -341,3 +341,53 @@ def test_unitarity_reduction_against_full_sphere_quadrature():
         rhs_full = 2 / math.sqrt(math.pi) / sigma * total
         res = unitarity_check(f, g, m)
         assert abs(rhs_full - res.rhs) < 1e-6, (i, j)
+
+
+def _direct_split(F, x0, t):
+    """The split from two evaluations of the entire F, at z and at conj z."""
+    z = x0 + 1j * np.asarray(t)
+    zp, zm = F.evaluate(z), F.evaluate(np.conj(z))
+    return (zp + zm) / 2, (zp - zm) / 2j, np.maximum(np.abs(zp), np.abs(zm))
+
+
+def _split_functions():
+    hermites = [hermite_function(n) for n in range(9)]
+    fs = [f.heat() for f in hermites] + [f.heat().derivatives(3)[-1] for f in hermites]
+    fs.append(GaussPoly(0.4, 0.3 - 0.5j, [1 + 0.5j, -0.2j, 0.3 + 0j, 0.1j], 0.7 + 0.2j).heat())
+    return fs
+
+
+def _split_grids():
+    """(x0, t) as scalars, as a node column and as the Gram grid."""
+    rule = ProductGaussRule(3, 8)
+    xs, _ = _legendre_grid(40, -13.0, 13.0)
+    rs, _ = _legendre_grid(24, 0.0, 9.0, 1.0)
+    return [(0.7, 0.5), (-0.6, 0.4), (0.0, 1.3),
+            (-0.9, (rule.nodes @ np.array([0.3, -0.25, 0.2]))[:, None]),
+            (xs[:, None], rs)]
+
+
+@pytest.mark.parametrize("F", _split_functions(), ids=repr)
+def test_slice_split_matches_direct_evaluation(F):
+    from monogenics.cst import _slice_split
+
+    for x0, t in _split_grids():
+        alpha, beta = _slice_split(F, x0, t)
+        want_alpha, want_beta, size = _direct_split(F, x0, t)
+        assert np.shape(alpha) == np.shape(beta) == np.shape(want_alpha)
+        # relative to the values the direct split combines
+        assert np.all(np.abs(alpha - want_alpha) <= 1e-12 * size)
+        assert np.all(np.abs(beta - want_beta) <= 1e-12 * size)
+        # alpha is even and beta odd in t, to the last bit
+        minus_alpha, minus_beta = _slice_split(F, x0, -np.asarray(t))
+        assert np.array_equal(minus_alpha, alpha) and np.array_equal(minus_beta, -beta)
+
+
+def test_slice_split_is_real_on_real_data():
+    from monogenics.cst import _slice_split
+
+    t = np.linspace(-1.0, 1.0, 5)[:, None]
+    for F in (HERMITES[2].heat(), GaussPoly.exact(Fraction(1, 3), [1, -2, 3], b=Fraction(1, 2))):
+        assert all(part.dtype == np.float64 for part in _slice_split(F, 0.4, t))
+    complex_b = GaussPoly(0.4, 0.3 - 0.5j, [1 + 0j, 2 + 0j], 1 + 0j)
+    assert all(part.dtype == np.complex128 for part in _slice_split(complex_b, 0.4, t))

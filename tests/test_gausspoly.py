@@ -18,7 +18,7 @@ def gauss_quad_line(fn, cutoff=14.0, n=260):
 
 
 def test_heat_of_plain_gaussian():
-    f = GaussPoly.gaussian(Fraction(1, 2))
+    f = GaussPoly.exact(Fraction(1, 2), [1])
     h = f.heat()
     assert h.a == Fraction(1, 4)
     assert h.pref == Radical.sqrt(Fraction(1, 2))
@@ -28,7 +28,7 @@ def test_heat_of_plain_gaussian():
 
 def test_heat_width_update_keeps_positivity():
     a = Fraction(1, 2)
-    f = GaussPoly.gaussian(a)
+    f = GaussPoly.exact(a, [1])
     for _ in range(5):
         f = f.heat()
         assert f.a > 0

@@ -12,9 +12,9 @@ from monogenics.cst import (
     DEFAULT_QUAD_LEVELS,
     GRAM_R_CUT,
     GRAM_X_CUT,
-    _entire_split,
     _gram_split,
     _legendre_grid,
+    _slice_split,
     fueter_cst_routes,
     unitarity_check,
     unitarity_gram,
@@ -49,7 +49,7 @@ def _types(f):
 def _gram_grid(level):
     (xs, _), (rs, _) = (_legendre_grid(level[0], -GRAM_X_CUT, GRAM_X_CUT),
                         _legendre_grid(level[1], 0.0, GRAM_R_CUT, 1.0))
-    return xs[:, None] + 1j * rs[None, :]
+    return xs, rs
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -96,10 +96,10 @@ def test_gram_splits_are_kept_read_only_and_equal_a_fresh_split():
     unitarity_check(f, f, 2)
     F = f.heat()
     for level in DEFAULT_QUAD_LEVELS:
-        Z = _gram_grid(level)
-        kept = _gram_split(F, Z)
-        assert kept is _gram_split(F, Z)
-        for arr, ref in zip(kept, _entire_split(hermite_function(3).heat(), Z)):
+        xs, rs = _gram_grid(level)
+        kept = _gram_split(F, xs, rs)
+        assert kept is _gram_split(F, xs, rs)
+        for arr, ref in zip(kept, _slice_split(hermite_function(3).heat(), xs[:, None], rs)):
             assert arr.shape == level
             assert np.array_equal(arr, ref)
             with pytest.raises(ValueError):

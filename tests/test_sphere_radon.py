@@ -19,7 +19,7 @@ from monogenics.radon import (
     monomial_plane_wave_check,
     plane_wave_gck_check,
 )
-from monogenics.scalars import PiScalar, sphere_moment
+from monogenics.scalars import PiScalar, sphere_moment, to_complex
 from monogenics.sphere import (
     _MC_BLOCK,
     ExactMonomialRule,
@@ -146,15 +146,22 @@ def _close(got, want, rel=1e-13):
 def test_blocked_monte_carlo_matches_the_unblocked_reduction(n):
     # reference: np.mean and np.std(ddof=1) over all nodes of the broadcast
     # product w beta, formed whole as the reduction never does
-    for m, split in ((3, lambda z: (z**3 - 2.0, (z**2 + z).imag)),
-                     (4, lambda z: ((z + 1.5) ** 2 * np.ones(2), 1j * z**3 * np.array([1.0, -0.5])))):
+    x0 = 0.4
+
+    def on_z(values):
+        # the split of the signed radius t, through z = x0 + i t
+        return lambda t: values(x0 + 1j * t)
+
+    for m, split in ((3, on_z(lambda z: (z**3 - 2.0, (z**2 + z).imag))),
+                     (4, on_z(lambda z: ((z + 1.5) ** 2 * np.ones(2),
+                                         1j * z**3 * np.array([1.0, -0.5]))))):
         rule = MonteCarloRule(m, n, seed=n + m)
-        x0, xv = 0.4, np.linspace(-0.3, 0.35, m)
-        alpha, beta = split(x0 + 1j * (rule.nodes @ xv)[:, None])
+        xv = np.linspace(-0.3, 0.35, m)
+        alpha, beta = split((rule.nodes @ xv)[:, None])
         wbeta = beta[:, :, None] * rule.nodes[:, None, :]
         want_se = max(np.std(alpha, axis=0, ddof=1).max(),
                       np.std(wbeta, axis=0, ddof=1).max()) / math.sqrt(n)
-        a, v, se = rule.plane_wave_mean(x0, xv, split)
+        a, v, se = rule.plane_wave_mean(xv, split)
         assert _close(a, np.mean(alpha, axis=0)), (n, m)
         assert _close(v, np.mean(wbeta, axis=0)), (n, m)
         assert abs(se - want_se) <= 1e-13 * want_se, (n, m)
@@ -178,9 +185,9 @@ def test_monte_carlo_workspace_changes_no_value():
     splits = []
 
     class Recording:
-        def plane_wave_mean(self, x0, xv, split):
+        def plane_wave_mean(self, xv, split):
             splits.append(split)
-            return rule.plane_wave_mean(x0, xv, split)
+            return rule.plane_wave_mean(xv, split)
 
     x0, xv = 0.6, np.array([0.2, -0.35, 0.1])
     radon._slice_plane_wave(f0, m, Recording(), x0, xv)
@@ -189,13 +196,13 @@ def test_monte_carlo_workspace_changes_no_value():
     def fresh_rows():
         for s in range(0, n, _MC_BLOCK):
             w = cols[:, s:s + _MC_BLOCK]
-            alpha, beta = split(x0 + 1j * (xv @ w)[:, None])
+            alpha, beta = split((xv @ w)[:, None])
             yield np.concatenate([alpha.T, (beta.T[:, None, :] * w).reshape(-1, w.shape[1])])
 
     mean, m2 = _node_moments(fresh_rows())
     k = len(mean) // (m + 1)
     assert k == 7
-    a, v, se = rule.plane_wave_mean(x0, xv, split)
+    a, v, se = rule.plane_wave_mean(xv, split)
     assert np.array_equal(a, mean[:k]) and np.array_equal(v, mean[k:].reshape(k, m))
     assert se == rule._spread(m2).max()
 
@@ -221,8 +228,8 @@ def test_blocked_monte_carlo_constant_data_has_no_spread():
     values = np.tile([1.0, -2.0, 0.25], (n, 1))
     est, se = rule.estimate(values)
     assert np.all(se == 0.0) and np.all(est == rule.sigma() * values[0])
-    a, v, se = rule.plane_wave_mean(0.5, (0.1, 0.2, 0.3),
-                                    lambda z: (np.full((len(z), 2), 3.0), np.zeros((len(z), 2))))
+    a, v, se = rule.plane_wave_mean((0.1, 0.2, 0.3),
+                                    lambda t: (np.full((len(t), 2), 3.0), np.zeros((len(t), 2))))
     assert se == 0.0 and np.all(a == 3.0) and np.all(v == 0.0)
 
 
@@ -535,3 +542,64 @@ def test_dual_radon_right_module_structure():
     rad = dual_radon(sp)
     assert rad == appell_Q(m, 1).scale(e1)
     assert is_monogenic(rad)
+
+
+def _recorded_split(f0, m, x0):
+    """The split that ``_slice_plane_wave`` hands its rule at x0."""
+    splits = []
+
+    class Recording:
+        def plane_wave_mean(self, xv, split):
+            splits.append(split)
+            return ProductGaussRule(m, 4).plane_wave_mean(xv, split)
+
+    radon._slice_plane_wave(f0, m, Recording(), x0, (0.1,) * m)
+    return splits[0]
+
+
+def _direct_channels(f0, z):
+    """Each channel's value at z, in the slice path's order: for blade A and
+    real or imaginary part, the Laurent polynomial of those parts of f0's
+    coefficients, evaluated at the complex z by powers."""
+    channels = {(0, False): 0j}
+    for k, c in f0.terms.items():
+        for mask, b in (c.coeffs if isinstance(c, CliffordElement) else {0: c}).items():
+            b = to_complex(b)
+            for imag, part in ((False, b.real), (True, b.imag)):
+                if part:
+                    channels[mask, imag] = channels.get((mask, imag), 0j) + part * z**k
+    return np.stack([np.broadcast_to(channels[key], z.shape) for key in sorted(channels)], axis=-1)
+
+
+def test_slice_plane_wave_split_matches_direct_evaluation():
+    i = PiScalar.imaginary(1)
+    e1, e2 = CliffordElement.generator(3, 1), CliffordElement.generator(3, 2)
+    data = [
+        LaurentPoly({-3: Fraction(2) - 3 * i, -1: Fraction(1, 2), 0: Fraction(1), 2: -i,
+                     4: Fraction(3, 2)}),
+        LaurentPoly({-2: e1 * e2 - e2.scale(Fraction(1, 3)), -1: e1, 0: Fraction(2),
+                     3: CliffordElement.one(3) + e2.scale(i)}),
+        LaurentPoly.monomial(-3),
+        _clifford_data(3),
+    ]
+    t = (ProductGaussRule(3, 8).nodes @ np.array([0.3, -0.25, 0.2]))[:, None]
+    for f0 in data:
+        for x0 in (0.8, -0.55):
+            alpha, beta = _recorded_split(f0, 3, x0)(t)
+            want = _direct_channels(f0, x0 + 1j * t[:, 0])
+            size = np.abs(want).max()
+            assert alpha.shape == beta.shape == want.shape
+            assert np.all(np.abs(alpha - want.real) <= 1e-12 * size)
+            assert np.all(np.abs(beta - want.imag) <= 1e-12 * size)
+            # the real part is even and the imaginary part odd in t, to the last bit
+            minus_alpha, minus_beta = _recorded_split(f0, 3, x0)(-t)
+            assert np.array_equal(minus_alpha, alpha) and np.array_equal(minus_beta, -beta)
+
+
+def test_slice_plane_wave_refuses_negative_powers_through_the_origin():
+    # at x0 = 0 the node (1, 0) of the circle rule has t = <x,w> = 0 exactly
+    with pytest.raises(ZeroDivisionError):
+        radon._slice_plane_wave(LaurentPoly.monomial(-1), 2, ProductGaussRule(2, 4), 0.0, (0.0, 1.0))
+    mean, _ = radon._slice_plane_wave(LaurentPoly.monomial(2), 2, ProductGaussRule(2, 4), 0.0,
+                                      (0.0, 1.0))
+    assert math.isfinite(mean.norm_inf())
