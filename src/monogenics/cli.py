@@ -41,7 +41,9 @@ TOL_MAX = 1e-2
 # radon-check --m 6 --degree 10 --rule mc:5000000:7, takes 3.1-3.3 s and 270 MB,
 # 240 MB of it the nodes of sphere.MonteCarloRule (3.4-4.0 s and 495 MB while
 # the rule held its whole draw); the largest Gauss run, radon-check --m 3 --degree
-# 10 --rule gauss:707 (999,698 nodes), takes 1.3-1.4 s and 115 MB.
+# 10 --rule gauss:707 (999,698 nodes), takes 0.5-0.8 s and 104 MB, cst-check --m 5
+# --which fueter-routes or ua-routes --family hermite:8 (663,552 nodes) 0.5-1.0 s and
+# 103 MB (0.8-2.4 s, 1.1-2.2 s, 108-116 MB when both nodes of a pair were split).
 BOUNDS = {
     "--m": (1, 6),
     "--max-degree": (0, 10),

@@ -256,9 +256,11 @@ def unitarity_gram(fs: Sequence[GaussPoly], gs: Sequence[GaussPoly],
     Once the sphere is integrated out the reduced identity no longer
     depends on m, so ``m`` is not read; it stays in the signature to name
     the space the identity is about.  The identity is checked at two
-    quadrature levels, ``DEFAULT_QUAD_LEVELS``.  ``f.heat()`` and its split
-    on each level's grid are kept in the memos of f and f.heat(), so a later
-    call, for any pair and any m, only sums products of splits it has.
+    quadrature levels, ``DEFAULT_QUAD_LEVELS``.  ``f.heat()``, the line
+    integral of conj(f) g and the split of f.heat() on each level's grid are
+    kept in the memos of f and f.heat(), so a later call, for any m, sums
+    only products of splits it has, and for a pair it has seen computes
+    nothing new.
     """
     coarse, fine = [], []   # rhs of the pairs, row by row
     for (nx, nr), rhs in zip(DEFAULT_QUAD_LEVELS, (coarse, fine)):
@@ -268,7 +270,11 @@ def unitarity_gram(fs: Sequence[GaussPoly], gs: Sequence[GaussPoly],
                                           [_gram_split(g.heat(), xs, rs) for g in gs]):
             total = np.einsum("i,j,ij->", wxs, wrs, np.conj(af) * ag + np.conj(bf) * bg)
             rhs.append(complex(2.0 / math.sqrt(math.pi) * total))
-    lhs = [to_complex((f.conjugate() * g).integrate_line()) for f, g in product(fs, gs)]
+    # conj(f) g on the line, kept in f's memo under id(g) with g itself,
+    # which holds that id for as long as the entry lives
+    lhs = [f._cached(("line", id(g)),
+                     lambda: (g, to_complex((f.conjugate() * g).integrate_line())))[1]
+           for f, g in product(fs, gs)]
     flat = [UnitarityResult(a, b, c, abs(b - a), abs(c - a)) for a, b, c in zip(lhs, fine, coarse)]
     return [flat[i * len(gs):(i + 1) * len(gs)] for i in range(len(fs))]
 

@@ -17,9 +17,10 @@ and the line integral stay exact.  A nonzero linear term b or numeric
 coefficients demote the result to complex arithmetic.
 
 A ``GaussPoly`` is immutable and keeps what it derives in a private memo
-that lives and dies with it: ``heat()``, ``derivative()`` and the slice
-splits of ``cst.unitarity_gram`` are built on the first call on that object
-and the same result is returned on every later one.
+that lives and dies with it: ``heat()``, ``derivative()``, and the slice
+splits and the line integrals of conj(f) g of ``cst.unitarity_gram`` are
+built on the first call on that object and the same result is returned on
+every later one.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ plane-wave route reduces through ``plane_wave_mean``: it hands the route's
 ``split`` the nodes' signed radii t = <x,w>, and sums the slice values
 alpha + w beta of the split's closed form, in reals on real data, by the
 weighted sums of ``NodeRule`` or one blocked reduction for Monte Carlo.
+The product rule stores [H; -H], H one node of each antipodal pair; alpha
+being even in t and beta odd, its plane-wave mean sums H with doubled weights.
 
 The package loads this numeric module, and numpy, on first use.  Weighted
 sums run in ``np.einsum``'s own loops, not BLAS, so no thread count changes
@@ -80,6 +82,8 @@ class NodeRule:
     reduction and spread.  The nodes are kept component-major (``nodes.T``
     is C-contiguous), so each weighted sum is a contiguous dot product."""
 
+    antipodal = False   # True for nodes [H; -H] with weights [wH; wH]
+
     def __init__(self, m: int, nodes: np.ndarray, weights: np.ndarray, label: str,
                  sigma: float | None = None):
         self.m = m
@@ -111,14 +115,19 @@ class NodeRule:
 
         ``split(t)`` gives (alpha, beta), each (n, k) for k channels, on the
         column t = <x,w> of the nodes' signed radii; the split holds x0.
+        As for every slice function, alpha must be even in t and beta odd:
+        a rule may then sum one node of each antipodal pair for both.
         Returns the means of alpha, (k,), and of w beta, (k, m), and the
         largest standard error, None for a weighted-sum rule.
         """
-        cols = self.nodes.T
+        cols, weights = self.nodes.T, self.weights
+        if self.antipodal:   # nodes [H; -H]: H alone, its weights doubled
+            h = len(weights) // 2
+            cols, weights = cols[:, :h], 2.0 * weights[:h]
         alpha, beta = split(np.einsum("jn,j->n", cols, np.asarray(xv, dtype=float))[:, None])
         sig = self.sigma()
-        return (_node_sum("kn,n->k", alpha.T, self.weights) / sig,
-                _node_sum("kn,jn->kj", beta.T * self.weights, cols) / sig, None)
+        return (_node_sum("kn,n->k", alpha.T, weights) / sig,
+                _node_sum("kn,jn->kj", beta.T * weights, cols) / sig, None)
 
 
 def _node_sum(spec: str, rows: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -136,14 +145,16 @@ class ProductGaussRule(NodeRule):
 
     Built recursively: Gauss-Jacobi nodes in each polar cosine with weight
     (1-u^2)^((d-3)/2), equally spaced points on the base circle, two points
-    for S^0.  Nodes come in antipodal pairs, so odd monomials cancel to
-    rounding.
+    for S^0.  Only one node of each antipodal pair is built, the half H:
+    the nodes are [H; -H] and the weights [wH; wH], so every antipode is
+    exact and odd monomials cancel to rounding.
     """
 
-    kind = "gauss"
+    kind, antipodal = "gauss", True
 
     def __init__(self, m: int, level: int = 16):
-        super().__init__(m, *_sphere_product_rule(m, level), f"gauss:{level}")
+        half, w = _half_product_rule(m, level)
+        super().__init__(m, np.concatenate([half, -half]), np.concatenate([w, w]), f"gauss:{level}")
 
 
 def product_rule_size(m: int, level: int) -> int:
@@ -151,29 +162,25 @@ def product_rule_size(m: int, level: int) -> int:
     return 2 if m == 1 else max(2 * level, 4) * level ** (m - 2)
 
 
-def _sphere_product_rule(m: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+def _half_product_rule(m: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """One node of each antipodal pair of the product rule, and its weight:
+    the circle's angles in [0, pi); above, the polar cosines u < 0 over the
+    whole sub-rule, and u = 0 (an odd level) over the sub-rule's half."""
     if m == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+        return np.array([[1.0]]), np.array([1.0])
     if m == 2:
         n = product_rule_size(2, level)
-        theta = 2.0 * np.pi * np.arange(n) / n
-        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        weights = np.full(n, 2.0 * np.pi / n)
-        return nodes, weights
-    sub_nodes, sub_weights = _sphere_product_rule(m - 1, level)
-    alpha = (m - 3) / 2.0
-    u, wu = _gauss_gegenbauer(level, alpha)
+        theta = 2.0 * np.pi * np.arange(n // 2) / n
+        return np.stack([np.cos(theta), np.sin(theta)], axis=1), np.full(n // 2, 2.0 * np.pi / n)
+    sub_half, sub_w = _half_product_rule(m - 1, level)
+    sub_nodes, sub_weights = np.concatenate([sub_half, -sub_half]), np.concatenate([sub_w, sub_w])
+    u, wu = _gauss_gegenbauer(level, (m - 3) / 2.0)
     s = np.sqrt(1.0 - u**2)
-    nodes = np.concatenate(
-        [
-            np.concatenate(
-                [np.full((len(sub_nodes), 1), ui), si * sub_nodes], axis=1
-            )
-            for ui, si in zip(u, s)
-        ]
-    )
-    weights = np.concatenate([wi * sub_weights for wi in wu])
-    return nodes, weights
+    blocks = [(u[i], s[i] * sub_nodes, wu[i] * sub_weights) for i in range(level // 2)]
+    if level % 2:   # the middle node is 0 exactly, its sine 1
+        blocks.append((0.0, sub_half, wu[level // 2] * sub_w))
+    nodes = np.concatenate([np.column_stack([np.full(len(x), ui), x]) for ui, x, _ in blocks])
+    return nodes, np.concatenate([w for *_, w in blocks])
 
 
 def _gauss_gegenbauer(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -379,12 +386,13 @@ def _shift_matrix(n: int, x0) -> np.ndarray:
 
 def _even_odd(q, t) -> tuple[np.ndarray, np.ndarray]:
     """(E, O) with q(it) = E + iO for coefficients q_k along q's first axis,
-    E = sum_j q_2j (-t^2)^j and O = t sum_j q_(2j+1) (-t^2)^j, by Horner."""
+    E = sum_j q_2j (-t^2)^j and O = t sum_j q_(2j+1) (-t^2)^j, by Horner
+    from the top coefficient of each half (an empty half is zero)."""
     u = -t * t
     shape, dtype = np.broadcast(u, q[0]).shape, np.result_type(u, q)
-    even, odd = np.zeros(shape, dtype), np.zeros(shape, dtype)
+    even, odd = (np.full(shape, h[-1] if len(h) else 0, dtype) for h in (q[0::2], q[1::2]))
     for acc, half in ((even, q[0::2]), (odd, q[1::2])):
-        for c in half[::-1]:
+        for c in half[-2::-1]:
             acc *= u
             acc += c
     odd *= t

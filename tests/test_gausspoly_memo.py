@@ -1,7 +1,7 @@
-"""The per-instance memo of ``GaussPoly``: ``heat()``, ``derivative()`` and
-the Gram-grid splits are built once per object, a fresh equal object gives
-equal results of the same types, and the two orders of heat flow and
-derivative stay separately computed chains."""
+"""The per-instance memo of ``GaussPoly``: ``heat()``, ``derivative()``, the
+Gram-grid splits and the unitarity line integrals are built once per object,
+a fresh equal object gives equal results of the same types, and the two
+orders of heat flow and derivative stay separately computed chains."""
 
 from fractions import Fraction
 
@@ -137,3 +137,40 @@ def test_fueter_routes_repeat_exactly(m):
         fresh = fueter_cst_routes(hermite_function(n), m, 0.7, xv, rule)
         assert list(first) == ["heat_then_derivative", "derivative_then_heat", "radon_of_slice"]
         assert first == again == fresh
+
+
+def _count_line_integrals(monkeypatch):
+    calls = []
+    integrate = GaussPoly.integrate_line
+
+    def counted(self):
+        calls.append(self)
+        return integrate(self)
+
+    monkeypatch.setattr(GaussPoly, "integrate_line", counted)
+    return calls
+
+
+def test_line_integral_is_kept_per_pair_across_m(monkeypatch):
+    f, g = hermite_function(2), hermite_function(3)
+    calls = _count_line_integrals(monkeypatch)
+    first = unitarity_check(f, g, 2)
+    assert len(calls) == 1
+    # the reduced identity does not depend on m: nothing is integrated again
+    assert unitarity_check(f, g, 3) == first
+    assert unitarity_gram([f], [g], 4) == [[first]]
+    assert len(calls) == 1
+
+
+def test_line_integral_of_an_equal_new_function_has_its_own_entry(monkeypatch):
+    f, g = hermite_function(2), hermite_function(3)
+    first = unitarity_check(f, g, 2)
+    calls = _count_line_integrals(monkeypatch)
+    equal = hermite_function(3)
+    assert equal == g and equal is not g
+    assert unitarity_check(f, equal, 2) == first
+    assert len(calls) == 1
+    # each entry holds its own g, so the id it is kept under stays that g's
+    kept = [entry for key, entry in f._memo.items() if key[0] == "line"]
+    assert sorted(map(id, (g, equal))) == sorted(id(k) for k, _ in kept)
+    assert all(key[1] == id(entry[0]) for key, entry in f._memo.items() if key[0] == "line")

@@ -29,6 +29,8 @@ from monogenics.sphere import (
     funk_hecke_constants,
     monomial_sphere_integral,
     product_rule_size,
+    _even_odd,
+    _gauss_gegenbauer,
     _node_moments,
 )
 
@@ -291,6 +293,46 @@ def test_product_rule_size_counts_the_built_nodes():
         for level in range(1, 5):
             rule = ProductGaussRule(m, level)
             assert product_rule_size(m, level) == len(rule.nodes) == len(rule.weights), (m, level)
+
+
+def _full_product_rule(m, level):
+    """The product rule built with every node of each pair, polar cosine by
+    polar cosine and the circle over [0, 2 pi)."""
+    if m == 1:
+        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    if m == 2:
+        n = product_rule_size(2, level)
+        theta = 2.0 * np.pi * np.arange(n) / n
+        return np.stack([np.cos(theta), np.sin(theta)], axis=1), np.full(n, 2.0 * np.pi / n)
+    sub_nodes, sub_weights = _full_product_rule(m - 1, level)
+    u, wu = _gauss_gegenbauer(level, (m - 3) / 2.0)
+    s = np.sqrt(1.0 - u**2)
+    nodes = np.concatenate([np.column_stack([np.full(len(sub_nodes), ui), si * sub_nodes])
+                            for ui, si in zip(u, s)])
+    return nodes, np.concatenate([wi * sub_weights for wi in wu])
+
+
+def _sorted_rule(nodes, weights):
+    # ordered by the coordinates rounded far above the rounding of either build
+    order = np.lexsort(np.round(nodes, 9).T[::-1])
+    return nodes[order], weights[order]
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 7, 8])
+def test_product_rule_is_antipodal_pairs_of_the_full_rule(m, level):
+    rule = ProductGaussRule(m, level)
+    h = len(rule.weights) // 2
+    assert 2 * h == len(rule.nodes) == product_rule_size(m, level)
+    # the second half is the antipodes of the first, bit for bit
+    assert np.array_equal(rule.nodes[h:], -rule.nodes[:h])
+    assert np.array_equal(rule.weights[h:], rule.weights[:h])
+    nodes, weights = _sorted_rule(rule.nodes, rule.weights)
+    full_nodes, full_weights = _sorted_rule(*_full_product_rule(m, level))
+    # the full build's circle angles run up to 2 pi and are rounded there
+    assert np.abs(nodes - full_nodes).max() <= 4 * np.spacing(2 * np.pi)
+    assert np.all(np.abs(weights - full_weights) <= 4 * np.spacing(full_weights))
+    assert rule.sigma() == pytest.approx(float(sphere_area(m)), rel=1e-14)
 
 
 def test_funk_hecke_values():
@@ -603,3 +645,71 @@ def test_slice_plane_wave_refuses_negative_powers_through_the_origin():
     mean, _ = radon._slice_plane_wave(LaurentPoly.monomial(2), 2, ProductGaussRule(2, 4), 0.0,
                                       (0.0, 1.0))
     assert math.isfinite(mean.norm_inf())
+
+
+def _paired_rule_splits(m):
+    """Both kinds of split: the CST slice split of smoothed Hermite functions
+    and their derivatives and of complex data, and the slice path's split of
+    complex, Clifford and negative-power data."""
+    from functools import partial
+
+    from monogenics.cst import _slice_split
+    from monogenics.gausspoly import GaussPoly, hermite_function
+
+    i = PiScalar.imaginary(1)
+    smooth = [hermite_function(n).heat() for n in range(4)]
+    smooth += [F.derivatives(m - 1)[-1] for F in smooth]
+    smooth.append(GaussPoly(0.4, 0.3 - 0.5j, [1 + 0.5j, -0.2j, 0.3 + 0j, 0.1j], 0.7 + 0.2j).heat())
+    data = [_complex_data(), LaurentPoly({-2: Fraction(2) - 3 * i, -1: Fraction(1, 2), 0: Fraction(1),
+                                          3: -i})]
+    if m >= 2:
+        e1, e2 = CliffordElement.generator(m, 1), CliffordElement.generator(m, 2)
+        data += [_clifford_data(m), LaurentPoly({-1: e1 - e2.scale(i), 2: e1 * e2})]
+    for x0 in (0.7, -0.4):
+        yield from (partial(_slice_split, F, x0) for F in smooth)
+        yield from (_recorded_split(f0, m, x0) for f0 in data)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("level", [7, 24])
+def test_product_rule_plane_wave_mean_equals_the_sum_over_every_node(m, level):
+    # the product rule splits and sums one node of each pair, doubled; a
+    # plain NodeRule over the same nodes sums them all
+    rule = ProductGaussRule(m, level)
+    every = NodeRule(m, rule.nodes, rule.weights, "every node")
+    xv = (0.45, -0.3, 0.2, 0.25)[:m]
+    for split in _paired_rule_splits(m):
+        a, v, se = rule.plane_wave_mean(xv, split)
+        want_a, want_v, _ = every.plane_wave_mean(xv, split)
+        size = max(np.abs(want_a).max(), np.abs(want_v).max())
+        assert se is None and a.shape == want_a.shape and v.shape == want_v.shape
+        assert np.abs(a - want_a).max() <= 1e-14 * size
+        assert np.abs(v - want_v).max() <= 1e-14 * size
+
+
+def _even_odd_from_zero(q, t):
+    """Horner for both halves from zero, as the slice paths first ran it."""
+    u = -t * t
+    shape, dtype = np.broadcast(u, q[0]).shape, np.result_type(u, q)
+    even, odd = np.zeros(shape, dtype), np.zeros(shape, dtype)
+    for acc, half in ((even, q[0::2]), (odd, q[1::2])):
+        for c in half[::-1]:
+            acc *= u
+            acc += c
+    odd *= t
+    return even, odd
+
+
+def test_even_odd_from_the_top_coefficient_is_bit_identical():
+    rng = np.random.default_rng(22)
+    column = np.concatenate([rng.normal(size=40), [0.0, -0.0, 1.0, -1.0]])[:, None]
+    for degree in range(9):
+        for dtype in (float, complex):
+            channels = rng.normal(size=(degree + 1, 3, 2)).view(complex)[..., 0] \
+                if dtype is complex else rng.normal(size=(degree + 1, 3))
+            gram = channels[:, :, None]   # against a row of t, as on the Gram grid
+            for q, t in ((channels, column), (channels, 0.7), (channels, -0.0),
+                         (channels[:, 0], column[:, 0]), (gram, column[:, 0])):
+                for got, want in zip(_even_odd(q, t), _even_odd_from_zero(q, t)):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (degree, dtype, np.shape(t))
