@@ -34,10 +34,12 @@ TOL_MAX = 1e-2
 # Desk-scale bounds of the integer inputs, (lo, hi) inclusive.  The upper
 # ends keep the largest accepted run of each verb well under a minute (2-CPU
 # x86-64 host, CPython 3.11): export --kind Qpoly --m 6 --k 24 takes
-# 2.4-3.3 s and 334 MB (4.2-5.7 s and 370 MB through json's indented
-# encoder), export --kind monomialP --m 6 --power 20 1.2-1.3 s, verify
-# algebra --m 6 --count 20000 17.8-19.4 s, and verify all with every bound
-# at its maximum 26 s and 309 MB.  The largest Monte Carlo run,
+# 2.8-3.3 s and 333 MB (2.9-3.6 s with nested integer rows in place of packed
+# keys, 4.2-5.7 s and 370 MB through json's indented encoder), export --kind
+# monomialP --m 6 --power 20 1.2-1.3 s, verify radon --m 6 --max-degree 10
+# 1.5-2.0 s and 59 MB (2.3-3.0 s with nested rows), verify algebra --m 6
+# --count 20000 17.8-19.4 s, and verify all with every bound at its maximum
+# 26 s and 309 MB.  The largest Monte Carlo run,
 # radon-check --m 6 --degree 10 --rule mc:5000000:7, takes 3.1-3.3 s and 270 MB,
 # 240 MB of it the nodes of sphere.MonteCarloRule (3.4-4.0 s and 495 MB while
 # the rule held its whole draw); the largest Gauss run, radon-check --m 3 --degree

@@ -30,7 +30,7 @@ from typing import Sequence
 from .axial import RhoExpr
 from .clifford import CliffordElement, axial_element
 from .laurent import LaurentPoly
-from .poly import CliffordPolynomial, paravector_power
+from .poly import FIELD, CliffordPolynomial, _pack, paravector_power
 from .scalars import (PiScalar, _compositions, _multinomial, canon, gamma_half, pochhammer,
                       sqrt_exact_or_float)
 
@@ -220,20 +220,24 @@ class AxialSeries:
     def to_polynomial(self) -> CliffordPolynomial:
         """sum_j x^j f_j(x0) through the rows of ``_vector_power_rows``: each
         power c x0^n of f_j shifts the x0 exponent of the rows of x^j, whose
-        coefficients it multiplies from the right.  All-Fraction data goes
-        over one common denominator straight into the integer form; a scalar
-        c of f_j forms each product c k once per distinct multinomial k."""
+        coefficients it multiplies from the right.  All-Fraction data whose
+        exponents fit the fields of a packed key (see ``poly``) goes over one
+        common denominator straight into the integer form: each row of x^j
+        is packed once, and x0^n adds n to the lowest field of its key.  A
+        scalar c of f_j forms each product c k once per distinct multinomial k."""
         m = self.m
         if not all(f.is_polynomial() for f in self.coeffs):
             raise ValueError("series with negative powers is not a polynomial")
-        powers = [(f.terms, _vector_power_rows(m, j)) for j, f in enumerate(self.trimmed()) if f.terms]
+        series = [(j, f.terms) for j, f in enumerate(self.trimmed()) if f.terms]
+        powers = [(terms, _vector_power_rows(m, j)) for j, terms in series]
         scalars = [c for terms, _ in powers for c in terms.values()]
         # x^j has no x0 and x-degree j, so no two (j, n) share a monomial
-        if all(type(c) is Fraction for c in scalars):
+        if all(type(c) is Fraction for c in scalars) and max((max(j, *t) for j, t in series), default=0) <= FIELD:
             den = math.lcm(*(c.denominator for c in scalars))
-            return CliffordPolynomial._from_sums(m, den, {
-                (n, *tail): {mask: k * c.numerator * (den // c.denominator)}
-                for terms, rows in powers for n, c in terms.items() for tail, mask, k in rows})
+            return CliffordPolynomial._from_ints(m, den, {
+                key + (n << m): k * c.numerator * (den // c.denominator)
+                for terms, rows in powers for tail, mask, k in rows
+                for key in [_pack(m, (0, *tail)) + mask] for n, c in terms.items()})
         out = {}
         for terms, rows in powers:
             for n, c in terms.items():

@@ -4,29 +4,39 @@ Variables are central scalars; only the coefficients multiply through the
 algebra.  Operators act from the left, matching the right-module convention
 of the function spaces: ``D p = d/dx0 p + sum_j e_j (d/dxj p)``.
 
-Products and the first-order operators run one kernel over ``exponents ->
-blade -> value`` rows with the signs of ``clifford.BLADE_TABLE``.  A
-polynomial whose coefficients are all ``Fraction`` also has a unique integer
-form ``(den, exponents -> blade -> int)``, gcd(den, numerators) = 1: on it
-products, sums, rational scalings, derivatives and ``==`` do plain ``int``
-arithmetic, and ``terms`` builds each Fraction and element once, on first
-read.  Data with any ``PiScalar``, float or complex coefficient takes the
-scalar path, chosen by type, where each output element is built once
-through ``canon``.
+A polynomial whose coefficients are all ``Fraction`` and whose exponents
+all fit in ``WIDTH`` bits also has a unique integer form ``(den, key ->
+int)``, gcd(den, numerators) = 1.  The key packs one monomial and blade into
+one ``int``: the blade mask in the low m bits, then the exponent of x_j in
+the ``WIDTH``-bit field at bit m + WIDTH j.  On it a product adds two keys
+(less twice the blades' common bits, which turns their sum into their xor)
+and takes the sign from ``clifford.BLADE_TABLE``; a derivative subtracts a
+unit of one field; sums, rational scalings and ``==`` work on the flat dict;
+and ``terms`` unpacks each key and builds each Fraction and element once, on
+first read.  A product whose largest exponents could carry out of a field,
+and data with any ``PiScalar``, float or complex coefficient, take the
+scalar path over ``exponents -> blade -> value`` rows, chosen once per
+operation, where each output element is built once through ``canon``.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add
+from operator import add, or_
 from typing import Sequence
 
 from .clifford import BLADE_TABLE, COEFF_OPERANDS, CliffordElement, nan_max
 from .scalars import canon
 
 Exponents = tuple[int, ...]
+
+# bits per exponent field of a packed key: one byte, which ``_pack`` and
+# ``_exponents`` read through ``bytes``; FIELD is the largest exponent
+WIDTH = 8
+FIELD = (1 << WIDTH) - 1
 
 
 class OperatorTag(enum.Enum):
@@ -49,6 +59,8 @@ class CliffordPolynomial:
             for exps, coeff in terms.items():
                 if len(exps) != m + 1:
                     raise ValueError("exponent tuple must have length m+1")
+                if any(type(e) is not int for e in exps):
+                    raise ValueError("exponents must be int")
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent in polynomial")
                 if coeff.m != m:
@@ -64,48 +76,47 @@ class CliffordPolynomial:
         return p
 
     @classmethod
-    def _from_sums(cls, m: int, den: int | None, sums: dict[Exponents, dict[int, object]]
-                   ) -> "CliffordPolynomial":
-        """Wrap ``exponents -> blade -> value`` sums: numerators over ``den``,
-        reduced to the integer form, or raw scalars when ``den`` is None."""
-        if den is None:
-            return cls._trusted(m, {exps: CliffordElement(m, blades) for exps, blades in sums.items()})
-        rows, g = {}, den
-        for exps, blades in sums.items():
-            if 0 in blades.values():
-                blades = {mask: n for mask, n in blades.items() if n}
-            if blades:
-                rows[exps] = blades
-                if g != 1:
-                    g = gcd(g, *blades.values())
+    def _from_ints(cls, m: int, den: int, flat: dict[int, int]) -> "CliffordPolynomial":
+        """Wrap ``key -> numerator`` sums over ``den``, reduced to the integer form."""
+        if 0 in flat.values():
+            flat = {key: n for key, n in flat.items() if n}
+        g = gcd(den, *flat.values())
         if g != 1:
             den //= g
-            rows = {exps: {mask: n // g for mask, n in blades.items()} for exps, blades in rows.items()}
+            flat = {key: n // g for key, n in flat.items()}
         p = object.__new__(cls)
-        p.m, p._terms, p._ints = m, None, (den, rows)
+        p.m, p._terms, p._ints = m, None, (den, flat)
         return p
+
+    @classmethod
+    def _from_rows(cls, m: int, rows: dict[Exponents, dict[int, object]]) -> "CliffordPolynomial":
+        """Wrap ``exponents -> blade -> scalar`` sums of the scalar path."""
+        return cls._trusted(m, {exps: CliffordElement(m, blades) for exps, blades in rows.items()})
 
     @property
     def terms(self) -> dict[Exponents, CliffordElement]:
-        """exponents -> coefficient; made from the integer form on first read."""
+        """exponents -> coefficient; unpacked from the integer form on first read."""
         if self._terms is None:
-            den, rows = self._ints
-            self._terms = {exps: CliffordElement._trusted(self.m, {
-                mask: Fraction(n, den) for mask, n in blades.items()}) for exps, blades in rows.items()}
+            m, (den, flat) = self.m, self._ints
+            rows: dict[int, dict[int, Fraction]] = {}
+            values = {n: Fraction(n, den) for n in set(flat.values())}   # few distinct, as a rule
+            for key, n in flat.items():
+                rows.setdefault(key >> m, {})[key & ((1 << m) - 1)] = values[n]
+            self._terms = {_exponents(m, e): CliffordElement._trusted(m, blades)
+                           for e, blades in rows.items()}
         return self._terms
 
-    def _int_form(self) -> tuple[int, dict[Exponents, dict[int, int]]] | None:
-        """``(den, exponents -> blade -> numerator)`` if every coefficient is a
-        Fraction, else None.  den is the lcm of the denominators, so no prime
-        divides it and every numerator."""
+    def _int_form(self) -> tuple[int, dict[int, int]] | None:
+        """``(den, key -> numerator)`` if every coefficient is a Fraction and
+        every exponent fits in a field, else None.  den is the lcm of the
+        denominators, so no prime divides it and every numerator."""
         if self._ints is None:
             coeffs = [c for coeff in self._terms.values() for c in coeff.coeffs.values()]
             self._ints = False
-            if all(type(c) is Fraction for c in coeffs):
+            if all(type(c) is Fraction for c in coeffs) and max(map(max, self._terms), default=0) <= FIELD:
                 den = lcm(*(c.denominator for c in coeffs))
-                self._ints = den, {exps: {mask: c.numerator * (den // c.denominator)
-                                          for mask, c in coeff.coeffs.items()}
-                                   for exps, coeff in self._terms.items()}
+                self._ints = den, {_pack(self.m, exps) + mask: c.numerator * (den // c.denominator)
+                                   for exps, coeff in self._terms.items() for mask, c in coeff.coeffs.items()}
         return self._ints or None
 
     # -- constructors -------------------------------------------------
@@ -155,14 +166,10 @@ class CliffordPolynomial:
             (da, ra), (db, rb) = ints
             den = lcm(da, db)
             sums = dict(_rescaled(ra, den // da))
-            for exps, blades in _rescaled(rb, den // db).items():
-                if exps in sums:
-                    merged = dict(sums[exps])
-                    for mask, n in blades.items():
-                        merged[mask] = merged.get(mask, 0) + n
-                    blades = merged
-                sums[exps] = blades
-            return CliffordPolynomial._from_sums(self.m, den, sums)
+            get = sums.get
+            for key, n in _rescaled(rb, den // db).items():
+                sums[key] = get(key, 0) + n
+            return CliffordPolynomial._from_ints(self.m, den, sums)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
             terms[exps] = terms[exps] + coeff if exps in terms else coeff
@@ -179,7 +186,7 @@ class CliffordPolynomial:
     def scale(self, s) -> "CliffordPolynomial":
         """Every coefficient times s from the right; s is a scalar or an element."""
         if type(s) in (int, Fraction) and (ints := self._int_form()):
-            return CliffordPolynomial._from_sums(self.m, ints[0] * s.denominator,
+            return CliffordPolynomial._from_ints(self.m, ints[0] * s.denominator,
                                                  _rescaled(ints[1], s.numerator))
         return CliffordPolynomial._trusted(self.m, {e: c * s for e, c in self.terms.items()})
 
@@ -220,9 +227,9 @@ class CliffordPolynomial:
     def diff(self, j: int) -> "CliffordPolynomial":
         # lowering exps[j] is one-to-one on the terms that have it, so no sums
         if ints := self._int_form():
-            return CliffordPolynomial._from_sums(self.m, ints[0], {
-                (*exps[:j], exps[j] - 1, *exps[j + 1:]): {mask: n * exps[j] for mask, n in blades.items()}
-                for exps, blades in ints[1].items() if exps[j]})
+            shift = self.m + WIDTH * j
+            return CliffordPolynomial._from_ints(self.m, ints[0], {
+                key - (1 << shift): n * e for key, n in ints[1].items() if (e := key >> shift & FIELD)})
         return CliffordPolynomial._trusted(self.m, {
             (*exps[:j], exps[j] - 1, *exps[j + 1:]): coeff.scale(exps[j])
             for exps, coeff in self.terms.items() if exps[j]
@@ -268,59 +275,96 @@ def _int_forms(p: CliffordPolynomial, q: CliffordPolynomial) -> tuple | None:
     return (a, b) if b else None
 
 
-def _rows(p: CliffordPolynomial) -> dict[Exponents, dict[int, object]]:
-    return {exps: coeff.coeffs for exps, coeff in p.terms.items()}
+def _pack(m: int, exps: Exponents) -> int:
+    """The key of a monomial on the scalar blade; add a mask for its blade."""
+    return int.from_bytes(bytes(exps), "little") << m
 
 
-def _rescaled(rows: dict, f: int) -> dict:
-    """Integer rows with every numerator times f (the same rows when f is 1)."""
-    if f == 1:
-        return rows
-    return {exps: {mask: n * f for mask, n in blades.items()} for exps, blades in rows.items()}
+def _exponents(m: int, packed: int) -> Exponents:
+    """The m+1 exponents of a key shifted right past its blade: its bytes."""
+    return tuple(packed.to_bytes(m + 1, "little"))
+
+
+def _no_carry(m: int, ra: dict[int, int], rb: dict[int, int]) -> bool:
+    """No exponent of a key of ra plus one of rb can pass FIELD: the fieldwise
+    or of a dict's keys bounds its largest exponents."""
+    a, b = reduce(or_, ra, 0), reduce(or_, rb, 0)
+    return all((a >> s & FIELD) + (b >> s & FIELD) <= FIELD for s in range(m, m + WIDTH * (m + 1), WIDTH))
+
+
+def _rescaled(flat: dict[int, int], f: int) -> dict[int, int]:
+    """Every numerator times f (the same dict when f is 1)."""
+    return flat if f == 1 else {key: n * f for key, n in flat.items()}
 
 
 def _product(p: CliffordPolynomial, q: CliffordPolynomial) -> CliffordPolynomial:
-    """p * q, summing numerators (or raw scalars) per exponent and blade in
-    the order of the term pairs."""
-    table = BLADE_TABLE
+    """p * q: numerators summed per packed key when no field can carry, else
+    raw scalars per exponent tuple and blade in the order of the term pairs."""
+    m, table = p.m, BLADE_TABLE
     ints = _int_forms(p, q)
-    (dp, rp), (dq, rq) = ints or ((None, _rows(p)), (None, _rows(q)))
-    den = dp * dq if ints else None
-    sums: dict[Exponents, dict[int, object]] = {}
-    for ea, a in rp.items():
-        for eb, b in rq.items():
-            blades = sums.setdefault(tuple(map(add, ea, eb)), {})
-            for ma, ca in a.items():
+    if ints and _no_carry(m, ints[0][1], ints[1][1]):
+        (dp, rp), (dq, rq) = ints
+        low, by_blade = (1 << m) - 1, {}
+        for kb, nb in rq.items():
+            by_blade.setdefault(kb & low, []).append((kb, nb))
+        sums: dict[int, int] = {}
+        get = sums.get
+        for ka, na in rp.items():
+            ma = ka & low
+            row = table[ma]
+            for mb, entries in by_blade.items():
+                s = -na if row[mb][1] else na
+                base = ka - ((ma & mb) << 1)    # ka + kb - 2 (ma & mb) holds ma ^ mb
+                for kb, nb in entries:
+                    key = base + kb
+                    sums[key] = get(key, 0) + s * nb
+        return CliffordPolynomial._from_ints(m, dp * dq, sums)
+    rows: dict[Exponents, dict[int, object]] = {}
+    for ea, a in p.terms.items():
+        for eb, b in q.terms.items():
+            blades = rows.setdefault(tuple(map(add, ea, eb)), {})
+            for ma, ca in a.coeffs.items():
                 row = table[ma]
-                for mb, cb in b.items():
+                for mb, cb in b.coeffs.items():
                     mask, negate = row[mb]
                     c = ca * cb
                     if negate:
                         c = -c
                     blades[mask] = blades[mask] + c if mask in blades else c
-    return CliffordPolynomial._from_sums(p.m, den, sums)
+    return CliffordPolynomial._from_rows(m, rows)
 
 
 def _first_order(p: CliffordPolynomial, with_x0: bool, flip: bool) -> CliffordPolynomial:
     """[d/dx0 p] +- sum_j e_j d/dxj p (minus when ``flip``) in one pass."""
-    table = BLADE_TABLE
-    den, rows = p._int_form() or (None, _rows(p))
-    sums: dict[Exponents, dict[int, object]] = {}
-    for exps, coeff in rows.items():
-        for j in range(0 if with_x0 else 1, p.m + 1):
+    m, table = p.m, BLADE_TABLE
+    js = range(0 if with_x0 else 1, m + 1)
+    if ints := p._int_form():
+        sums: dict[int, int] = {}
+        get = sums.get
+        for key, c in ints[1].items():
+            mask = key & ((1 << m) - 1)
+            for j in js:
+                if n := key >> (m + WIDTH * j) & FIELD:
+                    b = (1 << j) >> 1           # e_j, or the scalar blade at j = 0
+                    key_j = key - (1 << (m + WIDTH * j)) + b - ((mask & b) << 1)
+                    sums[key_j] = get(key_j, 0) + (-c * n if table[b][mask][1] != (flip and j > 0) else c * n)
+        return CliffordPolynomial._from_ints(m, ints[0], sums)
+    rows: dict[Exponents, dict[int, object]] = {}
+    for exps, coeff in p.terms.items():
+        for j in js:
             n = exps[j]
             if not n:
                 continue
-            blades = sums.setdefault((*exps[:j], n - 1, *exps[j + 1:]), {})
-            row = table[(1 << j) >> 1]          # e_j, or the scalar blade at j = 0
+            blades = rows.setdefault((*exps[:j], n - 1, *exps[j + 1:]), {})
+            row = table[(1 << j) >> 1]
             sign_flip = flip and j > 0
-            for mb, c in coeff.items():
+            for mb, c in coeff.coeffs.items():
                 mask, negate = row[mb]
                 c = c * n
                 if negate != sign_flip:
                     c = -c
                 blades[mask] = blades[mask] + c if mask in blades else c
-    return CliffordPolynomial._from_sums(p.m, den, sums)
+    return CliffordPolynomial._from_rows(m, rows)
 
 
 def apply_operator(tag: OperatorTag, p: CliffordPolynomial) -> CliffordPolynomial:

@@ -4,11 +4,15 @@ and the plane-wave decompositions it induces.
 On a slice function f the transform is
     R*[f](x0, x) = (1/sigma_m) int_{S^(m-1)} f(x0, <x,w> w) dS_w ,
 computed exactly on polynomials by substituting x_j -> w_j <x,w> and
-averaging the resulting omega-polynomial with the rational sphere moments
-of ``scalars.sphere_moment``, so the exact transform runs over Q without
-numpy.  On the integer form of all-Fraction data (see ``poly``) every weight
-is an integer over D = prod_{j<top} (m + 2j), the moments' common
-denominator at the top vector degree; other data keeps the rational weights.
+averaging the resulting omega-polynomial with the rational sphere moments,
+the numerators of ``scalars.sphere_moment`` built one coordinate at a time,
+so the exact transform runs over Q without numpy.  On the integer form of
+all-Fraction data (see ``poly``) every weight is an integer over D =
+prod_{j<top} (m + 2j), the moments' common denominator at the top vector
+degree: each packed key gives its vector exponents, the bits above the x1
+field, and its image's keys are its x0 field and blade plus the packed
+exponents of each image monomial.  An image whose degree passes a field,
+and other data, keep exponent tuples and rational weights.
 
 The numeric routes (pointwise transform, plane-wave check, and the kernel
 plane waves, which average a power of z) share one slice path,
@@ -24,7 +28,7 @@ import functools
 import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from operator import add
+from operator import lshift
 from typing import TYPE_CHECKING
 
 from .axial import AxialClosedForm
@@ -32,8 +36,8 @@ from .clifford import CliffordElement, axial_element, nan_max
 from .constants import constants
 from .extensions import SliceFunction, gck_extension, slice_extension
 from .laurent import LaurentPoly
-from .poly import CliffordPolynomial
-from .scalars import sphere_moment, to_complex
+from .poly import FIELD, WIDTH, CliffordPolynomial, _exponents
+from .scalars import double_factorial, to_complex
 
 if TYPE_CHECKING:
     from .sphere import NodeRule
@@ -49,46 +53,63 @@ def dual_radon(f: CliffordPolynomial) -> CliffordPolynomial:
     moments that do not vanish, are visited.  All weights are rational.
     """
     m = f.m
-    den, rows = f._int_form() or (None, {exps: coeff.coeffs for exps, coeff in f.terms.items()})
-    top = max((sum(exps) - exps[0] for exps in rows), default=0)
-    D = math.prod(range(m, m + 2 * top, 2))
-    # images of sorted exponents, shared by every permutation of them
     images: dict[tuple[int, ...], list[tuple[tuple[int, ...], object]]] = {}
-    sums: dict[tuple[int, ...], dict[int, object]] = {}
-    for exps, coeffs in rows.items():
-        e0, vec = exps[0], exps[1:]
-        order = sorted(range(m), key=vec.__getitem__)
-        key = tuple(vec[i] for i in order)
-        image = images.get(key)
-        if image is None:
-            image = images[key] = [(combo, w.numerator * (D // w.denominator) if den else w)
-                                   for combo, w in _monomial_image(m, key)]
+    if ints := f._int_form():
+        shift = m + WIDTH                   # the x1 field: the vector exponents lie above it
+        vecs = {v: _exponents(m - 1, v) for v in {key >> shift for key in ints[1]}}
+        top = max(map(sum, vecs.values()), default=0)
+    if ints and top <= FIELD:
+        D = math.prod(range(m, m + 2 * top, 2))
+        sorted_images = {v: _sorted_image(m, vec, images, D) for v, vec in vecs.items()}
+        sums: dict[int, int] = {}
+        get = sums.get
+        for key, n in ints[1].items():
+            image, order = sorted_images[key >> shift]
+            base, shifts = key & ((1 << shift) - 1), [shift + WIDTH * i for i in order]
+            for combo, w in image:          # x0 and the blade stay
+                out = base + sum(map(lshift, combo, shifts))
+                sums[out] = get(out, 0) + n * w
+        return CliffordPolynomial._from_ints(m, ints[0] * D, sums)
+    rows: dict[tuple[int, ...], dict[int, object]] = {}
+    for exps, coeff in f.terms.items():
+        image, order = _sorted_image(m, exps[1:], images)
         place = sorted(range(m), key=order.__getitem__)   # inverse of order
         for combo, weight in image:
-            blades = sums.setdefault((e0, *map(combo.__getitem__, place)), {})
-            for mask, c in coeffs.items():
+            blades = rows.setdefault((exps[0], *map(combo.__getitem__, place)), {})
+            for mask, c in coeff.coeffs.items():
                 term = c * weight
                 blades[mask] = blades[mask] + term if mask in blades else term
-    return CliffordPolynomial._from_sums(m, None if den is None else den * D, sums)
+    return CliffordPolynomial._from_rows(m, rows)
 
 
-def _monomial_image(m: int, vec: tuple[int, ...]) -> list[tuple[tuple[int, ...], Fraction]]:
-    """(combo, weight) pairs of the sphere mean of w^vec <x,w>^|vec|."""
-    total = sum(vec)
-    fact = math.factorial(total)
-    return [(combo, sphere_moment(m, tuple(map(add, vec, combo)))
-             * (fact // math.prod(map(math.factorial, combo))))
-            for combo in _same_parity(vec, total)]
+def _sorted_image(m: int, vec: tuple[int, ...], images: dict, D: int | None = None
+                  ) -> tuple[list[tuple[tuple[int, ...], object]], list[int]]:
+    """The (combo, weight) pairs of the sphere mean of w^s <x,w>^|s|, s =
+    sorted(vec), kept in ``images``, which every permutation of vec shares,
+    with the weights as integers over D if D is given; and the sorting
+    order, whose i-th entry is the place in vec of s_i."""
+    order = sorted(range(m), key=vec.__getitem__)
+    s = tuple(vec[i] for i in order)
+    image = images.get(s)
+    if image is None:
+        den = math.prod(range(m, m + 2 * sum(s), 2))
+        image = images[s] = [(combo, w * (D // den) if D else Fraction(w, den))
+                             for combo, w in _monomial_image(s)]
+    return image, order
 
 
-def _same_parity(vec: tuple[int, ...], total: int):
-    """Every combo with the parities of ``vec`` whose entries sum to ``total``."""
-    if len(vec) == 1:
-        yield (total,)
-        return
-    for head in range(vec[0] % 2, total + 1, 2):
-        for tail in _same_parity(vec[1:], total - head):
-            yield (head, *tail)
+def _monomial_image(vec: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The monomials x^b of w^vec <x,w>^|vec| whose sphere moment does not
+    vanish, those with the parities of vec, each with its multinomial
+    coefficient times prod_i (a_i + b_i - 1)!!, the numerator of the moment
+    of w^(vec+b) over prod_(j<|vec|) (m + 2j) (``scalars.sphere_moment``),
+    built one coordinate at a time."""
+    level = [((), sum(vec), 1)]
+    for i, a in enumerate(vec):
+        level = [(combo + (b,), rest - b, w * math.comb(rest, b) * double_factorial(a + b - 1))
+                 for combo, rest, w in level
+                 for b in (range(a % 2, rest + 1, 2) if i < len(vec) - 1 else (rest,))]
+    return [(combo, w) for combo, _, w in level]
 
 
 def dual_radon_pointwise(sf: SliceFunction, rule: NodeRule, x0, xv) -> CliffordElement:

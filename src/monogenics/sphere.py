@@ -38,8 +38,9 @@ moment is the plain rational
 
 (Folland, "How to integrate a polynomial over a sphere", Amer. Math.
 Monthly 108, 2001).  ``scalars.sphere_moment`` computes it over Q without
-numpy; the dual Radon transform runs on it, and the tests tie it to the
-validated rule exactly.
+numpy, and the tests tie it to the validated rule exactly; the dual Radon
+transform builds the same numerators one coordinate at a time, and the tests
+tie it to ``sphere_moment``.
 """
 
 from __future__ import annotations

@@ -97,8 +97,8 @@ def test_gck_polynomial_equals_product_reference(m, kind):
 def test_fraction_output_carries_the_integer_form(m):
     got = gck_extension(axis_data(m)["fraction"], m).to_polynomial()
     assert got._terms is None and got._ints
-    den, rows = got._ints
-    assert math.gcd(den, *(n for blades in rows.values() for n in blades.values())) == 1
+    den, flat = got._ints
+    assert math.gcd(den, *flat.values()) == 1
     assert all(type(c) is Fraction for coeff in got.terms.values() for c in coeff.coeffs.values())
 
 

@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 
 from monogenics.clifford import CliffordElement, geometric_product
+from monogenics.extensions import gck_extension
 from monogenics.laurent import LaurentPoly
-from monogenics.poly import CliffordPolynomial, OperatorTag, apply_operator
+from monogenics.poly import FIELD, CliffordPolynomial, OperatorTag, apply_operator, is_monogenic
 from monogenics.radon import dual_radon
 from monogenics.scalars import PiScalar, sphere_moment
 
@@ -194,3 +195,76 @@ def test_laurent_and_polynomial_do_not_multiply():
     for other in ("x", [1], object()):
         assert lp.__mul__(other) is NotImplemented and lp.__rmul__(other) is NotImplemented
         assert one.__mul__(other) is NotImplemented and one.__rmul__(other) is NotImplemented
+
+
+def round_trips(p):
+    """``terms`` read from a packed form packs back to the same form."""
+    again = CliffordPolynomial(p.m, p.terms)
+    return again == p and again._int_form() == p._int_form()
+
+
+def test_packing_boundary_matches_the_references():
+    m = 2
+    rng = random.Random(29)
+    draw = lambda: rand_fraction(rng)  # noqa: E731
+    element = lambda: CliffordElement(m, {0b01: draw(), 0b11: draw()})  # noqa: E731
+    # every field at its largest value, next to small terms and on each blade
+    full = CliffordPolynomial(m, {(FIELD, 0, 0): element(), (0, FIELD, 1): element(),
+                                  (1, 2, FIELD): element(), (FIELD, FIELD, FIELD): element()})
+    low = CliffordPolynomial.constant(m, CliffordElement(m, {0: draw(), 0b01: draw(), 0b10: draw()}))
+    assert full._int_form() and low._int_form()
+    assert round_trips(full)
+    scaled = {e: c.scale(Fraction(-3, 5)) for e, c in full.terms.items()}
+    for got, want in (
+            (full * low, ref_product(full, low)),
+            (low * full, ref_product(low, full)),
+            (full + full.scale(Fraction(-3, 5)), accumulate([*full.terms.items(), *scaled.items()])),
+            (full.diff(0), {(e[0] - 1, *e[1:]): c.scale(e[0]) for e, c in full.terms.items() if e[0]}),
+            (apply_operator(OperatorTag.DBAR, full), ref_first_order(full, True, -1))):
+        assert got._terms is None       # made on the packed keys
+        assert got.terms == want
+        assert round_trips(got) and all_fractions(got)
+
+
+def test_product_past_the_field_takes_the_scalar_path_and_stays_exact():
+    m = 2
+    p = CliffordPolynomial(m, {(200, 0, 0): CliffordElement(m, {0: Fraction(3, 4), 0b01: Fraction(1, 3)}),
+                               (0, 1, 0): CliffordElement.generator(m, 2)})
+    q = CliffordPolynomial(m, {(100, 0, 0): CliffordElement(m, {0b10: Fraction(-2, 9)}),
+                               (1, 0, 1): CliffordElement.scalar(m, Fraction(5))})
+    assert p._int_form() and q._int_form()
+    pq = p * q
+    assert pq._terms is not None        # made on exponent tuples
+    assert (200 + 100, 0, 0) in pq.terms
+    assert pq.terms == ref_product(p, q)
+    assert pq._int_form() is None and all_fractions(pq)
+    # a field that only the or of the keys fills: 128 | 127 = 255, and 255 + 1 carries
+    r = CliffordPolynomial(m, {(128, 0, 0): CliffordElement.one(m), (127, 0, 0): CliffordElement.one(m)})
+    x0 = CliffordPolynomial.variable(m, 0)
+    assert (r * x0)._terms is not None
+    assert (r * x0).terms == ref_product(r, x0) and all_fractions(r * x0)
+    # what lies past the field stays on the scalar path, and exact
+    assert (pq * x0).terms == ref_product(pq, x0)
+    assert (pq + pq).terms == {e: c.scale(2) for e, c in pq.terms.items()}
+    assert pq.diff(0).terms == {(e[0] - 1, *e[1:]): c.scale(e[0]) for e, c in pq.terms.items() if e[0]}
+    assert apply_operator(OperatorTag.D, pq).terms == ref_first_order(pq, True, 1)
+    assert all_fractions(pq.diff(0)) and pq == CliffordPolynomial(m, ref_product(p, q))
+
+
+def test_dual_radon_past_the_field_takes_the_scalar_path():
+    m = 2
+    f = CliffordPolynomial(m, {(0, 200, 100): CliffordElement(m, {0b11: Fraction(2, 3)}),
+                               (3, 1, 1): CliffordElement.scalar(m, Fraction(-1, 5))})
+    assert f._int_form()                # every exponent fits, the image's 300 does not
+    got = dual_radon(f)
+    assert got.terms == ref_dual_radon(f)
+    assert got._int_form() is None and all_fractions(got)
+
+
+def test_axial_polynomial_past_the_field_takes_the_scalar_path():
+    # x0^256 does not fit a field: its series has no integer form, and is exact
+    for m, n in ((1, FIELD), (1, FIELD + 1), (2, FIELD + 1)):
+        p = gck_extension(LaurentPoly.monomial(n), m).to_polynomial()
+        assert p.terms[(n,) + (0,) * m] == CliffordElement.one(m)
+        assert (p._int_form() is None) == (n > FIELD)
+        assert all_fractions(p) and is_monogenic(p), (m, n)

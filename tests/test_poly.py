@@ -132,3 +132,9 @@ def test_float_evaluation_matches_finite_differences():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         CliffordPolynomial(2, {(-1, 0, 0): CliffordElement.one(2)})
+
+
+@pytest.mark.parametrize("exps", [(1.5, 0, 0), (True, 0, 0), (0, False, 1), (Fraction(2), 0, 0), (2.0, 0, 0)])
+def test_exponent_that_is_not_an_int_rejected(exps):
+    with pytest.raises(ValueError):
+        CliffordPolynomial(2, {exps: CliffordElement.one(2)})
