@@ -57,6 +57,8 @@ BOUNDS = {
     "--order": (0, 400),
     "--laurent n": (-20, 20),
     "hermite:K": (1, 8),
+    # numpy's generators take no negative seed; 18 digits, as mc:N:SEED
+    "--seed": (0, 10**18 - 1),
 }
 
 
@@ -91,6 +93,7 @@ def _cmd_verify(args) -> int:
         _bound("--max-degree", args.max_degree)
     _bound("--count", args.count)
     _bound("--mc-samples", args.mc_samples)
+    _bound("--seed", args.seed)
     params = {
         "m": args.m,
         "max_degree": args.max_degree,

@@ -28,9 +28,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .axial import RhoExpr
-from .clifford import CliffordElement, axial_element
+from .clifford import BLADE_TABLE, CliffordElement, axial_element
 from .laurent import LaurentPoly
-from .poly import FIELD, CliffordPolynomial, _pack, paravector_power
+from .poly import CliffordPolynomial, _as_ints, _fit, _pack, paravector_power
 from .scalars import (PiScalar, _compositions, _multinomial, canon, gamma_half, pochhammer,
                       sqrt_exact_or_float)
 
@@ -220,35 +220,28 @@ class AxialSeries:
     def to_polynomial(self) -> CliffordPolynomial:
         """sum_j x^j f_j(x0) through the rows of ``_vector_power_rows``: each
         power c x0^n of f_j shifts the x0 exponent of the rows of x^j, whose
-        coefficients it multiplies from the right.  All-Fraction data whose
-        exponents fit the fields of a packed key (see ``poly``) goes over one
-        common denominator straight into the integer form: each row of x^j
-        is packed once, and x0^n adds n to the lowest field of its key.  A
-        scalar c of f_j forms each product c k once per distinct multinomial k."""
+        coefficients it multiplies from the right, straight onto the packed
+        keys of ``poly``: each row of x^j is packed once per blade b of the
+        coefficients, on the blade of e_mask e_b with its sign on the
+        multinomial, and x0^n adds n to the lowest field of its key.  Each
+        blade coefficient of c, an int numerator over one den if all are
+        Fractions, forms its product with each distinct multinomial once."""
         m = self.m
         if not all(f.is_polynomial() for f in self.coeffs):
             raise ValueError("series with negative powers is not a polynomial")
-        series = [(j, f.terms) for j, f in enumerate(self.trimmed()) if f.terms]
-        powers = [(terms, _vector_power_rows(m, j)) for j, terms in series]
-        scalars = [c for terms, _ in powers for c in terms.values()]
-        # x^j has no x0 and x-degree j, so no two (j, n) share a monomial
-        if all(type(c) is Fraction for c in scalars) and max((max(j, *t) for j, t in series), default=0) <= FIELD:
-            den = math.lcm(*(c.denominator for c in scalars))
-            return CliffordPolynomial._from_ints(m, den, {
-                key + (n << m): k * c.numerator * (den // c.denominator)
-                for terms, rows in powers for tail, mask, k in rows
-                for key in [_pack(m, (0, *tail)) + mask] for n, c in terms.items()})
-        out = {}
-        for terms, rows in powers:
-            for n, c in terms.items():
-                if isinstance(c, CliffordElement):
-                    out.update(((n, *tail), CliffordElement._trusted(m, {mask: Fraction(k)}) * c)
-                               for tail, mask, k in rows)
-                    continue
-                # c and k are nonzero, so c k is too
-                ck = {k: canon(Fraction(k) * c) for k in {k for _, _, k in rows}}
-                out.update(((n, *tail), CliffordElement._trusted(m, {mask: ck[k]})) for tail, mask, k in rows)
-        return CliffordPolynomial._trusted(m, out)
+        den, scalars = _as_ints({(j, n, b): s for j, f in enumerate(self.trimmed()) for n, c in f.terms.items()
+                                 for b, s in (c.coeffs if isinstance(c, CliffordElement) else {0: c}).items()})
+        width = _fit(max((max(j, n) for j, n, _ in scalars), default=0))
+        table, rows, sums = BLADE_TABLE, {}, {}
+        get = sums.get
+        for (j, n, b), c in scalars.items():
+            if (j, b) not in rows:          # x^j e_b: e_mask e_b = +-e_(mask ^ b), the sign goes on k
+                rows[j, b] = [(_pack(m, (0, *tail), width) + (mask ^ b), -k if table[mask][b][1] else k)
+                              for tail, mask, k in _vector_power_rows(m, j)]
+            ck, shift = {k: k * c for k in {k for _, k in rows[j, b]}}, n << m
+            for key, k in rows[j, b]:
+                sums[key + shift] = get(key + shift, 0) + ck[k]
+        return CliffordPolynomial._packed(m, width, den, sums)
 
     def truncation_residual(self, x0, xv: Sequence) -> float:
         """|x^N f_N'(x0)|, the exact Cauchy-Riemann defect of the truncation."""

@@ -4,19 +4,19 @@ Variables are central scalars; only the coefficients multiply through the
 algebra.  Operators act from the left, matching the right-module convention
 of the function spaces: ``D p = d/dx0 p + sum_j e_j (d/dxj p)``.
 
-A polynomial whose coefficients are all ``Fraction`` and whose exponents
-all fit in ``WIDTH`` bits also has a unique integer form ``(den, key ->
-int)``, gcd(den, numerators) = 1.  The key packs one monomial and blade into
-one ``int``: the blade mask in the low m bits, then the exponent of x_j in
-the ``WIDTH``-bit field at bit m + WIDTH j.  On it a product adds two keys
-(less twice the blades' common bits, which turns their sum into their xor)
-and takes the sign from ``clifford.BLADE_TABLE``; a derivative subtracts a
-unit of one field; sums, rational scalings and ``==`` work on the flat dict;
-and ``terms`` unpacks each key and builds each Fraction and element once, on
-first read.  A product whose largest exponents could carry out of a field,
-and data with any ``PiScalar``, float or complex coefficient, take the
-scalar path over ``exponents -> blade -> value`` rows, chosen once per
-operation, where each output element is built once through ``canon``.
+A polynomial is one flat dict ``key -> value`` over one denominator ``den``.
+The key packs one monomial and blade into one ``int``: the blade mask in the
+low m bits, then the exponent of x_j in the field of ``width`` bits at bit
+m + width j, where width is the smallest 8 * 2^k bits that hold every
+exponent of the polynomial.  All-Fraction data keeps int numerators over one
+reduced den, gcd(den, numerators) = 1; any other data (``PiScalar``, float,
+complex or mixed) keeps canonical scalars over den = 1.  Each operation has
+one body for both, on the values' own ``*`` and ``+``: a product adds two
+keys (less twice the blades' common bits, which turns their sum into their
+xor) and takes the sign from ``clifford.BLADE_TABLE``, after repacking its
+operands at double the width where a field could carry; a derivative
+subtracts a unit of one field; and ``terms`` unpacks each key and builds
+each element once, on first read.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from operator import add, or_
 from typing import Sequence
 
 from .clifford import BLADE_TABLE, COEFF_OPERANDS, CliffordElement, nan_max
-from .scalars import canon
+from .scalars import canon, is_zero_scalar
 
 Exponents = tuple[int, ...]
 
-# bits per exponent field of a packed key: one byte, which ``_pack`` and
-# ``_exponents`` read through ``bytes``; FIELD is the largest exponent
+# bits per exponent field of a packed key at the narrowest, one byte, and the
+# largest exponent that fits it; wider fields double it as the data needs
 WIDTH = 8
 FIELD = (1 << WIDTH) - 1
 
@@ -51,10 +51,10 @@ class OperatorTag(enum.Enum):
 class CliffordPolynomial:
     """Sparse multivariate polynomial with CliffordElement coefficients."""
 
-    __slots__ = ("m", "_terms", "_ints")
+    __slots__ = ("m", "_width", "_ints", "_terms")
 
     def __init__(self, m: int, terms: dict[Exponents, CliffordElement] | None = None):
-        self.m, self._terms, self._ints = m, {}, None
+        self.m, self._terms = m, {}
         if terms:
             for exps, coeff in terms.items():
                 if len(exps) != m + 1:
@@ -67,57 +67,45 @@ class CliffordPolynomial:
                     raise ValueError("coefficient dimension mismatch")
                 if not coeff.is_zero():
                     self._terms[tuple(exps)] = coeff
+        self._width = width = _fit(max(map(max, self._terms), default=0))
+        self._ints = _as_ints({_pack(m, exps, width) + mask: c
+                               for exps, coeff in self._terms.items() for mask, c in coeff.coeffs.items()})
 
     @classmethod
-    def _trusted(cls, m: int, terms: dict[Exponents, CliffordElement]) -> "CliffordPolynomial":
-        """Wrap terms the engine made itself, dropping zero coefficients only."""
+    def _packed(cls, m: int, width: int, den: int, flat: dict[int, object]) -> "CliffordPolynomial":
+        """Wrap ``key -> value`` sums, keys ``width`` bits a field, in the one
+        form, zeros dropped: int numerators over den reduced by their gcd with
+        it; other values, over den 1, canonical, and ints again if all are
+        Fractions; a width past the narrowest narrowed to what the data needs."""
+        if _rational(flat):
+            if 0 in flat.values():
+                flat = {key: n for key, n in flat.items() if n}
+            g = gcd(den, *flat.values())
+            if g != 1:
+                den //= g
+                flat = {key: n // g for key, n in flat.items()}
+        else:
+            den, flat = _as_ints({key: c for key, v in flat.items() if not is_zero_scalar(c := canon(v))})
+        if width > WIDTH and (fit := _fit(max(_fields(m, flat, width)))) < width:
+            flat, width = _repacked(m, flat, width, fit), fit
         p = object.__new__(cls)
-        p.m, p._ints, p._terms = m, None, {exps: c for exps, c in terms.items() if c.coeffs}
+        p.m, p._width, p._ints, p._terms = m, width, (den, flat), None
         return p
-
-    @classmethod
-    def _from_ints(cls, m: int, den: int, flat: dict[int, int]) -> "CliffordPolynomial":
-        """Wrap ``key -> numerator`` sums over ``den``, reduced to the integer form."""
-        if 0 in flat.values():
-            flat = {key: n for key, n in flat.items() if n}
-        g = gcd(den, *flat.values())
-        if g != 1:
-            den //= g
-            flat = {key: n // g for key, n in flat.items()}
-        p = object.__new__(cls)
-        p.m, p._terms, p._ints = m, None, (den, flat)
-        return p
-
-    @classmethod
-    def _from_rows(cls, m: int, rows: dict[Exponents, dict[int, object]]) -> "CliffordPolynomial":
-        """Wrap ``exponents -> blade -> scalar`` sums of the scalar path."""
-        return cls._trusted(m, {exps: CliffordElement(m, blades) for exps, blades in rows.items()})
 
     @property
     def terms(self) -> dict[Exponents, CliffordElement]:
-        """exponents -> coefficient; unpacked from the integer form on first read."""
+        """exponents -> coefficient; unpacked from the keys on first read."""
         if self._terms is None:
-            m, (den, flat) = self.m, self._ints
-            rows: dict[int, dict[int, Fraction]] = {}
-            values = {n: Fraction(n, den) for n in set(flat.values())}   # few distinct, as a rule
-            for key, n in flat.items():
-                rows.setdefault(key >> m, {})[key & ((1 << m) - 1)] = values[n]
-            self._terms = {_exponents(m, e): CliffordElement._trusted(m, blades)
+            m, rows = self.m, {}
+            for key, c in _scalars(*self._ints).items():
+                rows.setdefault(key >> m, {})[key & ((1 << m) - 1)] = c
+            self._terms = {_exponents(m, e, self._width): CliffordElement._trusted(m, blades)
                            for e, blades in rows.items()}
         return self._terms
 
     def _int_form(self) -> tuple[int, dict[int, int]] | None:
-        """``(den, key -> numerator)`` if every coefficient is a Fraction and
-        every exponent fits in a field, else None.  den is the lcm of the
-        denominators, so no prime divides it and every numerator."""
-        if self._ints is None:
-            coeffs = [c for coeff in self._terms.values() for c in coeff.coeffs.values()]
-            self._ints = False
-            if all(type(c) is Fraction for c in coeffs) and max(map(max, self._terms), default=0) <= FIELD:
-                den = lcm(*(c.denominator for c in coeffs))
-                self._ints = den, {_pack(self.m, exps) + mask: c.numerator * (den // c.denominator)
-                                   for exps, coeff in self._terms.items() for mask, c in coeff.coeffs.items()}
-        return self._ints or None
+        """``(den, key -> numerator)`` if every coefficient is a Fraction, else None."""
+        return self._ints if _rational(self._ints[1]) else None
 
     # -- constructors -------------------------------------------------
 
@@ -162,33 +150,31 @@ class CliffordPolynomial:
             return NotImplemented
         if self.m != other.m:
             raise ValueError("dimension mismatch")
-        if ints := _int_forms(self, other):
-            (da, ra), (db, rb) = ints
-            den = lcm(da, db)
-            sums = dict(_rescaled(ra, den // da))
-            get = sums.get
-            for key, n in _rescaled(rb, den // db).items():
-                sums[key] = get(key, 0) + n
-            return CliffordPolynomial._from_ints(self.m, den, sums)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms[exps] + coeff if exps in terms else coeff
-        return CliffordPolynomial._trusted(self.m, terms)
+        (da, ra), (db, rb), width = _aligned(self, other)
+        den = lcm(da, db)
+        sums = dict(_rescaled(ra, den // da))
+        get = sums.get
+        for key, n in _rescaled(rb, den // db).items():
+            sums[key] = get(key, 0) + n
+        return CliffordPolynomial._packed(self.m, width, den, sums)
 
     def __sub__(self, other) -> "CliffordPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "CliffordPolynomial":
-        if self._int_form():
-            return self.scale(-1)
-        return CliffordPolynomial._trusted(self.m, {e: -c for e, c in self.terms.items()})
+        return self.scale(-1)
 
     def scale(self, s) -> "CliffordPolynomial":
         """Every coefficient times s from the right; s is a scalar or an element."""
-        if type(s) in (int, Fraction) and (ints := self._int_form()):
-            return CliffordPolynomial._from_ints(self.m, ints[0] * s.denominator,
-                                                 _rescaled(ints[1], s.numerator))
-        return CliffordPolynomial._trusted(self.m, {e: c * s for e, c in self.terms.items()})
+        if isinstance(s, CliffordElement):
+            return _product(self, CliffordPolynomial.constant(self.m, s))
+        den, flat = self._ints
+        s = canon(s)
+        if type(s) is Fraction and _rational(flat):
+            den, s = den * s.denominator, s.numerator
+        else:
+            den, flat = 1, _scalars(den, flat)
+        return CliffordPolynomial._packed(self.m, self._width, den, {key: c * s for key, c in flat.items()})
 
     def __mul__(self, other) -> "CliffordPolynomial":
         if not isinstance(other, CliffordPolynomial):
@@ -201,7 +187,9 @@ class CliffordPolynomial:
         """Every coefficient times ``other`` from the left (an element or a scalar)."""
         if not isinstance(other, COEFF_OPERANDS):
             return NotImplemented
-        return CliffordPolynomial._trusted(self.m, {e: other * c for e, c in self.terms.items()})
+        if isinstance(other, CliffordElement):
+            return _product(CliffordPolynomial.constant(self.m, other), self)
+        return self.scale(other)        # scalars are central
 
     def __pow__(self, n: int) -> "CliffordPolynomial":
         if n < 0:
@@ -216,24 +204,23 @@ class CliffordPolynomial:
             return NotImplemented
         if self.m != other.m:
             return False
-        ints = _int_forms(self, other)
-        return ints[0] == ints[1] if ints else self.terms == other.terms
+        # each width is the data's own, so equal data has equal widths and keys
+        a, b, _ = _aligned(self, other)
+        return self._width == other._width and a == b
 
     def is_zero(self) -> bool:
-        return not (self._ints[1] if self._terms is None else self._terms)
+        return not self._ints[1]
 
     # -- calculus -------------------------------------------------------
 
     def diff(self, j: int) -> "CliffordPolynomial":
-        # lowering exps[j] is one-to-one on the terms that have it, so no sums
-        if ints := self._int_form():
-            shift = self.m + WIDTH * j
-            return CliffordPolynomial._from_ints(self.m, ints[0], {
-                key - (1 << shift): n * e for key, n in ints[1].items() if (e := key >> shift & FIELD)})
-        return CliffordPolynomial._trusted(self.m, {
-            (*exps[:j], exps[j] - 1, *exps[j + 1:]): coeff.scale(exps[j])
-            for exps, coeff in self.terms.items() if exps[j]
-        })
+        if not 0 <= j <= self.m:
+            raise ValueError("variable index out of range")
+        # lowering the exponent of x_j is one-to-one on the terms that have it, so no sums
+        width, (den, flat) = self._width, self._ints
+        shift, field = self.m + width * j, (1 << width) - 1
+        return CliffordPolynomial._packed(self.m, width, den, {
+            key - (1 << shift): c * e for key, c in flat.items() if (e := key >> shift & field)})
 
     def evaluate(self, x0, xv: Sequence) -> CliffordElement:
         if len(xv) != self.m:
@@ -268,103 +255,121 @@ class CliffordPolynomial:
         return " + ".join(parts)
 
 
-def _int_forms(p: CliffordPolynomial, q: CliffordPolynomial) -> tuple | None:
-    """Both integer forms, or None unless both operands have one."""
-    a = p._int_form()
-    b = a and q._int_form()
-    return (a, b) if b else None
+def _rational(flat: dict[int, object]) -> bool:
+    """The values are int numerators: the first is, and no other kind mixes with them."""
+    return type(next(iter(flat.values()), 0)) is int
 
 
-def _pack(m: int, exps: Exponents) -> int:
+def _scalars(den: int, flat: dict[int, object]) -> dict[int, object]:
+    """The values as canonical scalars; a numerator over den becomes a Fraction
+    once per distinct numerator (few distinct, as a rule)."""
+    if not _rational(flat):
+        return flat
+    values = {n: Fraction(n, den) for n in set(flat.values())}
+    return {key: values[n] for key, n in flat.items()}
+
+
+def _as_ints(flat: dict[int, object]) -> tuple[int, dict[int, object]]:
+    """Canonical non-zero scalars as int numerators over one reduced den if
+    every one is a Fraction, else over den 1 as they are."""
+    if not all(type(c) is Fraction for c in flat.values()):
+        return 1, flat
+    den = lcm(*(c.denominator for c in flat.values()))
+    return den, {key: c.numerator * (den // c.denominator) for key, c in flat.items()}
+
+
+def _fit(top: int) -> int:
+    """The smallest 8 * 2^k bits that hold top."""
+    width = WIDTH
+    while top >> width:
+        width <<= 1
+    return width
+
+
+def _fields(m: int, flat: dict[int, object], width: int) -> list[int]:
+    """The fieldwise or of the keys, which has the bit length of the largest
+    exponent of each variable."""
+    ored, field = reduce(or_, flat, 0) >> m, (1 << width) - 1
+    return [ored >> s & field for s in range(0, width * (m + 1), width)]
+
+
+def _pack(m: int, exps: Exponents, width: int) -> int:
     """The key of a monomial on the scalar blade; add a mask for its blade."""
-    return int.from_bytes(bytes(exps), "little") << m
+    size = width >> 3
+    raw = bytes(exps) if size == 1 else b"".join(e.to_bytes(size, "little") for e in exps)
+    return int.from_bytes(raw, "little") << m
 
 
-def _exponents(m: int, packed: int) -> Exponents:
-    """The m+1 exponents of a key shifted right past its blade: its bytes."""
-    return tuple(packed.to_bytes(m + 1, "little"))
+def _exponents(m: int, packed: int, width: int) -> Exponents:
+    """The m+1 exponents of a key shifted right past its blade: its fields."""
+    size = width >> 3
+    raw = packed.to_bytes((m + 1) * size, "little")
+    return tuple(raw) if size == 1 else tuple(int.from_bytes(raw[i:i + size], "little")
+                                              for i in range(0, len(raw), size))
 
 
-def _no_carry(m: int, ra: dict[int, int], rb: dict[int, int]) -> bool:
-    """No exponent of a key of ra plus one of rb can pass FIELD: the fieldwise
-    or of a dict's keys bounds its largest exponents."""
-    a, b = reduce(or_, ra, 0), reduce(or_, rb, 0)
-    return all((a >> s & FIELD) + (b >> s & FIELD) <= FIELD for s in range(m, m + WIDTH * (m + 1), WIDTH))
+def _repacked(m: int, flat: dict[int, object], width: int, new: int) -> dict[int, object]:
+    """The same terms on keys of ``new`` bits a field (the same dict if unchanged)."""
+    if new == width:
+        return flat
+    low = (1 << m) - 1
+    return {_pack(m, _exponents(m, key >> m, width), new) + (key & low): c for key, c in flat.items()}
 
 
-def _rescaled(flat: dict[int, int], f: int) -> dict[int, int]:
-    """Every numerator times f (the same dict when f is 1)."""
+def _aligned(p: CliffordPolynomial, q: CliffordPolynomial, width: int = WIDTH) -> tuple:
+    """Both operands' ``(den, flat)`` and their common width, at least ``width``:
+    ints if both are, else canonical scalars over 1."""
+    width = max(p._width, q._width, width)
+    a, b = p._ints, q._ints
+    if _rational(a[1]) != _rational(b[1]):
+        a, b = (1, _scalars(*a)), (1, _scalars(*b))
+    return (a[0], _repacked(p.m, a[1], p._width, width)), (b[0], _repacked(q.m, b[1], q._width, width)), width
+
+
+def _rescaled(flat: dict[int, object], f: int) -> dict[int, object]:
+    """Every value times f (the same dict when f is 1)."""
     return flat if f == 1 else {key: n * f for key, n in flat.items()}
 
 
 def _product(p: CliffordPolynomial, q: CliffordPolynomial) -> CliffordPolynomial:
-    """p * q: numerators summed per packed key when no field can carry, else
-    raw scalars per exponent tuple and blade in the order of the term pairs."""
+    """p * q: values summed per packed key, at a width where no field can carry:
+    a field of the product holds at most the sum of the operands' largest
+    exponents in it."""
     m, table = p.m, BLADE_TABLE
-    ints = _int_forms(p, q)
-    if ints and _no_carry(m, ints[0][1], ints[1][1]):
-        (dp, rp), (dq, rq) = ints
-        low, by_blade = (1 << m) - 1, {}
-        for kb, nb in rq.items():
-            by_blade.setdefault(kb & low, []).append((kb, nb))
-        sums: dict[int, int] = {}
-        get = sums.get
-        for ka, na in rp.items():
-            ma = ka & low
-            row = table[ma]
-            for mb, entries in by_blade.items():
-                s = -na if row[mb][1] else na
-                base = ka - ((ma & mb) << 1)    # ka + kb - 2 (ma & mb) holds ma ^ mb
-                for kb, nb in entries:
-                    key = base + kb
-                    sums[key] = get(key, 0) + s * nb
-        return CliffordPolynomial._from_ints(m, dp * dq, sums)
-    rows: dict[Exponents, dict[int, object]] = {}
-    for ea, a in p.terms.items():
-        for eb, b in q.terms.items():
-            blades = rows.setdefault(tuple(map(add, ea, eb)), {})
-            for ma, ca in a.coeffs.items():
-                row = table[ma]
-                for mb, cb in b.coeffs.items():
-                    mask, negate = row[mb]
-                    c = ca * cb
-                    if negate:
-                        c = -c
-                    blades[mask] = blades[mask] + c if mask in blades else c
-    return CliffordPolynomial._from_rows(m, rows)
+    top = max(map(add, _fields(m, p._ints[1], p._width), _fields(m, q._ints[1], q._width)))
+    (dp, rp), (dq, rq), width = _aligned(p, q, _fit(top))
+    low, by_blade = (1 << m) - 1, {}
+    for kb, nb in rq.items():
+        by_blade.setdefault(kb & low, []).append((kb, nb))
+    sums: dict[int, object] = {}
+    get = sums.get
+    for ka, na in rp.items():
+        ma = ka & low
+        row = table[ma]
+        for mb, entries in by_blade.items():
+            s = -na if row[mb][1] else na
+            base = ka - ((ma & mb) << 1)    # ka + kb - 2 (ma & mb) holds ma ^ mb
+            for kb, nb in entries:
+                key = base + kb
+                sums[key] = get(key, 0) + s * nb
+    return CliffordPolynomial._packed(m, width, dp * dq, sums)
 
 
 def _first_order(p: CliffordPolynomial, with_x0: bool, flip: bool) -> CliffordPolynomial:
     """[d/dx0 p] +- sum_j e_j d/dxj p (minus when ``flip``) in one pass."""
-    m, table = p.m, BLADE_TABLE
-    js = range(0 if with_x0 else 1, m + 1)
-    if ints := p._int_form():
-        sums: dict[int, int] = {}
-        get = sums.get
-        for key, c in ints[1].items():
-            mask = key & ((1 << m) - 1)
-            for j in js:
-                if n := key >> (m + WIDTH * j) & FIELD:
-                    b = (1 << j) >> 1           # e_j, or the scalar blade at j = 0
-                    key_j = key - (1 << (m + WIDTH * j)) + b - ((mask & b) << 1)
-                    sums[key_j] = get(key_j, 0) + (-c * n if table[b][mask][1] != (flip and j > 0) else c * n)
-        return CliffordPolynomial._from_ints(m, ints[0], sums)
-    rows: dict[Exponents, dict[int, object]] = {}
-    for exps, coeff in p.terms.items():
+    m, table, width = p.m, BLADE_TABLE, p._width
+    js, field = range(0 if with_x0 else 1, m + 1), (1 << width) - 1
+    den, flat = p._ints
+    sums: dict[int, object] = {}
+    get = sums.get
+    for key, c in flat.items():
+        mask = key & ((1 << m) - 1)
         for j in js:
-            n = exps[j]
-            if not n:
-                continue
-            blades = rows.setdefault((*exps[:j], n - 1, *exps[j + 1:]), {})
-            row = table[(1 << j) >> 1]
-            sign_flip = flip and j > 0
-            for mb, c in coeff.coeffs.items():
-                mask, negate = row[mb]
-                c = c * n
-                if negate != sign_flip:
-                    c = -c
-                blades[mask] = blades[mask] + c if mask in blades else c
-    return CliffordPolynomial._from_rows(m, rows)
+            if n := key >> (m + width * j) & field:
+                b = (1 << j) >> 1           # e_j, or the scalar blade at j = 0
+                key_j = key - (1 << (m + width * j)) + b - ((mask & b) << 1)
+                sums[key_j] = get(key_j, 0) + (-c * n if table[b][mask][1] != (flip and j > 0) else c * n)
+    return CliffordPolynomial._packed(m, width, den, sums)
 
 
 def apply_operator(tag: OperatorTag, p: CliffordPolynomial) -> CliffordPolynomial:

@@ -6,13 +6,12 @@ On a slice function f the transform is
 computed exactly on polynomials by substituting x_j -> w_j <x,w> and
 averaging the resulting omega-polynomial with the rational sphere moments,
 the numerators of ``scalars.sphere_moment`` built one coordinate at a time,
-so the exact transform runs over Q without numpy.  On the integer form of
-all-Fraction data (see ``poly``) every weight is an integer over D =
-prod_{j<top} (m + 2j), the moments' common denominator at the top vector
-degree: each packed key gives its vector exponents, the bits above the x1
-field, and its image's keys are its x0 field and blade plus the packed
-exponents of each image monomial.  An image whose degree passes a field,
-and other data, keep exponent tuples and rational weights.
+so the exact transform runs over Q without numpy.  On data of every kind
+(see ``poly``) each packed key gives its vector exponents, the bits above
+the x1 field, and its image's keys are its x0 field and blade plus the
+packed exponents of each image monomial, at a width that holds the vector
+degree; on int numerators every weight is an integer over D = prod_{j<top}
+(m + 2j), the moments' common denominator at the top vector degree.
 
 The numeric routes (pointwise transform, plane-wave check, and the kernel
 plane waves, which average a power of z) share one slice path,
@@ -36,7 +35,7 @@ from .clifford import CliffordElement, axial_element, nan_max
 from .constants import constants
 from .extensions import SliceFunction, gck_extension, slice_extension
 from .laurent import LaurentPoly
-from .poly import FIELD, WIDTH, CliffordPolynomial, _exponents
+from .poly import CliffordPolynomial, _exponents, _fields, _fit, _rational, _repacked
 from .scalars import double_factorial, to_complex
 
 if TYPE_CHECKING:
@@ -52,50 +51,36 @@ def dual_radon(f: CliffordPolynomial) -> CliffordPolynomial:
     normalized sphere moment of w^(a+b); only the b with a+b all even, the
     moments that do not vanish, are visited.  All weights are rational.
     """
-    m = f.m
-    images: dict[tuple[int, ...], list[tuple[tuple[int, ...], object]]] = {}
-    if ints := f._int_form():
-        shift = m + WIDTH                   # the x1 field: the vector exponents lie above it
-        vecs = {v: _exponents(m - 1, v) for v in {key >> shift for key in ints[1]}}
-        top = max(map(sum, vecs.values()), default=0)
-    if ints and top <= FIELD:
-        D = math.prod(range(m, m + 2 * top, 2))
-        sorted_images = {v: _sorted_image(m, vec, images, D) for v, vec in vecs.items()}
-        sums: dict[int, int] = {}
-        get = sums.get
-        for key, n in ints[1].items():
-            image, order = sorted_images[key >> shift]
-            base, shifts = key & ((1 << shift) - 1), [shift + WIDTH * i for i in order]
-            for combo, w in image:          # x0 and the blade stay
-                out = base + sum(map(lshift, combo, shifts))
-                sums[out] = get(out, 0) + n * w
-        return CliffordPolynomial._from_ints(m, ints[0] * D, sums)
-    rows: dict[tuple[int, ...], dict[int, object]] = {}
-    for exps, coeff in f.terms.items():
-        image, order = _sorted_image(m, exps[1:], images)
-        place = sorted(range(m), key=order.__getitem__)   # inverse of order
-        for combo, weight in image:
-            blades = rows.setdefault((exps[0], *map(combo.__getitem__, place)), {})
-            for mask, c in coeff.coeffs.items():
-                term = c * weight
-                blades[mask] = blades[mask] + term if mask in blades else term
-    return CliffordPolynomial._from_rows(m, rows)
-
-
-def _sorted_image(m: int, vec: tuple[int, ...], images: dict, D: int | None = None
-                  ) -> tuple[list[tuple[tuple[int, ...], object]], list[int]]:
-    """The (combo, weight) pairs of the sphere mean of w^s <x,w>^|s|, s =
-    sorted(vec), kept in ``images``, which every permutation of vec shares,
-    with the weights as integers over D if D is given; and the sorting
-    order, whose i-th entry is the place in vec of s_i."""
-    order = sorted(range(m), key=vec.__getitem__)
-    s = tuple(vec[i] for i in order)
-    image = images.get(s)
-    if image is None:
-        den = math.prod(range(m, m + 2 * sum(s), 2))
-        image = images[s] = [(combo, w * (D // den) if D else Fraction(w, den))
-                             for combo, w in _monomial_image(s)]
-    return image, order
+    m, (den, flat) = f.m, f._ints
+    # an image exponent reaches the vector degree, which the sum of the fieldwise bounds holds
+    width = max(f._width, _fit(sum(_fields(m, flat, f._width)[1:])))
+    flat = _repacked(m, flat, f._width, width)
+    shift = m + width                   # the x1 field: the vector exponents lie above it
+    vecs = {v: _exponents(m - 1, v, width) for v in {key >> shift for key in flat}}
+    top = max(map(sum, vecs.values()), default=0)
+    D = math.prod(range(m, m + 2 * top, 2))
+    # ints take integer weights over D; other data rational weights, as a float
+    # cannot hold the integers over D past a vector degree of about 150
+    exact = _rational(flat)
+    # the image of a vector exponent is that of its sorted form s, which every
+    # permutation of s shares, placed by the sorting order
+    images, placed = {}, {}
+    for v, vec in vecs.items():
+        order = sorted(range(m), key=vec.__getitem__)
+        s = tuple(vec[i] for i in order)
+        if s not in images:
+            den_s = math.prod(range(m, m + 2 * sum(s), 2))
+            images[s] = [(combo, w * (D // den_s) if exact else Fraction(w, den_s)) for combo, w in _monomial_image(s)]
+        placed[v] = images[s], [shift + width * i for i in order]
+    sums: dict[int, object] = {}
+    get = sums.get
+    for key, n in flat.items():
+        image, shifts = placed[key >> shift]
+        base = key & ((1 << shift) - 1)
+        for combo, w in image:              # x0 and the blade stay
+            out = base + sum(map(lshift, combo, shifts))
+            sums[out] = get(out, 0) + n * w
+    return CliffordPolynomial._packed(m, width, den * D if exact else den, sums)
 
 
 def _monomial_image(vec: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:

@@ -12,7 +12,7 @@ import pytest
 from monogenics.clifford import CliffordElement, geometric_product
 from monogenics.extensions import gck_extension
 from monogenics.laurent import LaurentPoly
-from monogenics.poly import FIELD, CliffordPolynomial, OperatorTag, apply_operator, is_monogenic
+from monogenics.poly import FIELD, WIDTH, CliffordPolynomial, OperatorTag, apply_operator, is_monogenic
 from monogenics.radon import dual_radon
 from monogenics.scalars import PiScalar, sphere_moment
 
@@ -141,12 +141,14 @@ def test_integer_form_is_reduced_and_cancels_to_zero():
     assert doubled.terms[(0, 1, 0, 0)].coeffs == {0: Fraction(2, 3)}
 
 
-@pytest.mark.parametrize("kind", ["pi", "float"])
+SPECIAL = {"pi": PiScalar.pi_power(2), "float": 0.375, "complex": complex(0.375, -1.25)}
+
+
+@pytest.mark.parametrize("kind", ["pi", "float", "complex"])
 def test_non_rational_data_keeps_the_scalar_path(kind):
     m = 3
     rng = random.Random(len(kind))
-    pi = PiScalar.pi_power(2)
-    special = pi if kind == "pi" else 0.375
+    special = SPECIAL[kind]
     p = rand_poly(rng, m, lambda: rand_fraction(rng))
     p = p + CliffordPolynomial(m, {(1, 1, 0, 0): CliffordElement(m, {0b101: special})})
     q = rand_poly(rng, m, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
@@ -157,10 +159,30 @@ def test_non_rational_data_keeps_the_scalar_path(kind):
     assert p.scale(Fraction(2, 3)).terms == {e: c.scale(Fraction(2, 3)) for e, c in p.terms.items()}
     coeff = (p * q).terms
     kinds = {type(c) for el in coeff.values() for c in el.coeffs.values()}
-    assert (PiScalar if kind == "pi" else float) in kinds
+    assert type(special) in kinds
     if kind == "pi":
         # exact data stays exact: the transform of pi-weighted data is exact too
         assert dual_radon(p).terms == ref_dual_radon(p)
+        # complex pi data past the narrowest field, as gamma_m gives at even m
+        wide = p + CliffordPolynomial(m, {(300, 2, 0, 1): CliffordElement(m, {
+            0b011: PiScalar({1: (Fraction(1, 3), Fraction(-2))}), 0b100: Fraction(5, 7)})})
+        assert wide._width == 16 and wide._int_form() is None
+        assert (wide * q).terms == ref_product(wide, q)
+        assert (q * wide).terms == ref_product(q, wide)
+        assert apply_operator(OperatorTag.D, wide).terms == ref_first_order(wide, True, 1)
+        assert dual_radon(wide).terms == ref_dual_radon(wide)
+
+
+@pytest.mark.parametrize("kind", ["pi", "float", "complex"])
+def test_element_actions_on_non_rational_data_match_termwise_references(kind):
+    m = 3
+    rng = random.Random(40 + len(kind))
+    p = rand_poly(rng, m, lambda: rng.choice([SPECIAL[kind] * rng.randint(1, 5), rand_fraction(rng)]))
+    for e in (CliffordElement(m, {0b011: Fraction(2, 3), 0b100: SPECIAL[kind]}),
+              CliffordElement(m, {0b110: Fraction(-5, 2)})):
+        assert p.scale(e).terms == accumulate((x, geometric_product(c, e)) for x, c in p.terms.items())
+        assert (p * e).terms == p.scale(e).terms
+        assert (e * p).terms == accumulate((x, geometric_product(e, c)) for x, c in p.terms.items())
 
 
 def test_integer_and_scalar_paths_build_equal_polynomials():
@@ -234,14 +256,14 @@ def test_product_past_the_field_takes_the_scalar_path_and_stays_exact():
                                (1, 0, 1): CliffordElement.scalar(m, Fraction(5))})
     assert p._int_form() and q._int_form()
     pq = p * q
-    assert pq._terms is not None        # made on exponent tuples
+    assert pq._terms is None and pq._width == 2 * WIDTH   # made on packed keys, at double the width
     assert (200 + 100, 0, 0) in pq.terms
     assert pq.terms == ref_product(p, q)
-    assert pq._int_form() is None and all_fractions(pq)
+    assert pq._int_form() and all_fractions(pq)
     # a field that only the or of the keys fills: 128 | 127 = 255, and 255 + 1 carries
     r = CliffordPolynomial(m, {(128, 0, 0): CliffordElement.one(m), (127, 0, 0): CliffordElement.one(m)})
     x0 = CliffordPolynomial.variable(m, 0)
-    assert (r * x0)._terms is not None
+    assert (r * x0)._terms is None and (r * x0)._width == WIDTH   # 129 fits once made
     assert (r * x0).terms == ref_product(r, x0) and all_fractions(r * x0)
     # what lies past the field stays on the scalar path, and exact
     assert (pq * x0).terms == ref_product(pq, x0)
@@ -258,7 +280,7 @@ def test_dual_radon_past_the_field_takes_the_scalar_path():
     assert f._int_form()                # every exponent fits, the image's 300 does not
     got = dual_radon(f)
     assert got.terms == ref_dual_radon(f)
-    assert got._int_form() is None and all_fractions(got)
+    assert got._int_form() and got._width == 2 * WIDTH and all_fractions(got)
 
 
 def test_axial_polynomial_past_the_field_takes_the_scalar_path():
@@ -266,5 +288,18 @@ def test_axial_polynomial_past_the_field_takes_the_scalar_path():
     for m, n in ((1, FIELD), (1, FIELD + 1), (2, FIELD + 1)):
         p = gck_extension(LaurentPoly.monomial(n), m).to_polynomial()
         assert p.terms[(n,) + (0,) * m] == CliffordElement.one(m)
-        assert (p._int_form() is None) == (n > FIELD)
+        assert p._int_form() and p._width == (WIDTH if n <= FIELD else 2 * WIDTH)
         assert all_fractions(p) and is_monogenic(p), (m, n)
+
+
+def test_dual_radon_of_float_data_past_a_float_sized_denominator():
+    # the image of x1^160 x2^2 has integer weights over a denominator past 1e308:
+    # float data takes rational weights and matches the exact image
+    m = 2
+    exact = CliffordPolynomial(m, {(1, 160, 2): CliffordElement(m, {0b01: Fraction(3, 8)})})
+    floats = CliffordPolynomial(m, {(1, 160, 2): CliffordElement(m, {0b01: 0.375})})
+    want, got = dual_radon(exact).terms, dual_radon(floats).terms
+    assert got.keys() == want.keys()
+    for exps, el in got.items():
+        (mask, c), = el.coeffs.items()
+        assert type(c) is float and c == pytest.approx(float(want[exps].coeffs[mask]), rel=1e-14)

@@ -12,6 +12,7 @@ from monogenics.poly import (
     is_monogenic,
     paravector_power,
 )
+from monogenics.scalars import PiScalar
 
 
 def radial_sq(m):
@@ -138,3 +139,13 @@ def test_negative_exponent_rejected():
 def test_exponent_that_is_not_an_int_rejected(exps):
     with pytest.raises(ValueError):
         CliffordPolynomial(2, {exps: CliffordElement.one(2)})
+
+
+@pytest.mark.parametrize("value", [Fraction(2, 3), PiScalar.pi_power(1, Fraction(-1, 2)), 0.375])
+def test_diff_refuses_an_index_outside_the_variables(value):
+    m = 2
+    p = CliffordPolynomial(m, {(1, 2, 3): CliffordElement(m, {0b11: value})})
+    for j in (-1, m + 1, 2 * m + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            p.diff(j)
+    assert p.diff(m).terms == {(1, 2, 2): CliffordElement(m, {0b11: value * 3})}

@@ -49,6 +49,7 @@ def test_poly_json_roundtrip_content():
     ("cauchyE_m1.json", ("cauchyE", 1, {})),
     ("fueter_m3_l2.json", ("fueter_power", 3, {"power": 2})),
     ("monomialP_m2_o1.json", ("monomialP", 2, {"power": 1})),
+    ("fueter_m2_l4.json", ("fueter_power", 2, {"power": 4})),
 ])
 def test_golden_exports(name, args):
     kind, m, kw = args
@@ -333,6 +334,8 @@ def _assert_usage_error(capsys, argv, out):
     ["verify", "monomials", "--count", "20001"],
     ["verify", "monomials", "--mc-samples", "1"],
     ["verify", "algebra", "--m", "0"],
+    ["verify", "algebra", "--seed", "-1"],
+    ["verify", "radon", "--seed", "-50"],
 ])
 def test_cli_bounds_reject_out_of_range_integers(tmp_path, capsys, argv):
     # each argv stays cheap even if it were accepted: the rejected value is
@@ -355,6 +358,8 @@ def _reach(*args, **kwargs):
     ["fueter", "--m", "6", "--power", "20", "--order", "400"],
     ["fueter", "--m", "6", "--power", "-20", "--order", "0"],
     ["verify", "algebra", "--m", "6", "--count", "20000", "--mc-samples", "2"],
+    ["verify", "radon", "--seed", "0"],
+    ["verify", "radon", "--seed", "999999999999999999"],
 ])
 def test_cli_bounds_accept_their_largest_values(tmp_path, monkeypatch, argv):
     # the work itself is replaced, so only the bounds are exercised here
