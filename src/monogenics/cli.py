@@ -132,7 +132,6 @@ def _cmd_fueter(args) -> int:
             _usage_error(f"--order {args.order} is below the degree of the --laurent data "
                          f"differentiated {args.m - 1} times ({exc})")
         payload["laurent_image"] = ser.series_json(series)
-    print(ser.dumps(payload), end="")
     _write(_out_path(args.out, f"fueter_m{args.m}_l{args.power}.json"), payload)
     return 0
 

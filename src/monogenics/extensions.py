@@ -209,7 +209,8 @@ class AxialSeries:
         """even + x * odd, where x^(2i) = (-r^2)^i sums the values of f_(2i)
         into even and those of f_(2i+1) into odd: one Clifford product."""
         r2 = canon(sum(c * c for c in xv))
-        sums, power = [0, 0], Fraction(1)  # (-r^2)^i at j = 2i and j = 2i+1
+        # (-r^2)^i at j = 2i and j = 2i+1; at a float point v * 1.0 is v, as v * Fraction(1) is
+        sums, power = [0, 0], 1.0 if isinstance(r2, float) and isinstance(x0, float) else Fraction(1)
         for j, f in enumerate(self.coeffs):
             if not f.is_zero():
                 sums[j % 2] = sums[j % 2] + f.evaluate(x0) * power
@@ -275,7 +276,8 @@ def gck_extension(f0: LaurentPoly, m: int, order: int | None = None) -> AxialSer
     coeffs = [f0]
     f = f0
     for j in range(1, order + 1):
-        f = f.derivative().scale(Fraction(1, gck_denominator(m, j)))
+        d = gck_denominator(m, j)
+        f = LaurentPoly({n - 1: c * Fraction(n, d) for n, c in f.terms.items() if n})
         coeffs.append(f)
     series = AxialSeries(m, coeffs, exact=polynomial)
     if polynomial:

@@ -117,7 +117,8 @@ def verify_monomial_identities(m: int, k: int, order: int = 20, ratio: float = 0
 
     The polynomial identities are compared exactly; the negative-order ones
     numerically at |x|/|x0| = ratio via the order-``order`` truncated series,
-    on both signs of x0.
+    on both signs of x0.  P^(-k) is built once: P^(k-1) is its Kelvin image,
+    as ``monogenic_monomial(m, k - 1)`` defines it.
     """
     if m < 2:
         raise ValueError("family needs m >= 2")
@@ -128,7 +129,8 @@ def verify_monomial_identities(m: int, k: int, order: int = 20, ratio: float = 0
     reports = []
 
     # negative order, restriction form: sgn^(m-1) * P^(-k) vs const * GCK[x0^(1-k-m)]
-    p_neg = replace(monogenic_monomial(m, -k), sign_power=m - 1)
+    p_minus = monogenic_monomial(m, -k)
+    p_neg = replace(p_minus, sign_power=m - 1)
     series = gck_extension(LaurentPoly.monomial(1 - k - m), m, order)
     res = _max_residual(p_neg, series, const, points)
     reports.append(IdentityReport("neg_order_restriction", m, k, res, False))
@@ -140,7 +142,7 @@ def verify_monomial_identities(m: int, k: int, order: int = 20, ratio: float = 0
     reports.append(IdentityReport("neg_order_derivative", m, k, res, False))
 
     # nonnegative order, restriction form: P^(k-1) = const * GCK[x0^(k-1)] exactly
-    lhs_poly = monogenic_monomial(m, k - 1).to_polynomial()
+    lhs_poly = p_minus.kelvin().to_polynomial()
     rhs_poly = appell_Q(m, k - 1).scale(const)
     reports.append(IdentityReport("pos_order_restriction", m, k, float(lhs_poly != rhs_poly), True))
 

@@ -109,12 +109,13 @@ class LaurentPoly:
 
     def evaluate(self, x):
         """Value at x; x must be nonzero if negative exponents are present."""
-        if any(n < 0 for n in self.terms) and x == 0:
+        if x == 0 and any(n < 0 for n in self.terms):
             raise ZeroDivisionError("negative exponents require x != 0")
-        out = None
+        real, out = isinstance(x, float), None
         for n, c in sorted(self.terms.items()):
             xp = x**n if n >= 0 else 1 / (x ** (-n))
-            val = c * canon(xp)
+            # Fraction * float is float(c) * xp, and float(c) is numerator / denominator
+            val = c.numerator / c.denominator * xp if real and isinstance(c, Fraction) else c * canon(xp)
             out = val if out is None else out + val
         return out if out is not None else Fraction(0)
 

@@ -41,7 +41,13 @@ def _as_frac(x: Rat) -> Fraction:
 
 
 class PiScalar:
-    """Exact element of Q(i) extended by half-integer powers of pi."""
+    """Exact element of Q(i) extended by half-integer powers of pi.
+
+    A product by an ``int`` or ``Fraction`` scales each term in place, and
+    one of two single-term values is a single term (``a*c`` alone when both
+    are real); only multi-term factors run the double loop over terms.  All
+    three give the terms, in the order, that the double loop gives.
+    """
 
     __slots__ = ("_terms",)
 
@@ -153,9 +159,18 @@ class PiScalar:
     def __mul__(self, other):
         if isinstance(other, (float, complex)):
             return self._numeric() * other
+        if isinstance(other, (int, Fraction)):
+            x = _as_frac(other)
+            return PiScalar({p: (a * x, b * x if b else _ZERO) for p, (a, b) in self._terms.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if len(self._terms) == 1 == len(o._terms):
+            (p, (a, b)), = self._terms.items()
+            (q, (c, d)), = o._terms.items()
+            if not (b or d):
+                return PiScalar({p + q: (a * c, _ZERO)})
+            return PiScalar({p + q: (a * c - b * d, a * d + b * c)})
         terms: dict[int, tuple[Fraction, Fraction]] = {}
         for p, (a, b) in self._terms.items():
             for q, (c, d) in o._terms.items():

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from monogenics.axial import RhoExpr
 from monogenics.clifford import CliffordElement
@@ -11,6 +12,7 @@ from monogenics.extensions import (
     appell_sum,
     appell_weight,
     gck_bessel_form,
+    gck_denominator,
     gck_extension,
     intrinsic_split,
     slice_extension,
@@ -23,6 +25,7 @@ from monogenics.poly import (
     is_monogenic,
     paravector_power,
 )
+from monogenics.scalars import PiScalar
 
 
 def binomial_slice_oracle(m: int, k: int) -> CliffordPolynomial:
@@ -177,6 +180,65 @@ def test_gck_negative_power_tail_bound():
         # |x|/|x0| = 1/2
         resid = series.truncation_residual(1.0, (0.5 / math.sqrt(m),) * m)
         assert resid <= 40.0 * 0.5**order
+
+
+@pytest.mark.parametrize("f0", [
+    LaurentPoly({5: Fraction(2), 2: Fraction(-7, 3), -3: Fraction(1, 5)}),
+    LaurentPoly({4: PiScalar.pi_power(1, 3), -2: PiScalar.imaginary(Fraction(-1, 2))}),
+    LaurentPoly({3: CliffordElement(3, {0: Fraction(1), 0b101: Fraction(-2, 7)}), -1: Fraction(4)}),
+], ids=["fraction", "pi", "element"])
+def test_gck_recursion_is_the_scaled_derivative(f0):
+    # each step is f_j = f_(j-1)' / gck_denominator(m, j), term for term and in order
+    m, order = 3, 12
+    coeffs = gck_extension(f0, m, order).coeffs
+    f = f0
+    for j, got in enumerate(coeffs[1:], start=1):
+        f = f.derivative().scale(Fraction(1, gck_denominator(m, j)))
+        assert list(got.terms.items()) == list(f.terms.items())
+    assert len(coeffs) == order + 1
+
+
+def _generic_fold(f: LaurentPoly, x):
+    out = None
+    for n, c in sorted(f.terms.items()):
+        val = c * (x**n if n >= 0 else 1 / (x ** (-n)))
+        out = val if out is None else out + val
+    return out
+
+
+def _same_bits(a, b) -> bool:
+    parts = [(complex(a).real, complex(b).real), (complex(a).imag, complex(b).imag)]
+    return type(a) is type(b) and all(u == v and math.copysign(1.0, u) == math.copysign(1.0, v)
+                                      for u, v in parts)
+
+
+laurent_coeffs = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=1000).filter(bool),
+    st.builds(lambda c, p: PiScalar.pi_power(p, c),
+              st.fractions(min_value=-5, max_value=5, max_denominator=30).filter(bool),
+              st.integers(min_value=1, max_value=3)),
+    st.builds(PiScalar.imaginary,
+              st.fractions(min_value=-5, max_value=5, max_denominator=30).filter(bool)),
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False).filter(bool),
+)
+
+
+@given(st.dictionaries(st.integers(min_value=-8, max_value=8), laurent_coeffs, min_size=1, max_size=6),
+       st.floats(min_value=0.05, max_value=20.0), st.booleans())
+def test_evaluate_at_a_float_has_the_bits_of_the_generic_fold(terms, x, negative):
+    f = LaurentPoly(terms)
+    x = -x if negative else x
+    assert _same_bits(f.evaluate(x), _generic_fold(f, x))
+
+
+def test_evaluate_at_a_signed_zero_keeps_the_sign():
+    f = LaurentPoly({1: Fraction(-1, 3)})
+    for x in (0.0, -0.0):
+        got = f.evaluate(x)
+        assert _same_bits(got, _generic_fold(f, x)) and got == 0.0
+    assert math.copysign(1.0, f.evaluate(0.0)) == -1.0
+    with pytest.raises(ZeroDivisionError):
+        LaurentPoly({-1: Fraction(1)}).evaluate(-0.0)
 
 
 def test_appell_weights_sum_to_one():

@@ -217,6 +217,18 @@ def test_sign_factors_trivial_for_odd_m():
     assert val_neg.norm_inf() > 0  # evaluable on the negative half-axis
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_positive_monomial_is_the_kelvin_image_of_the_negative_one(m):
+    # verify_monomial_identities takes P^(k-1) as the Kelvin image of the
+    # P^(-k) it already built: the same form, term for term and in order
+    for k in range(1, 5):
+        want, got = monogenic_monomial(m, k - 1), monogenic_monomial(m, -k).kelvin()
+        assert (got.m, got.sign_power, got.singular_origin) == \
+            (want.m, want.sign_power, want.singular_origin)
+        assert list(got.A.terms.items()) == list(want.A.terms.items())
+        assert list(got.B.terms.items()) == list(want.B.terms.items())
+
+
 @pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (3, 2), (4, 2), (5, 1)])
 def test_verify_monomial_identities_grid(m, k):
     reports = verify_monomial_identities(m, k, order=40)

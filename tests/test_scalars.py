@@ -59,6 +59,46 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
+def _reference_product(x, y) -> list:
+    """The general double loop over the terms of both factors, led by the
+    PiScalar's terms (``__rmul__`` is ``__mul__``), as (p, (re, im)) in order."""
+    if not isinstance(x, PiScalar):
+        x, y = y, x
+    ys = y._terms if isinstance(y, PiScalar) else ({0: (Fraction(y), Fraction(0))} if y else {})
+    terms = {}
+    for p, (a, b) in x._terms.items():
+        for q, (c, d) in ys.items():
+            r0, i0 = terms.get(p + q, (Fraction(0), Fraction(0)))
+            terms[p + q] = (r0 + a * c - b * d, i0 + a * d + b * c)
+    return [(p, t) for p, t in terms.items() if t[0] or t[1]]
+
+
+half_powers = st.integers(min_value=-3, max_value=3)
+product_operands = st.one_of(
+    st.builds(lambda re, p: PiScalar({p: (re, Fraction(0))}), rationals, half_powers),
+    st.builds(lambda re, im, p: PiScalar({p: (re, im)}), rationals,
+              rationals.filter(bool), half_powers),
+    st.builds(PiScalar, st.dictionaries(half_powers, st.tuples(rationals, rationals),
+                                        min_size=2, max_size=4)),
+    st.just(PiScalar()),
+    st.integers(min_value=-20, max_value=20),
+    rationals,
+)
+
+
+@given(product_operands, product_operands)
+def test_products_match_the_general_double_loop(x, y):
+    # single-term real, single-term complex, multi-term, zero, int and
+    # Fraction operands on either side: the same terms, values, types and
+    # order (``to_complex`` sums in term order)
+    if not (isinstance(x, PiScalar) or isinstance(y, PiScalar)):
+        x = PiScalar.of(x)
+    got = x * y
+    assert isinstance(got, PiScalar)
+    assert list(got._terms.items()) == _reference_product(x, y)
+    assert all(type(v) is Fraction for t in got._terms.values() for v in t)
+
+
 def test_gamma_half_values():
     assert gamma_half(2) == PiScalar.of(1)            # Gamma(1)
     assert gamma_half(8) == PiScalar.of(6)            # Gamma(4)

@@ -57,6 +57,18 @@ def test_golden_exports(name, args):
     assert got == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("verify_monomials.json", []),
+    ("verify_monomials_m6.json", ["--m", "6"]),
+])
+def test_verify_monomials_report_is_pinned(tmp_path, name, argv):
+    # the negative-order residuals are float sums of the exact series at
+    # float points, so equal bytes pin the float evaluation bit for bit
+    out = tmp_path / name
+    assert main(["verify", "monomials", *argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def test_fueter_export_constant_example():
     payload = export_payload("fueter_power", 3, power=2)
     assert payload["branch_tag"] == "monomial"
@@ -91,6 +103,14 @@ def test_cli_report_determinism(tmp_path):
     assert main(["verify", "fueter", "--seed", "9", "--out", str(out1)]) == 0
     assert main(["verify", "fueter", "--seed", "9", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_fueter_writes_only_the_file(tmp_path, capsys):
+    # as export does: the payload goes to --out, nothing to stdout
+    out = tmp_path / "f.json"
+    assert main(["fueter", "--m", "3", "--power", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == (GOLDEN / "fueter_m3_l2.json").read_bytes()
 
 
 def test_cli_fueter_kernel_branch(tmp_path, capsys):
