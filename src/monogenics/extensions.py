@@ -17,7 +17,8 @@ Cartesian form or a value.  ``AxialSeries.to_polynomial`` writes x^j as
 integer rows from a multinomial sum and shifts their x0 exponents by the
 powers of f_j; ``AxialSeries.evaluate`` sums the even and the odd terms as
 two scalars and returns ``even + x * odd``.  The slice extension and
-``appell_sum`` keep their polynomial products, as independent witnesses.
+``appell_sum`` keep their polynomial products, as independent witnesses;
+both read x^k from ``poly.paravector_power``, which builds each power once.
 """
 
 from __future__ import annotations
@@ -346,14 +347,11 @@ def appell_sum(m: int, k: int) -> CliffordPolynomial:
     left Cauchy-Riemann operator.
 
     Evaluated in Horner form in conj(x): starting from T_k, each step
-    multiplies the sum by conj(x), raises the running power of x by one,
-    and adds T_j x^(k-j).
+    multiplies the sum by conj(x) and adds T_j x^(k-j), with x^(k-j) read
+    from the per-process powers of ``paravector_power``.
     """
-    x = CliffordPolynomial.paravector_variable(m)
     xbar = CliffordPolynomial.variable(m, 0) - CliffordPolynomial.vector_variable(m)
     out = CliffordPolynomial.one(m).scale(appell_weight(m, k, k))
-    xpow = CliffordPolynomial.one(m)
     for j in range(k - 1, -1, -1):
-        xpow = xpow * x
-        out = out * xbar + xpow.scale(appell_weight(m, k, j))
+        out = out * xbar + paravector_power(m, k - j).scale(appell_weight(m, k, j))
     return out

@@ -13,10 +13,12 @@ reduced den, gcd(den, numerators) = 1; any other data (``PiScalar``, float,
 complex or mixed) keeps canonical scalars over den = 1.  Each operation has
 one body for both, on the values' own ``*`` and ``+``: a product adds two
 keys (less twice the blades' common bits, which turns their sum into their
-xor) and takes the sign from ``clifford.BLADE_TABLE``, after repacking its
-operands at double the width where a field could carry; a derivative
-subtracts a unit of one field; and ``terms`` unpacks each key and builds
-each element once, on first read.
+xor), after repacking its operands at double the width where a field could
+carry; a derivative subtracts a unit of one field; and ``terms`` unpacks
+each key and builds each element once, on first read.  A product or a
+first-order operator takes the signs from ``clifford.BLADE_TABLE`` into one
+row of key moves per blade of its left operand, so its inner loop only adds
+keys and multiplies.  ``paravector_power`` builds each (x0 + x)^k once.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ Exponents = tuple[int, ...]
 # largest exponent that fits it; wider fields double it as the data needs
 WIDTH = 8
 FIELD = (1 << WIDTH) - 1
+
+_POWERS: dict[int, dict[int, CliffordPolynomial]] = {}  # m -> {k: (x0 + x)^k}, see paravector_power
 
 
 class OperatorTag(enum.Enum):
@@ -102,10 +106,6 @@ class CliffordPolynomial:
             self._terms = {_exponents(m, e, self._width): CliffordElement._trusted(m, blades)
                            for e, blades in rows.items()}
         return self._terms
-
-    def _int_form(self) -> tuple[int, dict[int, int]] | None:
-        """``(den, key -> numerator)`` if every coefficient is a Fraction, else None."""
-        return self._ints if _rational(self._ints[1]) else None
 
     # -- constructors -------------------------------------------------
 
@@ -334,41 +334,51 @@ def _rescaled(flat: dict[int, object], f: int) -> dict[int, object]:
 def _product(p: CliffordPolynomial, q: CliffordPolynomial) -> CliffordPolynomial:
     """p * q: values summed per packed key, at a width where no field can carry:
     a field of the product holds at most the sum of the operands' largest
-    exponents in it."""
+    exponents in it.  Each blade of p gets one row of q's key moves and signed
+    values; a row holds |q| entries and is dropped after its blade's last term
+    of p, so at most (p's blades) x |q| entries are live, and one row at a
+    time when p has one term per blade, as a constant element does."""
     m, table = p.m, BLADE_TABLE
     top = max(map(add, _fields(m, p._ints[1], p._width), _fields(m, q._ints[1], q._width)))
     (dp, rp), (dq, rq), width = _aligned(p, q, _fit(top))
     low, by_blade = (1 << m) - 1, {}
     for kb, nb in rq.items():
         by_blade.setdefault(kb & low, []).append((kb, nb))
+    last, rows = {ka & low: ka for ka in rp}, {}
     sums: dict[int, object] = {}
     get = sums.get
     for ka, na in rp.items():
         ma = ka & low
-        row = table[ma]
-        for mb, entries in by_blade.items():
-            s = -na if row[mb][1] else na
-            base = ka - ((ma & mb) << 1)    # ka + kb - 2 (ma & mb) holds ma ^ mb
-            for kb, nb in entries:
-                key = base + kb
-                sums[key] = get(key, 0) + s * nb
+        if (row := rows.get(ma)) is None:   # ka + kb - 2 (ma & mb) holds ma ^ mb
+            signs = table[ma]
+            row = rows[ma] = [(kb - ((ma & mb) << 1), -nb if signs[mb][1] else nb)
+                              for mb, entries in by_blade.items() for kb, nb in entries]
+        for d, nb in row:
+            key = ka + d
+            sums[key] = get(key, 0) + na * nb
+        if last[ma] == ka:
+            del rows[ma]
     return CliffordPolynomial._packed(m, width, dp * dq, sums)
 
 
 def _first_order(p: CliffordPolynomial, with_x0: bool, flip: bool) -> CliffordPolynomial:
-    """[d/dx0 p] +- sum_j e_j d/dxj p (minus when ``flip``) in one pass."""
-    m, table, width = p.m, BLADE_TABLE, p._width
-    js, field = range(0 if with_x0 else 1, m + 1), (1 << width) - 1
+    """[d/dx0 p] +- sum_j e_j d/dxj p (minus when ``flip``) in one pass, with one
+    row per blade of p of each j's field shift, key move and sign."""
+    m, table, width, field = p.m, BLADE_TABLE, p._width, (1 << p._width) - 1
+    # b is the blade of e_j, or the scalar blade at j = 0
+    js = [(j, m + width * j, (1 << j) >> 1) for j in range(0 if with_x0 else 1, m + 1)]
     den, flat = p._ints
+    rows: dict[int, list] = {}
     sums: dict[int, object] = {}
     get = sums.get
     for key, c in flat.items():
         mask = key & ((1 << m) - 1)
-        for j in js:
-            if n := key >> (m + width * j) & field:
-                b = (1 << j) >> 1           # e_j, or the scalar blade at j = 0
-                key_j = key - (1 << (m + width * j)) + b - ((mask & b) << 1)
-                sums[key_j] = get(key_j, 0) + (-c * n if table[b][mask][1] != (flip and j > 0) else c * n)
+        if (row := rows.get(mask)) is None:
+            row = rows[mask] = [(shift, b - ((mask & b) << 1) - (1 << shift), table[b][mask][1] != (flip and j > 0))
+                                for j, shift, b in js]
+        for shift, move, negate in row:
+            if n := key >> shift & field:
+                sums[key + move] = get(key + move, 0) + (-c * n if negate else c * n)
     return CliffordPolynomial._packed(m, width, den, sums)
 
 
@@ -394,10 +404,16 @@ def apply_operator(tag: OperatorTag, p: CliffordPolynomial) -> CliffordPolynomia
 
 
 def paravector_power(m: int, k: int) -> CliffordPolynomial:
-    """(x0 + x)^k expanded into a genuine polynomial via x^2 = -|x|^2."""
+    """(x0 + x)^k expanded into a genuine polynomial via x^2 = -|x|^2.  Each
+    power is built once per process, as x^(k-1) * x, and then shared, since a
+    polynomial is immutable; two threads racing on one k store equal values."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return CliffordPolynomial.paravector_variable(m) ** k
+    if (powers := _POWERS.get(m)) is None:
+        powers = _POWERS.setdefault(m, {0: CliffordPolynomial.one(m), 1: CliffordPolynomial.paravector_variable(m)})
+    for j in range(len(powers), k + 1):
+        powers[j] = powers[j - 1] * powers[1]
+    return powers[k]
 
 
 def is_monogenic(p: CliffordPolynomial) -> bool:

@@ -36,6 +36,11 @@ def rand_poly(rng, m, draw, nterms=5, degree=4):
     return CliffordPolynomial(m, terms)
 
 
+def int_form(p):
+    """``(den, key -> numerator)`` if every coefficient is a Fraction, else None."""
+    return p._ints if all(type(n) is int for n in p._ints[1].values()) else None
+
+
 def accumulate(pieces):
     """exponents -> element, summed with element + only, zeros dropped."""
     out = {}
@@ -152,7 +157,7 @@ def test_non_rational_data_keeps_the_scalar_path(kind):
     p = rand_poly(rng, m, lambda: rand_fraction(rng))
     p = p + CliffordPolynomial(m, {(1, 1, 0, 0): CliffordElement(m, {0b101: special})})
     q = rand_poly(rng, m, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
-    assert p._int_form() is None
+    assert int_form(p) is None
     assert (p * q).terms == ref_product(p, q)
     assert (q * p).terms == ref_product(q, p)
     assert apply_operator(OperatorTag.D, p).terms == ref_first_order(p, True, 1)
@@ -166,7 +171,7 @@ def test_non_rational_data_keeps_the_scalar_path(kind):
         # complex pi data past the narrowest field, as gamma_m gives at even m
         wide = p + CliffordPolynomial(m, {(300, 2, 0, 1): CliffordElement(m, {
             0b011: PiScalar({1: (Fraction(1, 3), Fraction(-2))}), 0b100: Fraction(5, 7)})})
-        assert wide._width == 16 and wide._int_form() is None
+        assert wide._width == 16 and int_form(wide) is None
         assert (wide * q).terms == ref_product(wide, q)
         assert (q * wide).terms == ref_product(q, wide)
         assert apply_operator(OperatorTag.D, wide).terms == ref_first_order(wide, True, 1)
@@ -194,7 +199,7 @@ def test_integer_and_scalar_paths_build_equal_polynomials():
     # (i p)(i q) = -pq runs on the scalar path; i^2 = -1 leaves Fraction data
     via_scalars = p.scale(i) * q.scale(i)
     via_ints = -(p * q)
-    assert p.scale(i)._int_form() is None
+    assert int_form(p.scale(i)) is None
     assert all_fractions(via_scalars)
     assert via_scalars == via_ints and via_ints == via_scalars
     assert via_scalars.terms == via_ints.terms
@@ -222,7 +227,7 @@ def test_laurent_and_polynomial_do_not_multiply():
 def round_trips(p):
     """``terms`` read from a packed form packs back to the same form."""
     again = CliffordPolynomial(p.m, p.terms)
-    return again == p and again._int_form() == p._int_form()
+    return again == p and int_form(again) == int_form(p)
 
 
 def test_packing_boundary_matches_the_references():
@@ -234,7 +239,7 @@ def test_packing_boundary_matches_the_references():
     full = CliffordPolynomial(m, {(FIELD, 0, 0): element(), (0, FIELD, 1): element(),
                                   (1, 2, FIELD): element(), (FIELD, FIELD, FIELD): element()})
     low = CliffordPolynomial.constant(m, CliffordElement(m, {0: draw(), 0b01: draw(), 0b10: draw()}))
-    assert full._int_form() and low._int_form()
+    assert int_form(full) and int_form(low)
     assert round_trips(full)
     scaled = {e: c.scale(Fraction(-3, 5)) for e, c in full.terms.items()}
     for got, want in (
@@ -254,12 +259,12 @@ def test_product_past_the_field_takes_the_scalar_path_and_stays_exact():
                                (0, 1, 0): CliffordElement.generator(m, 2)})
     q = CliffordPolynomial(m, {(100, 0, 0): CliffordElement(m, {0b10: Fraction(-2, 9)}),
                                (1, 0, 1): CliffordElement.scalar(m, Fraction(5))})
-    assert p._int_form() and q._int_form()
+    assert int_form(p) and int_form(q)
     pq = p * q
     assert pq._terms is None and pq._width == 2 * WIDTH   # made on packed keys, at double the width
     assert (200 + 100, 0, 0) in pq.terms
     assert pq.terms == ref_product(p, q)
-    assert pq._int_form() and all_fractions(pq)
+    assert int_form(pq) and all_fractions(pq)
     # a field that only the or of the keys fills: 128 | 127 = 255, and 255 + 1 carries
     r = CliffordPolynomial(m, {(128, 0, 0): CliffordElement.one(m), (127, 0, 0): CliffordElement.one(m)})
     x0 = CliffordPolynomial.variable(m, 0)
@@ -277,10 +282,10 @@ def test_dual_radon_past_the_field_takes_the_scalar_path():
     m = 2
     f = CliffordPolynomial(m, {(0, 200, 100): CliffordElement(m, {0b11: Fraction(2, 3)}),
                                (3, 1, 1): CliffordElement.scalar(m, Fraction(-1, 5))})
-    assert f._int_form()                # every exponent fits, the image's 300 does not
+    assert int_form(f)                # every exponent fits, the image's 300 does not
     got = dual_radon(f)
     assert got.terms == ref_dual_radon(f)
-    assert got._int_form() and got._width == 2 * WIDTH and all_fractions(got)
+    assert int_form(got) and got._width == 2 * WIDTH and all_fractions(got)
 
 
 def test_axial_polynomial_past_the_field_takes_the_scalar_path():
@@ -288,7 +293,7 @@ def test_axial_polynomial_past_the_field_takes_the_scalar_path():
     for m, n in ((1, FIELD), (1, FIELD + 1), (2, FIELD + 1)):
         p = gck_extension(LaurentPoly.monomial(n), m).to_polynomial()
         assert p.terms[(n,) + (0,) * m] == CliffordElement.one(m)
-        assert p._int_form() and p._width == (WIDTH if n <= FIELD else 2 * WIDTH)
+        assert int_form(p) and p._width == (WIDTH if n <= FIELD else 2 * WIDTH)
         assert all_fractions(p) and is_monogenic(p), (m, n)
 
 

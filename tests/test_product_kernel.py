@@ -1,4 +1,5 @@
-"""The exact product kernel of the polynomial engine against in-test witnesses.
+"""The exact product kernel of the polynomial engine, and the shared powers of
+x built on it, against in-test witnesses.
 
 The witnesses share no code with the kernel: the blade sign comes from the
 explicit reordering oracle of test_clifford, and products are formed by a
@@ -15,7 +16,8 @@ import pytest
 from monogenics.clifford import BLADE_TABLE, CliffordElement
 from monogenics.extensions import AxialSeries, appell_Q, gck_extension
 from monogenics.laurent import LaurentPoly
-from monogenics.poly import CliffordPolynomial, OperatorTag, apply_operator
+from monogenics import poly
+from monogenics.poly import CliffordPolynomial, OperatorTag, apply_operator, paravector_power
 from monogenics.scalars import PiScalar
 from test_clifford import brute_force_blade_product
 from test_poly import radial_sq
@@ -116,6 +118,40 @@ def test_product_matches_naive_double_loop(m, kind):
         assert got == want
         assert typed_terms(got) == typed_terms(want)
         assert is_exact(got) == (kind != "float")
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("kind", ["float", "pi"])
+def test_reused_blade_rows_sum_in_the_naive_order(m, kind):
+    """Many left terms on each blade reuse one row; every sum forms in the
+    naive loop's order, so float data is bit-identical."""
+    rng = random.Random(59 * m + len(kind))
+    for _ in range(3):
+        p, q = rand_poly(rng, m, kind, nterms=30), rand_poly(rng, m, kind, nterms=30)
+        for got, want in ((p * q, naive_product(p, q)), (q * p, naive_product(q, p))):
+            assert got == want
+            assert typed_terms(got) == typed_terms(want)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_paravector_powers_match_a_naive_chain_in_any_order(m, monkeypatch):
+    monkeypatch.setattr(poly, "_POWERS", {})
+    x = CliffordPolynomial.variable(m, 0) + CliffordPolynomial.vector_variable(m)
+    chain = [CliffordPolynomial.one(m)]
+    for _ in range(10):
+        chain.append(naive_product(chain[-1], x))
+    for k in [*range(10, -1, -1), *range(11)]:
+        assert paravector_power(m, k) == chain[k]
+    # what a caller does with a shared power leaves the next call's value alone
+    for k in (0, 1, 5):
+        p = paravector_power(m, k)
+        assert p.scale(2) + x == chain[k] + chain[k] + x
+        assert p.terms == chain[k].terms
+    for k in range(11):
+        assert paravector_power(m, k) == chain[k]
+    assert paravector_power(m, 10) is paravector_power(m, 10)     # built once
+    with pytest.raises(ValueError):
+        paravector_power(m, -1)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
