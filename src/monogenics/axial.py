@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .clifford import CliffordElement, axial_element
 from .laurent import LaurentPoly
@@ -30,28 +31,32 @@ class RhoExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[tuple[int, int, int], object] | None = None):
+        self.terms: dict[tuple[int, int, int], object] = {}
+        for key, c in (terms or {}).items():
+            self._merge(key, c)
+
+    @classmethod
+    def _sum(cls, pairs: Iterable[tuple[tuple[int, int, int], object]]) -> "RhoExpr":
+        """The canonical sum of (key, coefficient) pairs; a key may repeat."""
+        out = cls()
+        for key, c in pairs:
+            out._merge(key, c)
+        return out
+
+    def _merge(self, key: tuple[int, int, int], c) -> None:
         # canonical form: r-powers reduced to q in {0, 1} via
         # r^(2n) = (rho - x0^2)^n = sum_k C(n,k) (-x0^2)^k rho^(n-k),
         # so cancellations forced by that relation happen automatically
-        self.terms: dict[tuple[int, int, int], object] = {}
-        for (p, q, e), c in (terms or {}).items():
-            n, s = divmod(q, 2) if q >= 2 else (0, q)
-            for k in range(n + 1):
-                ck = c if n == 0 else c * ((-1) ** k * math.comb(n, k))
-                self._merge((p + 2 * k, s, e + 2 * (n - k)), ck)
-
-    def _merge(self, key: tuple[int, int, int], c) -> None:
-        c = canon(c)
-        if is_zero_scalar(c):
-            return
-        if key in self.terms:
-            tot = canon(self.terms[key] + c)
+        p, q, e = key
+        n, s = divmod(q, 2) if q >= 2 else (0, q)
+        for k in range(n + 1):
+            ck = canon(c if n == 0 else c * ((-1) ** k * math.comb(n, k)))
+            reduced = (p + 2 * k, s, e + 2 * (n - k))
+            tot = canon(self.terms[reduced] + ck) if reduced in self.terms else ck
             if is_zero_scalar(tot):
-                del self.terms[key]
+                self.terms.pop(reduced, None)
             else:
-                self.terms[key] = tot
-        else:
-            self.terms[key] = c
+                self.terms[reduced] = tot
 
     @classmethod
     def zero(cls) -> "RhoExpr":
@@ -70,10 +75,7 @@ class RhoExpr:
         return self.terms == other.terms
 
     def __add__(self, other: "RhoExpr") -> "RhoExpr":
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms[key] + c if key in terms else c
-        return RhoExpr(terms)
+        return RhoExpr._sum(chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "RhoExpr") -> "RhoExpr":
         return self + (-other)
@@ -83,13 +85,9 @@ class RhoExpr:
 
     def __mul__(self, other) -> "RhoExpr":
         if isinstance(other, RhoExpr):
-            terms: dict[tuple[int, int, int], object] = {}
-            for (p1, q1, e1), a in self.terms.items():
-                for (p2, q2, e2), b in other.terms.items():
-                    key = (p1 + p2, q1 + q2, e1 + e2)
-                    c = a * b
-                    terms[key] = terms[key] + c if key in terms else c
-            return RhoExpr(terms)
+            return RhoExpr._sum(((p1 + p2, q1 + q2, e1 + e2), a * b)
+                                for (p1, q1, e1), a in self.terms.items()
+                                for (p2, q2, e2), b in other.terms.items())
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -99,30 +97,22 @@ class RhoExpr:
 
     def diff_x0(self) -> "RhoExpr":
         # d/dx0 rho^(e/2) = e * x0 * rho^((e-2)/2)
-        terms: dict[tuple[int, int, int], object] = {}
-
-        def add(key, c):
-            terms[key] = terms[key] + c if key in terms else c
-
-        for (p, q, e), c in self.terms.items():
-            if p:
-                add((p - 1, q, e), c * p)
-            if e:
-                add((p + 1, q, e - 2), c * e)
-        return RhoExpr(terms)
+        def pairs():
+            for (p, q, e), c in self.terms.items():
+                if p:
+                    yield (p - 1, q, e), c * p
+                if e:
+                    yield (p + 1, q, e - 2), c * e
+        return RhoExpr._sum(pairs())
 
     def diff_r(self) -> "RhoExpr":
-        terms: dict[tuple[int, int, int], object] = {}
-
-        def add(key, c):
-            terms[key] = terms[key] + c if key in terms else c
-
-        for (p, q, e), c in self.terms.items():
-            if q:
-                add((p, q - 1, e), c * q)
-            if e:
-                add((p, q + 1, e - 2), c * e)
-        return RhoExpr(terms)
+        def pairs():
+            for (p, q, e), c in self.terms.items():
+                if q:
+                    yield (p, q - 1, e), c * q
+                if e:
+                    yield (p, q + 1, e - 2), c * e
+        return RhoExpr._sum(pairs())
 
     def div_r(self) -> "RhoExpr":
         return RhoExpr({(p, q - 1, e): c for (p, q, e), c in self.terms.items()})

@@ -68,10 +68,25 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
-def _bound(flag: str, value: int) -> None:
+def _bounded(flag: str):
+    """The argparse type of an integer flag: an int within ``BOUNDS[flag]``."""
     lo, hi = BOUNDS[flag]
-    if not lo <= value <= hi:
-        _usage_error(f"desk-scale bound: {flag} must stay within {lo}..{hi}")
+
+    def parse(text) -> int:
+        value = int(text)   # a ValueError is argparse's "invalid int value"
+        if not lo <= value <= hi:
+            _usage_error(f"desk-scale bound: {flag} must stay within {lo}..{hi}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
+def _hermite_family(text: str) -> tuple[str, int]:
+    """The argparse type of ``--family hermite[:K]``: the text as given and K (4 if omitted)."""
+    match = re.fullmatch(r"hermite(?::([0-9]{1,3}))?", text)
+    if not match:
+        _usage_error(f"unknown or malformed family {text!r} (use hermite:K)")
+    return text, _bounded("hermite:K")(match[1] or "4")
 
 
 def _out_path(arg: str | None, default_name: str) -> Path:
@@ -87,21 +102,7 @@ def _write(path: Path, payload: dict) -> None:
 
 
 def _cmd_verify(args) -> int:
-    if args.m is not None:   # omitted: each suite's default
-        _bound("--m", args.m)
-    if args.max_degree is not None:
-        _bound("--max-degree", args.max_degree)
-    _bound("--count", args.count)
-    _bound("--mc-samples", args.mc_samples)
-    _bound("--seed", args.seed)
-    params = {
-        "m": args.m,
-        "max_degree": args.max_degree,
-        "seed": args.seed,
-        "count": args.count,
-        "mc_samples": args.mc_samples,
-    }
-    report = run_suite(args.suite, params)
+    report = run_suite(args.suite, vars(args))   # an omitted flag is None: the suite's default
     print(report.table())
     payload = report.to_json(timing=args.timing)
     _write(_out_path(args.out, f"report_{args.suite}.json"), payload)
@@ -109,19 +110,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    _bound("--m", args.m)
-    _bound("--k", args.k)
-    _bound("--power", args.power)
     payload = export_payload(args.kind, args.m, k=args.k, power=args.power)
     _write(_out_path(args.out, f"{args.kind}_m{args.m}.json"), payload)
     return 0
 
 
 def _cmd_fueter(args) -> int:
-    _bound("--m", args.m)
-    _bound("--power", args.power)
-    if args.order is not None:
-        _bound("--order", args.order)
+    if args.order is not None and args.laurent is None:
+        _usage_error("--order sets the truncation of --laurent data and needs --laurent")
     payload = export_payload("fueter_power", args.m, power=args.power)
     if args.laurent:
         from .fueter import fueter_on_laurent
@@ -154,7 +150,7 @@ def _read_laurent(path: str) -> LaurentPoly:
         if not (isinstance(t, dict) and type(t.get("n")) is int and set(t) <= {"n", "re", "im"}
                 and len(t) > 1):
             _usage_error(f'malformed --laurent term {t!r} (use {{"n": int, "re": "p/q", "im": "p/q"}})')
-        _bound("--laurent n", t["n"])
+        _bounded("--laurent n")(t["n"])
         if t["n"] in coeffs:
             _usage_error(f"--laurent file repeats the power n={t['n']}")
         coeffs[t["n"]] = PiScalar({0: (_parse_frac(t.get("re", "0")), _parse_frac(t.get("im", "0")))})
@@ -206,8 +202,6 @@ def _tolerance(args, default: float) -> tuple[float, bool]:
 
 
 def _cmd_radon_check(args) -> int:
-    _bound("--m", args.m)
-    _bound("--degree", args.degree)
     tol, tol_default = _tolerance(args, 1e-6)
     rule = _parse_rule(args.rule, args.m)
     # the Cauchy plane wave runs on the chosen product rule, or on level 24
@@ -236,13 +230,8 @@ def _cmd_cst_check(args) -> int:
     from .cst import CHECK_POINTS, axial_cst, axial_cst_radon_route, fueter_cst_routes, unitarity_gram
     from .gausspoly import hermite_function
 
-    _bound("--m", args.m)
     tol, tol_default = _tolerance(args, 1e-7)
-    match = re.fullmatch(r"hermite(?::([0-9]{1,3}))?", args.family)
-    if not match:
-        _usage_error(f"unknown or malformed family {args.family!r} (use hermite:K)")
-    count = int(match[1] or "4")
-    _bound("hermite:K", count)
+    family, count = args.family
     fams = [hermite_function(n) for n in range(count)]
     cases = []
     ok = True
@@ -267,7 +256,7 @@ def _cmd_cst_check(args) -> int:
                 ok &= passed
                 cases.append({"n": n, "x0": x0, "r": r, "residual": d, "pass": passed})
     payload = {"command": "cst-check", "which": args.which, "m": args.m,
-               "family": args.family, "tol": tol, "tol_default": tol_default,
+               "family": family, "tol": tol, "tol_default": tol_default,
                "cases": cases, "pass": ok}
     print(ser.dumps(payload), end="")
     _write(_out_path(args.out, f"cst_{args.which}_m{args.m}.json"), payload)
@@ -286,11 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=SUITE_NAMES)
-    v.add_argument("--m", type=int, help="largest algebra dimension")
-    v.add_argument("--max-degree", type=int)
-    v.add_argument("--seed", type=int, default=42)
-    v.add_argument("--count", type=int, default=2000, help="randomized algebra checks")
-    v.add_argument("--mc-samples", type=int, default=200_000)
+    v.add_argument("--m", type=_bounded("--m"), help="largest algebra dimension")
+    v.add_argument("--max-degree", type=_bounded("--max-degree"))
+    v.add_argument("--seed", type=_bounded("--seed"))
+    v.add_argument("--count", type=_bounded("--count"), help="randomized algebra checks")
+    v.add_argument("--mc-samples", type=_bounded("--mc-samples"))
     v.add_argument("--timing", action="store_true", help="add timing to the JSON report")
     v.add_argument("--out", default=None)
     v.set_defaults(fn=_cmd_verify)
@@ -298,23 +287,23 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("export", help="write one canonical object")
     e.add_argument("--kind", required=True,
                    choices=["Qpoly", "monomialP", "cauchyE", "fueter_power"])
-    e.add_argument("--m", type=int, required=True)
-    e.add_argument("--k", type=int, default=0)
-    e.add_argument("--power", type=int, default=0)
+    e.add_argument("--m", type=_bounded("--m"), required=True)
+    e.add_argument("--k", type=_bounded("--k"), default=0)
+    e.add_argument("--power", type=_bounded("--power"), default=0)
     e.add_argument("--out", default=None)
     e.set_defaults(fn=_cmd_export)
 
     f = sub.add_parser("fueter", help="apply the slice-to-axial map to one power")
-    f.add_argument("--m", type=int, required=True)
-    f.add_argument("--power", type=int, required=True)
+    f.add_argument("--m", type=_bounded("--m"), required=True)
+    f.add_argument("--power", type=_bounded("--power"), required=True)
     f.add_argument("--laurent", default=None, help="JSON file with Laurent terms")
-    f.add_argument("--order", type=int, default=None)
+    f.add_argument("--order", type=_bounded("--order"), help="series truncation; needs --laurent")
     f.add_argument("--out", default=None)
     f.set_defaults(fn=_cmd_fueter)
 
     r = sub.add_parser("radon-check", help="plane-wave decompositions under a chosen rule")
-    r.add_argument("--m", type=int, required=True)
-    r.add_argument("--degree", type=int, default=4)
+    r.add_argument("--m", type=_bounded("--m"), required=True)
+    r.add_argument("--degree", type=_bounded("--degree"), default=4)
     r.add_argument("--rule", default="exact")
     r.add_argument("--tol", type=float, default=None,
                    help="default 1e-6; exact rows need 0, Monte Carlo rows 5 standard errors")
@@ -322,10 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(fn=_cmd_radon_check)
 
     c = sub.add_parser("cst-check", help="coherent state transform identities")
-    c.add_argument("--m", type=int, required=True)
+    c.add_argument("--m", type=_bounded("--m"), required=True)
     c.add_argument("--which", choices=["unitarity", "ua-routes", "fueter-routes"],
                    required=True)
-    c.add_argument("--family", default="hermite:4")
+    c.add_argument("--family", type=_hermite_family, default="hermite:4")
     c.add_argument("--tol", type=float, default=None, help="default 1e-7")
     c.add_argument("--out", default=None)
     c.set_defaults(fn=_cmd_cst_check)

@@ -212,7 +212,7 @@ class CliffordElement:
         return self.m == other.m and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.m, tuple(sorted((k, repr(v)) for k, v in self.coeffs.items()))))
+        return hash((self.m, frozenset(self.coeffs.items())))   # equal values hash equal
 
     def is_zero(self) -> bool:
         return not self.coeffs

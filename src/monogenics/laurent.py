@@ -58,7 +58,7 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted((n, repr(c)) for n, c in self.terms.items())))
+        return hash(frozenset(self.terms.items()))   # equal values hash equal
 
     # -- ring operations --------------------------------------------------
 

@@ -223,7 +223,8 @@ class PiScalar:
         return self._terms == o._terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
+        # a rational value equals its Fraction, so it hashes as one
+        return hash(self.rational()) if self.is_rational() else hash(tuple(sorted(self._terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -315,7 +316,10 @@ class Radical:
         return self.sq == other.sq and self.pi4 == other.pi4 and self.sign == other.sign
 
     def __hash__(self) -> int:
-        return hash((self.sq, self.pi4, self.sign))
+        # equal to a rational r exactly when it is Radical.of(r): hash as r then
+        root = Fraction(math.isqrt(self.sq.numerator), math.isqrt(self.sq.denominator))
+        rational = self.pi4 == 0 and root * root == self.sq
+        return hash(self.sign * root if rational else (self.sq, self.pi4, self.sign))
 
     def __float__(self) -> float:
         return self.sign * math.sqrt(self.sq) * math.pi ** (self.pi4 / 4)

@@ -56,7 +56,21 @@ OP_REGISTRY: dict[str, list[str]] = {
     "cli": ["run_suite", "export_payload"],
 }
 
-SUITE_NAMES = ("algebra", "gck", "fueter", "monomials", "radon", "cst", "all")
+_SEED = ("seed", 42, None)
+# Every verify suite by name, with each verify parameter it reads as (the
+# keyword of the suite function, its default, the largest value `verify all`
+# passes or None).  A suite runs as ``suite_<name>``, looked up at call time,
+# so a wrapped or substituted suite function is the one called.
+SUITES: dict[str, dict[str, tuple[str, int, int | None]]] = {
+    "algebra": {"m": ("m_max", 5, None), "count": ("count", 2000, None), "seed": _SEED},
+    "gck": {"m": ("m_max", 5, 5), "max_degree": ("degree", 8, None)},
+    "fueter": {"m": ("m_max", 6, None), "max_degree": ("degree", 8, None), "seed": _SEED},
+    "monomials": {"m": ("m_max", 5, 5)},
+    "radon": {"m": ("m_max", 4, 4), "max_degree": ("degree", 6, 6),
+              "mc_samples": ("mc_n", 200_000, None), "seed": _SEED},
+    "cst": {},
+}
+SUITE_NAMES = (*SUITES, "all")
 
 
 @dataclass
@@ -168,7 +182,7 @@ def _rand_element(rng: random.Random, m: int, complex_coeffs: bool = False) -> C
 # ---------------------------------------------------------------------------
 
 
-def suite_algebra(m_max: int = 5, count: int = 2000, seed: int = 42) -> VerificationReport:
+def suite_algebra(m_max: int, count: int, seed: int) -> VerificationReport:
     s = _Suite("algebra", {"m_max": m_max, "count": count, "seed": seed})
     rng = random.Random(seed)
 
@@ -222,7 +236,7 @@ def suite_algebra(m_max: int = 5, count: int = 2000, seed: int = 42) -> Verifica
     return s.report
 
 
-def suite_gck(m_max: int = 5, degree: int = 8) -> VerificationReport:
+def suite_gck(m_max: int, degree: int) -> VerificationReport:
     s = _Suite("gck", {"m_max": m_max, "degree": degree})
     rng = random.Random(7)
 
@@ -285,7 +299,7 @@ def suite_gck(m_max: int = 5, degree: int = 8) -> VerificationReport:
     return s.report
 
 
-def suite_fueter(m_max: int = 6, degree: int = 8, seed: int = 11) -> VerificationReport:
+def suite_fueter(m_max: int, degree: int, seed: int) -> VerificationReport:
     s = _Suite("fueter", {"m_max": m_max, "degree": degree, "seed": seed})
     rng = random.Random(seed)
 
@@ -379,7 +393,8 @@ def _monomial_truncation_order(m: int, k: int, ratio: float, target: float = 1e-
                      f"at m={m}, k={k}, ratio={ratio}")
 
 
-def suite_monomials(m_max: int = 5, k_max: int = 4, ratio: float = 0.4) -> VerificationReport:
+def suite_monomials(m_max: int) -> VerificationReport:
+    k_max, ratio = 4, 0.4
     s = _Suite("monomials", {"m_max": m_max, "k_max": k_max, "ratio": ratio})
 
     with (s.case("pos_order_exact", "polynomial monomial representations hold exactly",
@@ -455,8 +470,7 @@ def _se_ratio(gap: float, se: float) -> float:
     return gap / 1e-10 if se == 0.0 else gap / (5 * se)
 
 
-def suite_radon(m_max: int = 4, degree: int = 6, mc_n: int = 200_000,
-                seed: int = 5) -> VerificationReport:
+def suite_radon(m_max: int, degree: int, mc_n: int, seed: int) -> VerificationReport:
     from .sphere import ExactMonomialRule, MonteCarloRule, ProductGaussRule, funk_hecke_constants
 
     s = _Suite("radon", {"m_max": m_max, "degree": degree, "mc_n": mc_n, "seed": seed})
@@ -509,8 +523,7 @@ def suite_radon(m_max: int = 4, degree: int = 6, mc_n: int = 200_000,
     return s.report
 
 
-def suite_cst(m_list: tuple[int, ...] = (2, 3), n_hermite: int = 4,
-              tol: float = 1e-7) -> VerificationReport:
+def suite_cst() -> VerificationReport:
     import numpy as np
 
     from .cst import (CHECK_POINTS, axial_cst, axial_cst_radon_route, classical_cst,
@@ -519,6 +532,7 @@ def suite_cst(m_list: tuple[int, ...] = (2, 3), n_hermite: int = 4,
     from .gausspoly import hermite_function
     from .sphere import ProductGaussRule
 
+    m_list, n_hermite, tol = (2, 3), 4, 1e-7
     s = _Suite("cst", {"m": list(m_list), "hermite": n_hermite, "tol": tol})
     fams = [hermite_function(n) for n in range(n_hermite)]
 
@@ -612,55 +626,41 @@ def export_payload(kind: str, m: int, k: int = 0, power: int = 0) -> dict:
     raise ValueError(f"unknown export kind {kind!r}")
 
 
+def _run_table_suite(name: str, params: dict, capped: bool) -> VerificationReport:
+    kwargs = {}
+    for key, (keyword, default, cap) in SUITES[name].items():
+        value = default if params.get(key) is None else int(params[key])
+        kwargs[keyword] = min(value, cap) if capped and cap is not None else value
+    return globals()[f"suite_{name}"](**kwargs)
+
+
 def run_suite(name: str, params: dict | None = None) -> VerificationReport:
     """Entry point used by the command line: dispatch one suite (or all).
 
-    An omitted or None ``m`` or ``max_degree`` means each suite's default;
-    any other value, 0 included, is used as given."""
-    params = dict(params or {})
-    m, degree = params.pop("m", None), params.pop("max_degree", None)
-
-    def pick(value, default: int) -> int:
-        return default if value is None else int(value)
-
-    seed = int(params.pop("seed", 42))
-    count = int(params.pop("count", 2000))
-    mc_n = int(params.pop("mc_samples", 200_000))
-    if name == "algebra":
-        return suite_algebra(pick(m, 5), count, seed)
-    if name == "gck":
-        return suite_gck(pick(m, 5), pick(degree, 8))
-    if name == "fueter":
-        return suite_fueter(pick(m, 6), pick(degree, 8), seed)
-    if name == "monomials":
-        return suite_monomials(pick(m, 5), 4)
-    if name == "radon":
-        return suite_radon(pick(m, 4), pick(degree, 6), mc_n, seed)
-    if name == "cst":
-        return suite_cst((2, 3), 4)
-    if name == "all":
-        reports = [
-            suite_algebra(pick(m, 5), count, seed),
-            suite_gck(min(pick(m, 5), 5), pick(degree, 8)),
-            suite_fueter(pick(m, 6), pick(degree, 8), seed),
-            suite_monomials(min(pick(m, 5), 5), 4),
-            suite_radon(min(pick(m, 4), 4), min(pick(degree, 6), 6), mc_n, seed),
-            suite_cst((2, 3), 4),
-        ]
-        s = _Suite("all", {"m": m, "max_degree": degree, "seed": seed})
-        s.report.cases = [dataclasses.replace(case, case_id=f"{rep.suite}.{case.case_id}")
-                          for rep in reports for case in rep.cases]
-        # exercise the export path too, round-tripping one canonical object
-        with s.case("export_roundtrip", "canonical export payload survives a JSON round trip",
-                    ["export_payload"], params={"kind": "Qpoly", "m": 3, "k": 2}) as check:
-            payload = export_payload("Qpoly", 3, 2)
-            check(json.loads(json.dumps(payload)) == payload)
-        registry = [op for ops in OP_REGISTRY.values() for op in ops]
-        covered = s.report.covered_ops() | {"run_suite"}
-        with s.case("coverage", "each operation of every module is exercised at least once",
-                    ["run_suite"],
-                    params={"missing": sorted(op for op in registry if op not in covered)}) as check:
-            for op in registry:
-                check(op in covered)
-        return s.report
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    A parameter that is omitted or None takes the suite's default from
+    ``SUITES``; any other value, 0 included, is used as given, except that
+    ``all`` holds each suite to its cap."""
+    params = params or {}
+    if name in SUITES:
+        return _run_table_suite(name, params, capped=False)
+    if name != "all":
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    reports = [_run_table_suite(suite, params, capped=True) for suite in SUITES]
+    seed = params.get("seed")
+    s = _Suite("all", {"m": params.get("m"), "max_degree": params.get("max_degree"),
+                       "seed": _SEED[1] if seed is None else int(seed)})
+    s.report.cases = [dataclasses.replace(case, case_id=f"{rep.suite}.{case.case_id}")
+                      for rep in reports for case in rep.cases]
+    # exercise the export path too, round-tripping one canonical object
+    with s.case("export_roundtrip", "canonical export payload survives a JSON round trip",
+                ["export_payload"], params={"kind": "Qpoly", "m": 3, "k": 2}) as check:
+        payload = export_payload("Qpoly", 3, 2)
+        check(json.loads(json.dumps(payload)) == payload)
+    registry = [op for ops in OP_REGISTRY.values() for op in ops]
+    covered = s.report.covered_ops() | {"run_suite"}
+    with s.case("coverage", "each operation of every module is exercised at least once",
+                ["run_suite"],
+                params={"missing": sorted(op for op in registry if op not in covered)}) as check:
+        for op in registry:
+            check(op in covered)
+    return s.report

@@ -35,7 +35,7 @@ def _offset_dual_radon(monkeypatch, eps):
 @pytest.mark.parametrize("eps", OFFSETS, ids=["1e-12", "1e-30"])
 def test_offset_appell_family_fails_the_monomial_suite(monkeypatch, eps):
     _offset_appell(monkeypatch, eps)
-    report = suites.suite_monomials(5, 4)
+    report = suites.suite_monomials(5)
     by_id = {c.case_id: c for c in report.cases}
     assert not report.passed and not by_id["pos_order_exact"].passed
     # the failing exact identities stay exact and never reach the numeric case

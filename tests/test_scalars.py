@@ -127,3 +127,39 @@ def test_canon_demotes_rational_pi_scalars():
     assert canon(PiScalar.of(Fraction(2, 4))) == Fraction(1, 2)
     x = PiScalar.pi_power(1)
     assert canon(x) is x
+
+
+def _equal_pairs():
+    from monogenics.clifford import CliffordElement
+    from monogenics.laurent import LaurentPoly
+
+    return [
+        pytest.param(CliffordElement(2, {0: 1.0}), CliffordElement(2, {0: Fraction(1)}),
+                     id="clifford-float-fraction"),
+        pytest.param(CliffordElement(3, {0b101: 0.5, 1: -2.0}),
+                     CliffordElement(3, {1: Fraction(-2), 0b101: Fraction(1, 2)}), id="clifford-order"),
+        pytest.param(LaurentPoly({-1: 1.0, 2: 0.5}), LaurentPoly({2: Fraction(1, 2), -1: Fraction(1)}),
+                     id="laurent-float-fraction"),
+        pytest.param(Radical(4), 2, id="radical-int"),
+        pytest.param(Radical.of(Fraction(-3, 2)), Fraction(-3, 2), id="radical-fraction"),
+        pytest.param(Radical(0, 3, -1), 0, id="radical-zero"),
+        pytest.param(PiScalar.of(Fraction(5, 3)), Fraction(5, 3), id="pi-scalar-fraction"),
+        pytest.param(PiScalar(), 0, id="pi-scalar-zero"),
+    ]
+
+
+@pytest.mark.parametrize("a, b", _equal_pairs())
+def test_equal_values_are_one_set_member(a, b):
+    assert a == b and b == a
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("a, b", _equal_pairs())
+def test_equal_values_are_one_dict_key(a, b):
+    table = {a: "first"}
+    table[b] = "second"
+    assert len(table) == 1 and table[a] == "second"
+
+
+def test_unequal_radicals_stay_apart():
+    assert len({Radical(2), Radical(8), Radical(4), Radical(4, 1), Radical(4, 0, -1), 2}) == 5

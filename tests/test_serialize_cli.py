@@ -125,8 +125,7 @@ def test_cli_fueter_kernel_branch(tmp_path, capsys):
 
 
 def test_cli_fueter_negative_power_reports_residual(tmp_path, capsys):
-    rc = main(["fueter", "--m", "3", "--power", "-1", "--order", "40",
-               "--out", str(tmp_path / "fn.json")])
+    rc = main(["fueter", "--m", "3", "--power", "-1", "--out", str(tmp_path / "fn.json")])
     assert rc == 0
     doc = json.loads((tmp_path / "fn.json").read_text())
     assert doc["branch_tag"] == "negative"
@@ -335,6 +334,7 @@ def _assert_usage_error(capsys, argv, out):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("monogenics: error:")
     assert not out.exists()
+    return err
 
 
 @pytest.mark.parametrize("argv", [
@@ -375,8 +375,9 @@ def _reach(*args, **kwargs):
     ["export", "--kind", "Qpoly", "--m", "6", "--k", "24"],
     ["export", "--kind", "monomialP", "--m", "6", "--power", "20"],
     ["export", "--kind", "fueter_power", "--m", "1", "--power", "-20"],
-    ["fueter", "--m", "6", "--power", "20", "--order", "400"],
-    ["fueter", "--m", "6", "--power", "-20", "--order", "0"],
+    # the --laurent file is never read: the work is replaced before it
+    ["fueter", "--m", "6", "--power", "20", "--order", "400", "--laurent", "terms.json"],
+    ["fueter", "--m", "6", "--power", "-20", "--order", "0", "--laurent", "terms.json"],
     ["verify", "algebra", "--m", "6", "--count", "20000", "--mc-samples", "2"],
     ["verify", "radon", "--seed", "0"],
     ["verify", "radon", "--seed", "999999999999999999"],
@@ -389,6 +390,117 @@ def test_cli_bounds_accept_their_largest_values(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(cli, "run_suite", _reach)
     with pytest.raises(_Reached):
         main([*argv, "--out", str(tmp_path / "out.json")])
+
+
+# one valid argv per verb that stays cheap whatever one more flag does
+_VERB_ARGV = {
+    "verify": ["verify", "monomials"],
+    "export": ["export", "--kind", "cauchyE", "--m", "2"],
+    "fueter": ["fueter", "--m", "2", "--power", "1"],
+    "radon-check": ["radon-check", "--m", "2", "--degree", "1", "--rule", "mc:2:1"],
+    "cst-check": ["cst-check", "--m", "2", "--which", "unitarity", "--family", "hermite:1"],
+}
+# flags whose integer sits inside a string, and how it is written there
+_SPELLED = {"--family": ("hermite:K", "hermite:{}")}
+
+
+def _out_of_range_cases():
+    """lo - 1 and hi + 1 for every flag of every verb that cli.BOUNDS bounds."""
+    import argparse
+
+    from monogenics import cli
+
+    verbs = next(a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    cases, keys = [], {"--laurent n"}   # read from the --laurent file, tested there
+    for verb, parser in verbs.items():
+        for action in parser._actions:
+            for flag in action.option_strings:
+                key, spelling = _SPELLED.get(flag, (flag, "{}"))
+                if key not in cli.BOUNDS:
+                    continue
+                keys.add(key)
+                lo, hi = cli.BOUNDS[key]
+                cases += [pytest.param([*_VERB_ARGV[verb], flag, spelling.format(v)], key,
+                                       id=f"{verb} {flag} {spelling.format(v)}")
+                          for v in (lo - 1, hi + 1)]
+    assert keys == set(cli.BOUNDS), "a bound that no flag reads"
+    return cases
+
+
+@pytest.mark.parametrize("argv, key", _out_of_range_cases())
+def test_cli_bounds_reject_every_flag_one_step_outside(tmp_path, capsys, monkeypatch, argv, key):
+    # the work is replaced, so a value let through fails fast instead of running
+    from monogenics import cli
+
+    monkeypatch.setattr(cli, "export_payload", _reach)
+    monkeypatch.setattr(cli, "run_suite", _reach)
+    err = _assert_usage_error(capsys, argv, tmp_path / "out.json")
+    assert f"{key} must stay within" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fueter", "--m", "3", "--power", "-2", "--order", "0"],
+    ["fueter", "--m", "3", "--power", "-2", "--order", "5"],
+    ["fueter", "--m", "6", "--power", "20", "--order", "400"],
+])
+def test_cli_fueter_refuses_order_without_laurent(tmp_path, capsys, argv):
+    # --order truncates the --laurent image; alone it used to be dropped unread
+    err = _assert_usage_error(capsys, argv, tmp_path / "out.json")
+    assert "--order" in err and "--laurent" in err
+
+
+def _record_suites(monkeypatch) -> dict:
+    """Substitute every suite function by one that records its keywords and
+    returns an empty report carrying them as its params."""
+    from monogenics import suites
+
+    calls = {}
+    for name in suites.SUITES:
+        def record(name=name, **kwargs):
+            calls[name] = kwargs
+            return suites.VerificationReport(name, kwargs, [])
+        monkeypatch.setattr(suites, f"suite_{name}", record)
+    return calls
+
+
+@pytest.mark.parametrize("suite", ["algebra", "gck", "fueter", "monomials", "radon", "cst"])
+def test_verify_defaults_come_from_the_suite_table(tmp_path, monkeypatch, suite):
+    from monogenics import suites
+
+    table = suites.SUITES[suite]
+    calls = _record_suites(monkeypatch)
+    omitted, explicit = tmp_path / "omitted.json", tmp_path / "explicit.json"
+    main(["verify", suite, "--out", str(omitted)])
+    assert calls.pop(suite) == {keyword: default for keyword, default, _ in table.values()}
+    flags = [arg for key, (_, default, _) in table.items()
+             for arg in (f"--{key.replace('_', '-')}", str(default))]
+    main(["verify", suite, *flags, "--out", str(explicit)])
+    assert omitted.read_bytes() == explicit.read_bytes()
+
+
+@pytest.mark.parametrize("suite", ["algebra", "gck", "fueter", "monomials", "radon", "cst"])
+def test_suite_functions_take_the_table_keywords_without_defaults(suite):
+    import inspect
+
+    from monogenics import suites
+
+    params = inspect.signature(getattr(suites, f"suite_{suite}")).parameters
+    assert list(params) == [keyword for keyword, _, _ in suites.SUITES[suite].values()]
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
+
+
+def test_verify_all_holds_each_suite_to_its_cap(monkeypatch):
+    calls = _record_suites(monkeypatch)
+    run_suite("all", {"m": 6, "max_degree": 10})
+    assert calls == {
+        "algebra": {"m_max": 6, "count": 2000, "seed": 42},
+        "gck": {"m_max": 5, "degree": 10},
+        "fueter": {"m_max": 6, "degree": 10, "seed": 42},
+        "monomials": {"m_max": 5},
+        "radon": {"m_max": 4, "degree": 6, "mc_n": 200_000, "seed": 42},
+        "cst": {},
+    }
 
 
 # the last three are finite and positive but let any residual pass

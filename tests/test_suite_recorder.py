@@ -106,7 +106,7 @@ def _nan_e1(elem: CliffordElement) -> CliffordElement:
 def test_suite_cst_fails_when_a_route_turns_nan(monkeypatch):
     route = cst.axial_cst_radon_route
     monkeypatch.setattr(cst, "axial_cst_radon_route", lambda *a: _nan_e1(route(*a)))
-    report = suites.suite_cst((2,), 2)
+    report = suites.suite_cst()
     by_id = {c.case_id: c for c in report.cases}
     assert math.isnan(by_id["axial_two_routes"].residual)
     assert not by_id["axial_two_routes"].passed and not report.passed
@@ -183,5 +183,5 @@ def test_algebra_suite_calls_the_registry_conjugations(monkeypatch):
             return fn(a)
 
         monkeypatch.setattr(suites, name, counted)
-    assert suites.suite_algebra(3, 20).passed
+    assert suites.suite_algebra(3, 20, 42).passed
     assert all(calls.values()), calls
