@@ -37,7 +37,9 @@ TOL_MAX = 1e-2
 # 2.8-3.3 s and 333 MB (2.9-3.6 s with nested integer rows in place of packed
 # keys, 4.2-5.7 s and 370 MB through json's indented encoder), export --kind
 # monomialP --m 6 --power 20 1.2-1.3 s, verify radon --m 6 --max-degree 10
-# 1.5-2.0 s and 59 MB (2.3-3.0 s with nested rows), verify algebra --m 6
+# 0.98-1.01 s and 63 MB with its dual-Radon tables kept for the process
+# (1.12-1.13 s and 60 MB when built per call, 2.3-3.0 s with nested rows;
+# wall time of the process), verify algebra --m 6
 # --count 20000 17.8-19.4 s, and verify all with every bound at its maximum
 # 26 s and 309 MB.  The largest Monte Carlo run,
 # radon-check --m 6 --degree 10 --rule mc:5000000:7, takes 3.1-3.3 s and 270 MB,

@@ -14,11 +14,12 @@ On polynomial data the series terminates and everything here is exact.
 
 Since x^2 = -|x|^2 is a scalar, no Clifford product is needed to reach the
 Cartesian form or a value.  ``AxialSeries.to_polynomial`` writes x^j as
-integer rows from a multinomial sum and shifts their x0 exponents by the
-powers of f_j; ``AxialSeries.evaluate`` sums the even and the odd terms as
-two scalars and returns ``even + x * odd``.  The slice extension and
-``appell_sum`` keep their polynomial products, as independent witnesses;
-both read x^k from ``poly.paravector_power``, which builds each power once.
+integer rows from a multinomial sum, packed once per process, and shifts
+their x0 exponents by the powers of f_j; ``AxialSeries.evaluate`` sums the
+even and the odd terms as two scalars and returns ``even + x * odd``.  The
+slice extension and ``appell_sum`` keep their polynomial products, as
+independent witnesses; both read x^k from ``poly.paravector_power``, which
+builds each power once.
 """
 
 from __future__ import annotations
@@ -31,9 +32,12 @@ from typing import Sequence
 from .axial import RhoExpr
 from .clifford import BLADE_TABLE, CliffordElement, axial_element
 from .laurent import LaurentPoly
-from .poly import CliffordPolynomial, _as_ints, _fit, _pack, paravector_power
+from .poly import CliffordPolynomial, _as_ints, _compact, _fit, _pack, _view, paravector_power
 from .scalars import (PiScalar, _compositions, _multinomial, canon, gamma_half, pochhammer,
                       sqrt_exact_or_float)
+
+# (m, s, width) -> the packed rows of x^(2s), see _even_rows
+_EVEN_ROWS: dict[tuple[int, int, int], tuple[bytes | tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -220,29 +224,40 @@ class AxialSeries:
         return sums[0] + CliffordElement.vector(self.m, list(xv)) * sums[1]
 
     def to_polynomial(self) -> CliffordPolynomial:
-        """sum_j x^j f_j(x0) through the rows of ``_vector_power_rows``: each
-        power c x0^n of f_j shifts the x0 exponent of the rows of x^j, whose
-        coefficients it multiplies from the right, straight onto the packed
-        keys of ``poly``: each row of x^j is packed once per blade b of the
-        coefficients, on the blade of e_mask e_b with its sign on the
-        multinomial, and x0^n adds n to the lowest field of its key.  Each
+        """sum_j x^j f_j(x0) straight onto the packed keys of ``poly``: each
+        power c x0^n of f_j adds n to the lowest field of the keys of x^j,
+        whose coefficients it multiplies from the right.  x^(2s) is its rows
+        from ``_even_rows`` on the blade b of the coefficient; x^(2s+1) is
+        each of them times x_i e_i, one key add per generator, on the blade
+        of e_i e_b with its ``BLADE_TABLE`` sign on the multinomial.  Each
         blade coefficient of c, an int numerator over one den if all are
-        Fractions, forms its product with each distinct multinomial once."""
+        Fractions, forms its product with each distinct multinomial once.
+        The rows are a table kept for the process, ``_EVEN_ROWS``, keyed by
+        (m, s, width): at the largest accepted run, ``export --kind Qpoly
+        --m 6 --k 24``, it holds 13 entries of 18,564 keys (8 bytes each)."""
         m = self.m
         if not all(f.is_polynomial() for f in self.coeffs):
             raise ValueError("series with negative powers is not a polynomial")
         den, scalars = _as_ints({(j, n, b): s for j, f in enumerate(self.trimmed()) for n, c in f.terms.items()
                                  for b, s in (c.coeffs if isinstance(c, CliffordElement) else {0: c}).items()})
         width = _fit(max((max(j, n) for j, n, _ in scalars), default=0))
-        table, rows, sums = BLADE_TABLE, {}, {}
+        table, sums = BLADE_TABLE, {}
         get = sums.get
         for (j, n, b), c in scalars.items():
-            if (j, b) not in rows:          # x^j e_b: e_mask e_b = +-e_(mask ^ b), the sign goes on k
-                rows[j, b] = [(_pack(m, (0, *tail), width) + (mask ^ b), -k if table[mask][b][1] else k)
-                              for tail, mask, k in _vector_power_rows(m, j)]
-            ck, shift = {k: k * c for k in {k for _, k in rows[j, b]}}, n << m
-            for key, k in rows[j, b]:
-                sums[key + shift] = get(key + shift, 0) + ck[k]
+            s, odd = divmod(j, 2)
+            keys, ks, distinct = _even_rows(m, s, width)
+            shift = n << m
+            if not odd:
+                ck, move = {k: k * c for k in distinct}, shift + b
+                for key, k in zip(keys, ks):
+                    sums[key + move] = get(key + move, 0) + ck[k]
+                continue
+            # x_i e_i e_b = +-x_i e_(i ^ b): the field of x_i gains one, the sign goes on k
+            ck = {k: k * c for k in (*distinct, *(-k for k in distinct))}
+            gens = [(shift + (1 << (m + width * (i + 1))) + ((1 << i) ^ b), table[1 << i][b][1]) for i in range(m)]
+            for key, k in zip(keys, ks):
+                for move, negate in gens:
+                    sums[key + move] = get(key + move, 0) + ck[-k if negate else k]
         return CliffordPolynomial._packed(m, width, den, sums)
 
     def truncation_residual(self, x0, xv: Sequence) -> float:
@@ -251,20 +266,20 @@ class AxialSeries:
         return tail.evaluate(x0, xv).to_numeric().norm_inf()
 
 
-def _vector_power_rows(m: int, j: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """x^j as ``(x1..xm exponents, blade, int)`` rows, with no products:
-    x^(2s) = (-|x|^2)^s = (-1)^s sum_(|a|=s) multinomial(a) x^(2a) on the
-    scalar blade, and x^(2s+1) is that times sum_i x_i e_i.  Each (a, i)
-    gives its own monomial."""
-    s, odd = divmod(j, 2)
-    rows = []
-    for a in _compositions(s, m):
-        k, tail = (-1) ** s * _multinomial(a), tuple(2 * e for e in a)
-        if not odd:
-            rows.append((tail, 0, k))
-            continue
-        rows.extend(((*tail[:i], tail[i] + 1, *tail[i + 1:]), 1 << i, k) for i in range(m))
-    return rows
+def _even_rows(m: int, s: int, width: int) -> tuple[Sequence[int], tuple[int, ...], tuple[int, ...]]:
+    """x^(2s) = (-|x|^2)^s = (-1)^s sum_(|a|=s) multinomial(a) x^(2a) on the
+    scalar blade, with no products: the packed key of each x^(2a), ``width``
+    bits a field, its signed multinomial, and the distinct multinomials.
+    Built once per (m, s, width) and kept, in the order of
+    ``scalars._compositions``; each distinct multinomial is one int object."""
+    if (rows := _EVEN_ROWS.get((m, s, width))) is None:
+        sign, keys, ks, distinct = (-1) ** s, [], [], {}
+        for a in _compositions(s, m):
+            keys.append(_pack(m, (0, *(2 * e for e in a)), width))
+            k = sign * _multinomial(a)
+            ks.append(distinct.setdefault(k, k))
+        rows = _EVEN_ROWS.setdefault((m, s, width), (_compact(keys), tuple(ks), tuple(distinct)))
+    return _view(rows[0]), rows[1], rows[2]
 
 
 def gck_extension(f0: LaurentPoly, m: int, order: int | None = None) -> AxialSeries:

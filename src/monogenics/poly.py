@@ -24,6 +24,7 @@ keys and multiplies.  ``paravector_power`` builds each (x0 + x)^k once.
 from __future__ import annotations
 
 import enum
+import struct
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -306,6 +307,20 @@ def _exponents(m: int, packed: int, width: int) -> Exponents:
     raw = packed.to_bytes((m + 1) * size, "little")
     return tuple(raw) if size == 1 else tuple(int.from_bytes(raw[i:i + size], "little")
                                               for i in range(0, len(raw), size))
+
+
+def _compact(values: list[int]) -> bytes | tuple[int, ...]:
+    """Non-negative ints (packed keys or key offsets) in an immutable form for
+    a process-wide table: 8 bytes each when all fit 63 bits, else a tuple.
+    ``_view`` reads them back."""
+    if max(values, default=0) >> 63:
+        return tuple(values)
+    return struct.pack(f"{len(values)}q", *values)
+
+
+def _view(compact: bytes | tuple[int, ...]) -> Sequence[int]:
+    """The ints of a ``_compact`` form, as a read-only view of its bytes."""
+    return memoryview(compact).cast("q") if type(compact) is bytes else compact
 
 
 def _repacked(m: int, flat: dict[int, object], width: int, new: int) -> dict[int, object]:

@@ -11,7 +11,16 @@ so the exact transform runs over Q without numpy.  On data of every kind
 the x1 field, and its image's keys are its x0 field and blade plus the
 packed exponents of each image monomial, at a width that holds the vector
 degree; on int numerators every weight is an integer over D = prod_{j<top}
-(m + 2j), the moments' common denominator at the top vector degree.
+(m + 2j), the moments' common denominator at the top vector degree, and
+each key's numerator is scaled to D once.  Two tables, built on first use
+and kept for the process as ``poly.paravector_power`` keeps its powers,
+hold what depends on the exponents alone: ``_monomial_image``, per sorted
+vector exponent s, the image's monomials and integer weights, which every
+permutation of s shares; and ``_OFFSETS``, per (m, width, packed vector
+exponents), the offsets that add each image monomial to a key, 8 bytes
+each while they fit 63 bits, else a tuple.  At the largest accepted run,
+``verify radon --m 6 --max-degree 10``, they hold 198 images of 8,853
+monomials and 3,222 offset rows of 268,038 offsets (2.1 MB).
 
 The numeric routes (pointwise transform, plane-wave check, and the kernel
 plane waves, which average a power of z) share one slice path,
@@ -28,18 +37,23 @@ import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from operator import lshift
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .axial import AxialClosedForm
 from .clifford import CliffordElement, axial_element, nan_max
 from .constants import constants
 from .extensions import SliceFunction, gck_extension, slice_extension
 from .laurent import LaurentPoly
-from .poly import CliffordPolynomial, _exponents, _fields, _fit, _rational, _repacked
+from .poly import CliffordPolynomial, _compact, _exponents, _fields, _fit, _rational, _repacked, _view
 from .scalars import double_factorial, to_complex
 
 if TYPE_CHECKING:
     from .sphere import NodeRule
+
+
+# (m, width, packed vector exponents) -> their sorted form and the packed key
+# offsets of its image, in the order of ``_monomial_image``; see dual_radon
+_OFFSETS: dict[tuple[int, int, int], tuple[tuple[int, ...], bytes | tuple[int, ...]]] = {}
 
 
 def dual_radon(f: CliffordPolynomial) -> CliffordPolynomial:
@@ -56,45 +70,63 @@ def dual_radon(f: CliffordPolynomial) -> CliffordPolynomial:
     width = max(f._width, _fit(sum(_fields(m, flat, f._width)[1:])))
     flat = _repacked(m, flat, f._width, width)
     shift = m + width                   # the x1 field: the vector exponents lie above it
-    vecs = {v: _exponents(m - 1, v, width) for v in {key >> shift for key in flat}}
-    top = max(map(sum, vecs.values()), default=0)
+    offsets = {v: _image_offsets(m, width, v) for v in {key >> shift for key in flat}}
+    top = max((sum(s) for s, _ in offsets.values()), default=0)
     D = math.prod(range(m, m + 2 * top, 2))
-    # ints take integer weights over D; other data rational weights, as a float
-    # cannot hold the integers over D past a vector degree of about 150
+    # ints take integer weights over D, scaled once per key; other data
+    # rational weights, as a float cannot hold the integers over D past a
+    # vector degree of about 150
     exact = _rational(flat)
-    # the image of a vector exponent is that of its sorted form s, which every
-    # permutation of s shares, placed by the sorting order
-    images, placed = {}, {}
-    for v, vec in vecs.items():
-        order = sorted(range(m), key=vec.__getitem__)
-        s = tuple(vec[i] for i in order)
-        if s not in images:
+    weights, placed = {}, {}
+    for v, (s, offs) in offsets.items():
+        if s not in weights:
             den_s = math.prod(range(m, m + 2 * sum(s), 2))
-            images[s] = [(combo, w * (D // den_s) if exact else Fraction(w, den_s)) for combo, w in _monomial_image(s)]
-        placed[v] = images[s], [shift + width * i for i in order]
+            ws = _monomial_image(s)[1]
+            weights[s] = (ws, D // den_s) if exact else (tuple(Fraction(w, den_s) for w in ws), None)
+        placed[v] = offs, *weights[s]
     sums: dict[int, object] = {}
     get = sums.get
+    low = (1 << shift) - 1
     for key, n in flat.items():
-        image, shifts = placed[key >> shift]
-        base = key & ((1 << shift) - 1)
-        for combo, w in image:              # x0 and the blade stay
-            out = base + sum(map(lshift, combo, shifts))
+        offs, ws, scale = placed[key >> shift]
+        base = key & low                # x0 and the blade stay
+        if exact:
+            n *= scale
+        for off, w in zip(offs, ws):
+            out = base + off
             sums[out] = get(out, 0) + n * w
     return CliffordPolynomial._packed(m, width, den * D if exact else den, sums)
 
 
-def _monomial_image(vec: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+def _image_offsets(m: int, width: int, v: int) -> tuple[tuple[int, ...], Sequence[int]]:
+    """The sorted form s of the m vector exponents packed in v, ``width``
+    bits each, and the key offsets that place each monomial of the image of
+    s on the fields of v: the image of v is that of s, which every
+    permutation of s shares, placed by the sorting order.  Built once per
+    (m, width, v) and kept."""
+    if (entry := _OFFSETS.get((m, width, v))) is None:
+        vec = _exponents(m - 1, v, width)
+        order = sorted(range(m), key=vec.__getitem__)
+        s = tuple(vec[i] for i in order)
+        shifts = [m + width * (1 + i) for i in order]
+        entry = _OFFSETS.setdefault((m, width, v), (s, _compact([sum(map(lshift, combo, shifts))
+                                                                  for combo in _monomial_image(s)[0]])))
+    return entry[0], _view(entry[1])
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_image(vec: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The monomials x^b of w^vec <x,w>^|vec| whose sphere moment does not
-    vanish, those with the parities of vec, each with its multinomial
+    vanish, those with the parities of vec, and each one's multinomial
     coefficient times prod_i (a_i + b_i - 1)!!, the numerator of the moment
     of w^(vec+b) over prod_(j<|vec|) (m + 2j) (``scalars.sphere_moment``),
-    built one coordinate at a time."""
+    built one coordinate at a time.  Kept per vec, as tuples."""
     level = [((), sum(vec), 1)]
     for i, a in enumerate(vec):
         level = [(combo + (b,), rest - b, w * math.comb(rest, b) * double_factorial(a + b - 1))
                  for combo, rest, w in level
                  for b in (range(a % 2, rest + 1, 2) if i < len(vec) - 1 else (rest,))]
-    return [(combo, w) for combo, _, w in level]
+    return tuple(combo for combo, _, _ in level), tuple(w for _, _, w in level)
 
 
 def dual_radon_pointwise(sf: SliceFunction, rule: NodeRule, x0, xv) -> CliffordElement:

@@ -13,17 +13,33 @@ import pytest
 
 from monogenics.axial import AxialClosedForm, RhoExpr, paravector_power_closed
 from monogenics.clifford import CliffordElement
-from monogenics.extensions import AxialSeries, _vector_power_rows, gck_extension
+from monogenics.extensions import AxialSeries, gck_extension
 from monogenics.kernels import monogenic_monomial
 from monogenics.laurent import LaurentPoly
 from monogenics.poly import CliffordPolynomial
-from monogenics.scalars import PiScalar
+from monogenics.scalars import PiScalar, _compositions, _multinomial
 from test_poly import radial_sq
+
+
+def vector_power_rows(m, j):
+    """x^j as ``(x1..xm exponents, blade, int)`` rows, with no products:
+    x^(2s) = (-|x|^2)^s = (-1)^s sum_(|a|=s) multinomial(a) x^(2a) on the
+    scalar blade, and x^(2s+1) is that times sum_i x_i e_i.  Each (a, i)
+    gives its own monomial."""
+    s, odd = divmod(j, 2)
+    rows = []
+    for a in _compositions(s, m):
+        k, tail = (-1) ** s * _multinomial(a), tuple(2 * e for e in a)
+        if not odd:
+            rows.append((tail, 0, k))
+            continue
+        rows.extend(((*tail[:i], tail[i] + 1, *tail[i + 1:]), 1 << i, k) for i in range(m))
+    return rows
 
 
 def rows_polynomial(m, j):
     return CliffordPolynomial(m, {(0, *tail): CliffordElement(m, {mask: Fraction(k)})
-                                  for tail, mask, k in _vector_power_rows(m, j)})
+                                  for tail, mask, k in vector_power_rows(m, j)})
 
 
 def product_built_series(series):
@@ -67,7 +83,7 @@ def test_vector_power_rows_equal_products(m):
     for j in range(13):
         assert rows_polynomial(m, j) == vec ** j, (m, j)
         # every row is its own monomial
-        tails = [tail for tail, _, _ in _vector_power_rows(m, j)]
+        tails = [tail for tail, _, _ in vector_power_rows(m, j)]
         assert len(set(tails)) == len(tails)
 
 
