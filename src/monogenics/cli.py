@@ -42,9 +42,10 @@ TOL_MAX = 1e-2
 # wall time of the process), verify algebra --m 6
 # --count 20000 17.8-19.4 s, and verify all with every bound at its maximum
 # 26 s and 309 MB.  The largest Monte Carlo run,
-# radon-check --m 6 --degree 10 --rule mc:5000000:7, takes 3.1-3.3 s and 270 MB,
-# 240 MB of it the nodes of sphere.MonteCarloRule (3.4-4.0 s and 495 MB while
-# the rule held its whole draw); the largest Gauss run, radon-check --m 3 --degree
+# radon-check --m 6 --degree 10 --rule mc:5000000:7, takes 1.8-2.0 s and 268 MB,
+# 240 MB of it the nodes of sphere.MonteCarloRule (2.3-2.8 s, 268 MB, in the
+# same sitting while each block formed the rows of w beta; 3.4-4.0 s and 495 MB
+# while the rule held its whole draw); the largest Gauss run, radon-check --m 3 --degree
 # 10 --rule gauss:707 (999,698 nodes), takes 0.5-0.8 s and 104 MB, cst-check --m 5
 # --which fueter-routes or ua-routes --family hermite:8 (663,552 nodes) 0.5-1.0 s and
 # 103 MB (0.8-2.4 s, 1.1-2.2 s, 108-116 MB when both nodes of a pair were split).

@@ -162,14 +162,16 @@ def _slice_plane_wave(f0: LaurentPoly, m: int, rule: NodeRule, x0, xv
                         np.column_stack([rows[key] for key in keys]))
     r = [math.comb(n, j) * (-1) ** j * x0 ** (n - j) for j in range(n + 1)]   # (x0 - s)^n
     q = np.column_stack([np.convolve(col, r) for col in shifted.T])
+    work: dict = {}
 
     def split(t):
         if n and x0 == 0 and not t.all():   # x0 + it vanishes only if x0 does
             raise ZeroDivisionError("negative powers require x0 + <x,w> w != 0")
-        alpha, beta = _even_odd(q, t)
+        alpha, beta = _even_odd(q, t, work)
         if n:
             scale = (x0 * x0 + t * t) ** -n
-            return alpha * scale, beta * scale
+            alpha *= scale
+            beta *= scale
         return alpha, beta
 
     a, v, se = rule.plane_wave_mean(xv, split)

@@ -16,6 +16,11 @@ Monte Carlo keeps its nodes component-major and reduces them in blocks of
 2^14 that stay in cache, merged pairwise by the update of Chan, Golub and
 LeVeque ("Algorithms for computing the sample variance", Amer. Statist. 37,
 1983); beyond its n m coordinates its working memory is bounded by a 2^16-row chunk.
+A plane wave's block reduces alpha in two passes but never forms w beta:
+its sums S1 and sums of squares S2 are einsum products of the nodes with
+beta and |beta|^2, and M2 = S2 - S1 mean, clamped at 0, errs relative to M2
+by about eps (1 + mean^2/variance), small as w_i beta(<x,w>) varies with
+w_i, whose mean is 0, so that its mean^2 is not >> its variance.
 
 The product rule's Gauss-Gegenbauer nodes are the eigenvalues of the Jacobi
 matrix (Golub and Welsch, "Calculation of Gauss quadrature rules", Math.
@@ -117,7 +122,9 @@ class NodeRule:
         ``split(t)`` gives (alpha, beta), each (n, k) for k channels, on the
         column t = <x,w> of the nodes' signed radii; the split holds x0.
         As for every slice function, alpha must be even in t and beta odd:
-        a rule may then sum one node of each antipodal pair for both.
+        a rule may then sum one node of each antipodal pair for both.  A
+        split's results are valid until its next call, so it may write them
+        into buffers it reuses; a rule reduces them before it splits again.
         Returns the means of alpha, (k,), and of w beta, (k, m), and the
         largest standard error, None for a weighted-sum rule.
         """
@@ -131,13 +138,13 @@ class NodeRule:
                 _node_sum("kn,jn->kj", beta.T * weights, cols) / sig, None)
 
 
-def _node_sum(spec: str, rows: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """``np.einsum(spec, rows, other)`` summed over the node axis, last in
-    both, with ``rows`` made C-contiguous: einsum's own dot products, never
-    BLAS.  Complex rows are summed part by part, so ``other`` is never cast."""
+def _node_sum(spec: str, rows: np.ndarray, *others: np.ndarray) -> np.ndarray:
+    """``np.einsum(spec, rows, *others)`` summed over the node axis, last in
+    all, with ``rows`` made C-contiguous: einsum's own dot products, never
+    BLAS.  Complex rows are summed part by part, so ``others`` are never cast."""
     if np.iscomplexobj(rows):
-        return _node_sum(spec, rows.real, other) + 1j * _node_sum(spec, rows.imag, other)
-    return np.einsum(spec, np.ascontiguousarray(rows), other)
+        return _node_sum(spec, rows.real, *others) + 1j * _node_sum(spec, rows.imag, *others)
+    return np.einsum(spec, np.ascontiguousarray(rows), *others)
 
 
 class ProductGaussRule(NodeRule):
@@ -211,32 +218,34 @@ _MC_DRAW = 4 * _MC_BLOCK
 
 
 def _node_moments(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """(mean, M2) of each row over the nodes of a stream of (c, b) blocks.
+    """(mean, M2) of each row over the nodes of a stream of (c, b) blocks, each
+    reduced by ``_two_pass`` into one workspace, so a block may be overwritten
+    once the next is asked for, and merged by ``_pairwise``."""
+    work: dict = {}
+    return _pairwise([_two_pass(rows, work) for rows in blocks])
 
-    M2 is the sum of squared deviations from the mean (complex samples
-    spread by their modulus).  Each block is reduced in two passes, its
-    mean and then its centred squares; the blocks are merged pairwise, as
-    in pairwise summation, by the update of Chan, Golub and LeVeque: with
+
+def _two_pass(rows, work: dict) -> tuple[int, np.ndarray, np.ndarray]:
+    """(b, mean, M2) of each row of one (c, b) block in two passes: the mean,
+    then the squared deviations (complex ones by modulus) in ``work``, laid
+    out as the first block.  Constant rows give M2 = 0 if the mean is exact."""
+    b = rows.shape[-1]
+    if not work:
+        work["dev"] = np.empty_like(rows)
+        work["modulus"] = np.empty_like(rows, dtype=float) if np.iscomplexobj(rows) else None
+    mean = rows.sum(axis=-1) / b   # the bits of rows.mean, without its wrapper
+    dev = np.subtract(rows, mean[:, None], out=work["dev"][:, :b])
+    if work["modulus"] is not None:
+        dev = np.abs(dev, out=work["modulus"][:, :b])
+    np.multiply(dev, dev, out=dev)
+    return b, mean, dev.sum(axis=-1)
+
+
+def _pairwise(parts) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, M2) of a list of block moments (b, mean, M2), merged pairwise,
+    as in pairwise summation, by the update of Chan, Golub and LeVeque: with
     d = mean_b - mean_a and n = n_a + n_b,
-        mean = mean_a + d n_b / n,   M2 = M2_a + M2_b + |d|^2 n_a n_b / n.
-    Constant rows give M2 = 0 exactly whenever each block mean is exact.
-    The deviations of every block are written into one workspace, laid
-    out as the first block, which is the largest, so a block may be
-    overwritten once the next is asked for.
-    """
-    parts = []
-    work = None
-    for rows in blocks:
-        b = rows.shape[-1]
-        if work is None:
-            work = np.empty_like(rows)
-            modulus = np.empty_like(rows, dtype=float) if np.iscomplexobj(rows) else None
-        mean = rows.mean(axis=-1)
-        dev = np.subtract(rows, mean[:, None], out=work[:, :b])
-        if modulus is not None:
-            dev = np.abs(dev, out=modulus[:, :b])
-        np.multiply(dev, dev, out=dev)
-        parts.append((b, mean, dev.sum(axis=-1)))
+        mean = mean_a + d n_b / n,   M2 = M2_a + M2_b + |d|^2 n_a n_b / n."""
     while len(parts) > 1:
         pairs = [_chan_merge(a, b) for a, b in zip(parts[::2], parts[1::2])]
         parts = pairs + parts[2 * len(pairs):]
@@ -268,9 +277,9 @@ class MonteCarloRule(NodeRule):
     after a one-block chunk many are mapped and page-faulted afresh on
     every call.
 
-    ``estimate``, ``integrate_monomial`` and ``plane_wave_mean`` reduce
-    through ``_node_moments`` in blocks of 2^14 nodes, each call writing
-    its blocks into one workspace of a block's size.
+    ``estimate`` and ``integrate_monomial`` reduce through ``_node_moments``,
+    ``plane_wave_mean`` through ``_wave_moments``, in blocks of 2^14 nodes,
+    each call writing its blocks into one workspace of a block's size.
     """
 
     kind = "mc"
@@ -340,32 +349,34 @@ class MonteCarloRule(NodeRule):
         return float(self._sigma * mean[0]), float(self._sigma * self._spread(m2)[0])
 
     def plane_wave_mean(self, xv, split) -> tuple[np.ndarray, np.ndarray, float]:
-        """``NodeRule.plane_wave_mean`` one block of nodes at a time: split,
-        alpha and w beta of a block are formed and reduced before the next,
-        and the largest standard error of the means is returned.  The radii
-        t and the rows of alpha and w beta go into one workspace per call,
-        the rows allocated once the first block gives the channels."""
+        """``NodeRule.plane_wave_mean`` one block of nodes at a time, each
+        split and reduced by ``_wave_moments`` before the next; returns the
+        largest standard error of the means."""
         xv = np.asarray(xv, dtype=float)
-        cols = self.nodes.T
-
-        def blocks():
-            size = min(self.n, _MC_BLOCK)
-            t, work = np.empty(size), None
-            for s in range(0, self.n, _MC_BLOCK):
-                w = cols[:, s:s + _MC_BLOCK]
-                b = w.shape[1]
-                alpha, beta = split(np.matmul(xv, w, out=t[:b])[:, None])
-                k = alpha.shape[1]
-                if work is None:
-                    work = np.empty((k * (self.m + 1), size), dtype=np.result_type(alpha, beta))
-                rows = work[:, :b]
-                rows[:k] = alpha.T
-                np.multiply(beta.T[:, None, :], w, out=work[k:].reshape(k, self.m, size)[:, :, :b])
-                yield rows
-
-        mean, m2 = _node_moments(blocks())
+        cols, t, work = self.nodes.T, np.empty(min(self.n, _MC_BLOCK)), {}
+        parts = []
+        for s in range(0, self.n, _MC_BLOCK):
+            w = cols[:, s:s + _MC_BLOCK]
+            alpha, beta = split(np.matmul(xv, w, out=t[:w.shape[1]])[:, None])
+            parts.append(_wave_moments(w, alpha, beta, work))
+        mean, m2 = _pairwise(parts)
         k = len(mean) // (self.m + 1)
         return mean[:k], mean[k:].reshape(k, self.m), float(self._spread(m2).max())
+
+
+def _wave_moments(w, alpha, beta, work: dict) -> tuple[int, np.ndarray, np.ndarray]:
+    """(b, mean, M2) over one block, w (m, b) and alpha, beta (b, k) taken as
+    one contiguous row per channel, of the k rows of alpha by ``_two_pass``,
+    then of the k m rows of w beta, unformed, by S1 and S2 from einsum
+    products, M2 = S2 - S1 mean clamped at 0."""
+    b = w.shape[1]
+    alpha, beta = np.ascontiguousarray(alpha.T), np.ascontiguousarray(beta.T)
+    _, mean_a, m2_a = _two_pass(alpha, work)
+    s1 = _node_sum("kb,mb->km", beta, w)
+    mean = s1 / b
+    square = np.square(abs(beta) if np.iscomplexobj(beta) else beta)
+    m2 = np.maximum(_node_sum("kb,mb,mb->km", square, w, w) - (s1 * mean.conj()).real, 0.0)
+    return b, np.concatenate([mean_a, mean.ravel()]), np.concatenate([m2_a, m2.ravel()])
 
 
 @functools.lru_cache(maxsize=None)
@@ -385,19 +396,39 @@ def _shift_matrix(n: int, x0) -> np.ndarray:
     return binom * np.power.outer(x0, gap)
 
 
-def _even_odd(q, t) -> tuple[np.ndarray, np.ndarray]:
-    """(E, O) with q(it) = E + iO for coefficients q_k along q's first axis,
-    E = sum_j q_2j (-t^2)^j and O = t sum_j q_(2j+1) (-t^2)^j, by Horner
-    from the top coefficient of each half (an empty half is zero)."""
-    u = -t * t
-    shape, dtype = np.broadcast(u, q[0]).shape, np.result_type(u, q)
-    even, odd = (np.full(shape, h[-1] if len(h) else 0, dtype) for h in (q[0::2], q[1::2]))
-    for acc, half in ((even, q[0::2]), (odd, q[1::2])):
-        for c in half[-2::-1]:
-            acc *= u
+def _even_odd(q, t, work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(E, O) with q(it) = E + iO for coefficients q_k along q's first axis:
+    E = sum_j (-1)^j q_2j v^j and O = t sum_j (-1)^j q_(2j+1) v^j, v = t^2, by
+    Horner from the top coefficient of each half (an empty half is zero), the
+    bits of Horner in -t^2 as negation is exact.  Given a dict ``work``, v, E
+    and O go into its buffers, valid until the next call with it."""
+    signed = np.array(q)
+    for part in (signed[2::4], signed[3::4]):
+        np.negative(part, out=part)
+    v = np.square(t, out=None if work is None else _buffer(work, "v", t.shape, t.dtype))
+    shape, dtype = np.broadcast(v, q[0]).shape, np.result_type(v, q)
+    even, odd = (_buffer(work, name, shape, dtype) for name in "EO")
+    for acc, half in ((even, signed[0::2]), (odd, signed[1::2])):
+        if len(half) > 1:   # the first step writes acc, with no fill before it
+            np.add(np.multiply(v, half[-1], out=acc), half[-2], out=acc)
+        else:
+            acc[...] = half[-1] if len(half) else 0
+        for c in half[-3::-1]:
+            acc *= v
             acc += c
     odd *= t
     return even, odd
+
+
+def _buffer(work: dict | None, name: str, shape: tuple, dtype) -> np.ndarray:
+    """The first shape[0] rows of ``work[name]``, made anew when missing, too
+    short, or of another row shape or dtype; without work, a fresh array."""
+    if work is None:
+        return np.empty(shape, dtype)
+    buf = work.get(name)
+    if buf is None or len(buf) < shape[0] or buf.shape[1:] != shape[1:] or buf.dtype != dtype:
+        buf = work[name] = np.empty(shape, dtype)
+    return buf[:shape[0]]
 
 
 def funk_hecke_constants(m: int, j: int) -> tuple[PiScalar, PiScalar]:

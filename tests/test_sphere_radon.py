@@ -32,6 +32,8 @@ from monogenics.sphere import (
     _even_odd,
     _gauss_gegenbauer,
     _node_moments,
+    _pairwise,
+    _wave_moments,
 )
 
 
@@ -175,9 +177,9 @@ def test_blocked_monte_carlo_matches_the_unblocked_reduction(n):
 
 def test_monte_carlo_workspace_changes_no_value():
     # three blocks and a rest, and a complex Clifford-valued f0 with several
-    # channels: every block the reductions write into their reused workspace
-    # must reduce as a fresh array of its own does, so a block overwritten
-    # before it is reduced shows
+    # channels: every block the reductions and the split write into their
+    # reused buffers must reduce as fresh arrays of its own do, so a block
+    # overwritten before it is reduced shows
     m, n = 3, 3 * _MC_BLOCK + 5
     rule = MonteCarloRule(m, n, seed=9)
     cols = rule.nodes.T
@@ -195,13 +197,14 @@ def test_monte_carlo_workspace_changes_no_value():
     radon._slice_plane_wave(f0, m, Recording(), x0, xv)
     (split,) = splits
 
-    def fresh_rows():
+    def fresh_parts():
+        # a new split, so new buffers, and a new workspace for every block
         for s in range(0, n, _MC_BLOCK):
             w = cols[:, s:s + _MC_BLOCK]
-            alpha, beta = split((xv @ w)[:, None])
-            yield np.concatenate([alpha.T, (beta.T[:, None, :] * w).reshape(-1, w.shape[1])])
+            alpha, beta = _recorded_split(f0, m, x0)((xv @ w)[:, None])
+            yield _wave_moments(w, alpha, beta, {})
 
-    mean, m2 = _node_moments(fresh_rows())
+    mean, m2 = _pairwise(list(fresh_parts()))
     k = len(mean) // (m + 1)
     assert k == 7
     a, v, se = rule.plane_wave_mean(xv, split)
@@ -233,6 +236,59 @@ def test_blocked_monte_carlo_constant_data_has_no_spread():
     a, v, se = rule.plane_wave_mean((0.1, 0.2, 0.3),
                                     lambda t: (np.full((len(t), 2), 3.0), np.zeros((len(t), 2))))
     assert se == 0.0 and np.all(a == 3.0) and np.all(v == 0.0)
+
+
+# one node short of a block, one over, and three blocks and a rest
+WAVE_SIZES = (2, _MC_BLOCK - 1, _MC_BLOCK + 1, 3 * _MC_BLOCK + 5)
+
+
+@pytest.mark.parametrize("n", WAVE_SIZES)
+@pytest.mark.parametrize("k", [1, 7])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_monte_carlo_plane_wave_matches_the_materialized_rows(n, k, dtype):
+    # reference: the rows of alpha and w beta over all n nodes, reduced by
+    # np.mean and np.std(ddof=1); the rule takes w beta's moments in one pass
+    m, x0, xv = 3, 0.4, np.array([0.3, -0.2, 0.25])
+    scale = np.random.default_rng(k).normal(size=(2, k, 2)) @ [1.0, 1j if dtype is complex else 0.0]
+
+    def split(t):
+        z = x0 + 1j * t
+        return (z**3 - 2.0).real * scale[0], (z**2 + z).imag * scale[1]
+
+    rule = MonteCarloRule(m, n, seed=n + k)
+    alpha, beta = split((rule.nodes @ xv)[:, None])
+    wbeta = beta[:, :, None] * rule.nodes[:, None, :]
+    want_se = max(np.std(alpha, axis=0, ddof=1).max(),
+                  np.std(wbeta, axis=0, ddof=1).max()) / math.sqrt(n)
+    a, v, se = rule.plane_wave_mean(xv, split)
+    assert a.dtype == v.dtype == np.dtype(dtype)
+    assert _close(a, np.mean(alpha, axis=0)) and _close(v, np.mean(wbeta, axis=0))
+    assert abs(se - want_se) <= 1e-13 * want_se
+
+
+@pytest.mark.parametrize("n", WAVE_SIZES)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_monte_carlo_plane_wave_of_constant_alpha_and_zero_beta_has_no_spread(n, dtype):
+    # dyadic constants: every block mean is exact, so every M2 is 0 exactly
+    const = np.array([3.0, -2.0, 0.25, 1e3, -0.5, 7.0, 1.0], dtype)
+    if dtype is complex:
+        const[::2] += [0.5j, -2j, 0.125j, 1j]
+    rule = MonteCarloRule(3, n, seed=5)
+    a, v, se = rule.plane_wave_mean(
+        (0.1, 0.2, 0.3), lambda t: (np.tile(const, (len(t), 1)), np.zeros((len(t), 7), dtype)))
+    assert se == 0.0 and np.array_equal(a, const) and np.all(v == 0.0)
+
+
+@pytest.mark.parametrize("n", WAVE_SIZES[2:])
+def test_monte_carlo_plane_wave_of_constant_w_beta_has_no_negative_spread(n):
+    # on S^0 both nodes w = +-1 give w beta(<x,w>) = c x for beta = c t, so
+    # each block's S2 - S1 mean is rounding of either sign; unclamped, some
+    # M2 is negative and the standard error a NaN
+    rule = MonteCarloRule(1, n, seed=3)
+    for c in (0.1, 1 / 3, 0.7, 1.1):
+        a, v, se = rule.plane_wave_mean((0.6,), lambda t: (np.full((len(t), 1), 2.0), c * t))
+        assert np.all(a == 2.0) and abs(v[0, 0] - c * 0.6) <= 1e-13 * c
+        assert 0.0 <= se <= 1e-9, c
 
 
 @pytest.mark.parametrize("n", BLOCKED_SIZES)
@@ -713,3 +769,43 @@ def test_even_odd_from_the_top_coefficient_is_bit_identical():
                 for got, want in zip(_even_odd(q, t), _even_odd_from_zero(q, t)):
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes(), (degree, dtype, np.shape(t))
+
+
+def _even_odd_in_minus_t_squared(q, t):
+    """Horner in u = -t^2 from the top coefficient of each half, as the
+    slice paths ran it before the signs of i^k went into the coefficients."""
+    u = -t * t
+    shape, dtype = np.broadcast(u, q[0]).shape, np.result_type(u, q)
+    even, odd = (np.full(shape, h[-1] if len(h) else 0, dtype) for h in (q[0::2], q[1::2]))
+    for acc, half in ((even, q[0::2]), (odd, q[1::2])):
+        for c in half[-2::-1]:
+            acc *= u
+            acc += c
+    odd *= t
+    return even, odd
+
+
+def _same_bits(got, want):
+    return all(g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+               for g, w in zip(got, want))
+
+
+def test_even_odd_in_t_squared_is_bit_identical_to_horner_in_minus_t_squared():
+    rng = np.random.default_rng(29)
+    column = np.concatenate([rng.normal(size=40), [0.0, -0.0, 1.0, -1.0]])[:, None]
+    for degree in range(9):   # degree 0: an empty odd half
+        for dtype in (float, complex):
+            q = rng.normal(size=(degree + 1, 3, 2)) @ [1.0, 1j if dtype is complex else 0.0]
+            # the slice path's nodes x channels, one point, and the Gram grid
+            # of the CST splits: a column of x0 (in q) against a row of radii
+            for q_, t in ((q, column), (q[:, 0], 0.7), (q[:, 0], -0.0), (q[:, :, None], column[:, 0])):
+                want = _even_odd_in_minus_t_squared(q_, t)
+                assert _same_bits(_even_odd(q_, t), want), (degree, dtype, np.shape(t))
+            # buffers kept across calls, the last block shorter than the first
+            work = {}
+            first = _even_odd(q, column, work)
+            assert _same_bits(first, _even_odd_in_minus_t_squared(q, column))
+            last = _even_odd(q, column[:7], work)
+            assert _same_bits(last, _even_odd_in_minus_t_squared(q, column[:7]))
+            assert all(np.shares_memory(a, b) for a, b in zip(first, last))
+            assert _same_bits(_even_odd(q, column, work), _even_odd_in_minus_t_squared(q, column))
