@@ -197,13 +197,6 @@ class AxialClosedForm:
         return AxialClosedForm(self.m, self.A.scale(s), self.B.scale(s),
                                self.sign_power, self.singular_origin)
 
-    def __add__(self, other: "AxialClosedForm") -> "AxialClosedForm":
-        if self.m != other.m or self.sign_power % 2 != other.sign_power % 2:
-            raise ValueError("incompatible closed forms")
-        return AxialClosedForm(self.m, self.A + other.A, self.B + other.B,
-                               self.sign_power,
-                               self.singular_origin or other.singular_origin)
-
     def diff_x0(self) -> "AxialClosedForm":
         if self.sign_power % 2:
             raise ValueError("cannot differentiate across the sign factor")
@@ -291,27 +284,3 @@ class AxialClosedForm:
         """Expand into a genuine polynomial through the axial series."""
         return self.to_series().to_polynomial()
 
-
-def paravector_power_closed(m: int, n: int) -> AxialClosedForm:
-    """Closed axial form of the paravector power x^n for any integer n.
-
-    In the slice plane x = x0 + i r, so the components are the real and
-    imaginary parts of (x0 + i r)^n; for n < 0 that is
-    (x0 - i r)^|n| * rho^(-|n|).
-    """
-    k = abs(n)
-    A = RhoExpr.zero()
-    B = RhoExpr.zero()
-    sign = 1 if n >= 0 else -1  # conjugation flips the imaginary part
-    for t in range(k + 1):
-        c = Fraction(math.comb(k, t))
-        if t % 2 == 0:
-            c = c if (t // 2) % 2 == 0 else -c
-            A = A + RhoExpr.term(c, p=k - t, q=t)
-        else:
-            c = c if (t // 2) % 2 == 0 else -c
-            B = B + RhoExpr.term(sign * c, p=k - t, q=t)
-    if n < 0:
-        A = A.mul_rho_half_power(-2 * k)
-        B = B.mul_rho_half_power(-2 * k)
-    return AxialClosedForm(m, A, B, 0, singular_origin=n < 0)

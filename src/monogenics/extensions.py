@@ -111,18 +111,16 @@ def slice_extension(f0: LaurentPoly, m: int) -> SliceFunction:
 class IntrinsicPair:
     """Even/odd components (alpha, beta) of an intrinsic holomorphic extension.
 
-    Both are RhoExpr in (x0, r), the real and imaginary parts of the
-    complex variable x0 + i r, built from x0^n r^j terms (e = 0).  alpha is
-    even and beta odd in r; together they satisfy the Cauchy-Riemann system
-    d_x0 alpha = d_r beta, d_r alpha = -d_x0 beta (exactly for polynomial
-    data, up to the retained order otherwise).  On the slice at radius r in
-    the direction w the extension takes the value alpha + w beta.
+    Both are RhoExpr in (x0, r), the real and imaginary parts of f(x0 + i r),
+    exact on Laurent data: x0^p r^q terms, times rho^(-|n|) for a power
+    n < 0.  alpha is even and beta odd in r; together they satisfy the
+    Cauchy-Riemann system d_x0 alpha = d_r beta, d_r alpha = -d_x0 beta
+    exactly.  On the slice at radius r in the direction w the extension
+    takes the value alpha + w beta.
     """
 
     alpha: RhoExpr = field(default_factory=RhoExpr)
     beta: RhoExpr = field(default_factory=RhoExpr)
-    exact: bool = True
-    order: int | None = None
 
     def parity_ok(self) -> bool:
         return self.alpha.r_parity() == 0 and (self.beta.is_zero() or self.beta.r_parity() == 1)
@@ -133,30 +131,24 @@ class IntrinsicPair:
                 self.alpha.diff_r() + self.beta.diff_x0())
 
 
-def intrinsic_split(f0: LaurentPoly, order: int | None = None) -> IntrinsicPair:
-    """Even/odd series of the holomorphic extension of f0.
+def intrinsic_split(f0: LaurentPoly) -> IntrinsicPair:
+    """Real and imaginary parts of f0(x0 + i r), in closed form.
 
-    alpha = sum_j (-1)^j r^(2j)/(2j)! f0^(2j)(x0), beta the odd counterpart;
-    exact (terminating) when f0 is a polynomial.
+    A power n >= 0 contributes the binomial terms C(n, t) x0^(n-t) (i r)^t,
+    a power n < 0 those of (x0 - i r)^|n| / rho^|n|; the term with i^t goes
+    to alpha when t is even and to beta when t is odd.
     """
-    exact = f0.is_polynomial()
-    if order is None:
-        order = f0.max_exp() if exact else 16
     alpha: dict = {}
     beta: dict = {}
-    deriv = f0
-    sign = Fraction(1)
-    for j in range(order + 1):
-        if deriv.is_zero():
-            break
-        coeff = sign * Fraction(1, math.factorial(j))
-        target = alpha if j % 2 == 0 else beta
-        for n, c in deriv.terms.items():
-            target[(n, j, 0)] = c * coeff
-        deriv = deriv.derivative()
-        if j % 2 == 1:
-            sign = -sign
-    return IntrinsicPair(RhoExpr(alpha), RhoExpr(beta), exact, order)
+    for t in range(max(map(abs, f0.terms), default=0) + 1):
+        target = beta if t % 2 else alpha
+        for n, c in f0.terms.items():
+            k = abs(n)
+            if k >= t:
+                # i^t = (-1)^(t//2) i^(t%2), and (-i)^t = (-1)^t i^t
+                sign = (-1) ** (t // 2 + (t if n < 0 else 0))
+                target[(k - t, t, 0 if n >= 0 else -2 * k)] = c * Fraction(sign * math.comb(k, t))
+    return IntrinsicPair(RhoExpr(alpha), RhoExpr(beta))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .axial import AxialClosedForm, RhoExpr, paravector_power_closed
+from .axial import AxialClosedForm
 from .constants import constants
-from .extensions import AxialSeries, IntrinsicPair, gck_extension, slice_extension
+from .extensions import AxialSeries, IntrinsicPair, gck_extension, intrinsic_split, slice_extension
 from .laurent import LaurentPoly
 from .poly import CliffordPolynomial, OperatorTag, apply_operator
 from .scalars import PiScalar, double_factorial
@@ -71,8 +71,9 @@ def laplacian_power_route(m: int, f0: LaurentPoly):
     """Iterated Laplacian of the slice extension of f0, for odd m only.
 
     Polynomial data goes through the exact polynomial engine and returns a
-    CliffordPolynomial; data with negative powers goes through closed-form
-    radial calculus and returns an AxialClosedForm.
+    CliffordPolynomial; data with negative powers returns an AxialClosedForm,
+    the Laplacians of the intrinsic split alpha + w beta in closed form,
+    exact and singular at the origin.
     """
     if m % 2 == 0:
         raise ValueError("pointwise route requires odd m")
@@ -82,9 +83,8 @@ def laplacian_power_route(m: int, f0: LaurentPoly):
         for _ in range(steps):
             p = apply_operator(OperatorTag.LAPLACIAN, p)
         return p
-    form = AxialClosedForm(m, RhoExpr.zero(), RhoExpr.zero(), 0, True)
-    for n, c in f0.terms.items():
-        form = form + paravector_power_closed(m, n).scale(c)
+    pair = intrinsic_split(f0)
+    form = AxialClosedForm(m, pair.alpha, pair.beta)
     for _ in range(steps):
         form = form.laplacian()
     return form
@@ -99,7 +99,9 @@ def radial_route_components(m: int, pair: IntrinsicPair) -> AxialClosedForm:
 
     alpha and beta are the RhoExpr of the intrinsic split in (x0, r), with
     w = x/|x| and r = |x|.  alpha is even and beta odd in r, so each step
-    keeps the terms free of negative r powers.
+    keeps the terms free of negative r powers.  The components are exact on
+    Laurent data too; the origin is singular when a term carries a negative
+    power of rho.
     """
     if m % 2 == 0:
         raise ValueError("explicit components require odd m")
@@ -110,7 +112,8 @@ def radial_route_components(m: int, pair: IntrinsicPair) -> AxialClosedForm:
         A = A.diff_r().div_r()
         B = B.div_r().diff_r()
     df = double_factorial(m - 1)
-    return AxialClosedForm(m, A.scale(df), B.scale(df), 0, singular_origin=not pair.exact)
+    singular = any(e < 0 for expr in (pair.alpha, pair.beta) for _, _, e in expr.terms)
+    return AxialClosedForm(m, A.scale(df), B.scale(df), 0, singular_origin=singular)
 
 
 def fueter_kernel_range(m: int) -> range:

@@ -22,12 +22,13 @@ each while they fit 63 bits, else a tuple.  At the largest accepted run,
 ``verify radon --m 6 --max-degree 10``, they hold 198 images of 8,853
 monomials and 3,222 offset rows of 268,038 offsets (2.1 MB).
 
-The numeric routes (pointwise transform, plane-wave check, and the kernel
-plane waves, which average a power of z) share one slice path,
-``_slice_plane_wave``: its split gives the slice values alpha + w beta in
-closed form in the signed radius t = <x,w>, real on every channel, and the
-rule's ``plane_wave_mean`` sums them over the nodes (Monte Carlo, a block at
-a time, adds the spread).  Only that path imports numpy, when it first runs.
+The numeric routes (the plane-wave check and the kernel plane waves, which
+average a power of z) share one slice path, ``_slice_plane_wave``, the
+numeric transform of a slice function at a point: its split gives the
+slice values alpha + w beta in closed form in the signed radius t = <x,w>,
+real on every channel, and the rule's ``plane_wave_mean`` sums them over
+the nodes (Monte Carlo, a block at a time, adds the spread).  Only that
+path imports numpy, when it first runs.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import TYPE_CHECKING, Sequence
 from .axial import AxialClosedForm
 from .clifford import CliffordElement, axial_element, nan_max
 from .constants import constants
-from .extensions import SliceFunction, gck_extension, slice_extension
+from .extensions import gck_extension, slice_extension
 from .laurent import LaurentPoly
 from .poly import CliffordPolynomial, _compact, _exponents, _fields, _fit, _rational, _repacked, _view
 from .scalars import double_factorial, to_complex
@@ -127,11 +128,6 @@ def _monomial_image(vec: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], 
                  for combo, rest, w in level
                  for b in (range(a % 2, rest + 1, 2) if i < len(vec) - 1 else (rest,))]
     return tuple(combo for combo, _, _ in level), tuple(w for _, _, w in level)
-
-
-def dual_radon_pointwise(sf: SliceFunction, rule: NodeRule, x0, xv) -> CliffordElement:
-    """Numeric dual Radon transform of a slice function at a point."""
-    return _slice_plane_wave(sf.f0, sf.m, rule, x0, xv)[0]
 
 
 def _slice_plane_wave(f0: LaurentPoly, m: int, rule: NodeRule, x0, xv

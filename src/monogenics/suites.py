@@ -526,9 +526,9 @@ def suite_radon(m_max: int, degree: int, mc_n: int, seed: int) -> VerificationRe
 def suite_cst() -> VerificationReport:
     import numpy as np
 
-    from .cst import (CHECK_POINTS, axial_cst, axial_cst_radon_route, classical_cst,
-                      fueter_cst_routes, heat_semigroup, slice_cst, slice_cst_fourier,
-                      unitarity_gram)
+    from .cst import (CHECK_POINTS, _legendre_grid, axial_cst, axial_cst_radon_route,
+                      classical_cst, fueter_cst_routes, heat_semigroup, slice_cst,
+                      slice_cst_fourier, unitarity_gram)
     from .gausspoly import hermite_function
     from .sphere import ProductGaussRule
 
@@ -538,8 +538,7 @@ def suite_cst() -> VerificationReport:
 
     with s.case("heat_is_convolution", "closed-form heat flow equals the Gaussian convolution",
                 ["heat_semigroup"], tol=1e-10) as check:
-        nodes, weights = np.polynomial.legendre.leggauss(260)
-        y, w = 14.0 * nodes, 14.0 * weights
+        y, w = _legendre_grid(260, -14.0, 14.0)
         for f in fams:
             h = heat_semigroup(f)
             for x0 in (0.0, 0.8, -1.2):

@@ -11,13 +11,14 @@ from fractions import Fraction
 
 import pytest
 
-from monogenics.axial import AxialClosedForm, RhoExpr, paravector_power_closed
+from monogenics.axial import AxialClosedForm, RhoExpr
 from monogenics.clifford import CliffordElement
 from monogenics.extensions import AxialSeries, gck_extension
 from monogenics.kernels import monogenic_monomial
 from monogenics.laurent import LaurentPoly
-from monogenics.poly import CliffordPolynomial
+from monogenics.poly import CliffordPolynomial, paravector_power
 from monogenics.scalars import PiScalar, _compositions, _multinomial
+from test_kernels import closed_power
 from test_poly import radial_sq
 
 
@@ -121,9 +122,9 @@ def test_fraction_output_carries_the_integer_form(m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_paravector_power_closed_equals_product_reference(m):
     for n in range(9):
-        form = paravector_power_closed(m, n)
+        form = closed_power(m, n)
         got = form.to_polynomial()
-        assert got == product_built_closed(form), (m, n)
+        assert got == product_built_closed(form) == paravector_power(m, n), (m, n)
         assert typed(got) == typed(product_built_closed(form))
 
 
@@ -142,7 +143,7 @@ def test_closed_form_series_refusals():
     with pytest.raises(ValueError):
         AxialClosedForm(m, RhoExpr.term(Fraction(1)), RhoExpr(), sign_power=1).to_series()
     with pytest.raises(ValueError):
-        paravector_power_closed(m, -2).to_polynomial()
+        closed_power(m, -2).to_polynomial()
     with pytest.raises(ValueError):
         AxialClosedForm(m, RhoExpr.term(Fraction(1), e=1), RhoExpr()).to_polynomial()
     with pytest.raises(ValueError):

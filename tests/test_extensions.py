@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from monogenics.axial import RhoExpr
 from monogenics.clifford import CliffordElement
 from monogenics.extensions import (
+    IntrinsicPair,
     appell_Q,
     appell_sum,
     appell_weight,
@@ -100,11 +101,12 @@ def test_intrinsic_split_examples():
     assert pair3.parity_ok()
     r1, r2 = pair3.cr_residuals()
     assert r1.is_zero() and r2.is_zero()
-    # the Laurent series keeps the system exactly below its retained order
-    pair_inv = intrinsic_split(LaurentPoly.monomial(-1), order=6)
-    assert pair_inv.parity_ok() and not pair_inv.exact
-    assert pair_inv.alpha.evaluate(Fraction(2), Fraction(1, 3)) == sum(
-        Fraction((-1) ** i, 9**i) * Fraction(2) ** (-1 - 2 * i) for i in range(4))
+    # 1/x0 -> (x0/rho, -r/rho), the parts of 1/(x0 + i r) = (x0 - i r)/rho
+    pair_inv = intrinsic_split(LaurentPoly.monomial(-1))
+    assert pair_inv.alpha == RhoExpr({(1, 0, -2): Fraction(1)})
+    assert pair_inv.beta == RhoExpr({(0, 1, -2): Fraction(-1)})
+    assert pair_inv.parity_ok()
+    assert pair_inv.alpha.evaluate(Fraction(2), Fraction(1, 3)) == Fraction(18, 37)
 
 
 def test_intrinsic_split_matches_slice_values():
@@ -123,6 +125,44 @@ def test_intrinsic_split_matches_slice_values():
             got = got + CliffordElement.vector(m, [c / r for c in xv]).scale(
                 pair.beta.evaluate(x0, r))
         assert (want - got).norm_inf() < 1e-10
+
+
+LAURENT = LaurentPoly({-3: Fraction(2), -1: Fraction(1, 3), 0: Fraction(-5), 2: Fraction(7, 2),
+                       5: Fraction(-1, 4)})
+# rational (x0, r), with r = 0 and x0 = 0 among them
+RATIONAL_POINTS = [(Fraction(3, 2), Fraction(1, 4)), (Fraction(-2, 3), Fraction(5, 7)),
+                   (Fraction(0), Fraction(3, 5)), (Fraction(-7, 4), Fraction(0)),
+                   (Fraction(1), Fraction(-1, 2))]
+
+
+def split_checks(pair, f0):
+    """(both Cauchy-Riemann residuals vanish, alpha and beta equal the
+    slice values at every rational point), all exact."""
+    r1, r2 = pair.cr_residuals()
+    sf = slice_extension(f0, 3)
+    return (r1.is_zero() and r2.is_zero(),
+            all((pair.alpha.evaluate(x0, r), pair.beta.evaluate(x0, r)) == sf.slice_values(x0, r)
+                for x0, r in RATIONAL_POINTS))
+
+
+def test_intrinsic_split_is_exact_on_laurent_data():
+    # the split and slice_values (PiScalar powers) share no code
+    pair = intrinsic_split(LAURENT)
+    assert pair.parity_ok()
+    assert split_checks(pair, LAURENT) == (True, True)
+
+
+def unconjugated_split(f0):
+    """The split with (x0 + i r)^|n| in place of (x0 - i r)^|n| for n < 0."""
+    pair = intrinsic_split(f0)
+    neg = intrinsic_split(LaurentPoly({n: c for n, c in f0.terms.items() if n < 0}))
+    return IntrinsicPair(pair.alpha, pair.beta - neg.beta - neg.beta)
+
+
+def test_intrinsic_split_negative_control():
+    unconjugated = unconjugated_split(LAURENT)
+    assert unconjugated.parity_ok()
+    assert split_checks(unconjugated, LAURENT) == (False, False)
 
 
 def test_gck_examples():

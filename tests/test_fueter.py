@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from monogenics.axial import RhoExpr
 from monogenics.clifford import Paravector
 from monogenics.constants import constants
 from monogenics.extensions import appell_sum, gck_extension, intrinsic_split
@@ -16,7 +15,8 @@ from monogenics.fueter import (
 )
 from monogenics.laurent import LaurentPoly
 from monogenics.poly import CliffordPolynomial, OperatorTag, apply_operator
-from monogenics.scalars import PiScalar, double_factorial
+from monogenics.scalars import PiScalar
+from test_extensions import LAURENT, unconjugated_split
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
@@ -119,45 +119,31 @@ def test_radial_components_m1_is_identity():
         assert (lhs - rhs).norm_inf() < 1e-14
 
 
-def _radial_components_on_tables(m, f0, order):
-    """Reference: the split and the radial steps on {(x0 exponent, r exponent): c}."""
-    alpha, beta = {}, {}
-    deriv, sign = f0, Fraction(1)
-    for j in range(order + 1):
-        if deriv.is_zero():
-            break
-        target = alpha if j % 2 == 0 else beta
-        for n, c in deriv.terms.items():
-            target[(n, j)] = c * sign / math.factorial(j)
-        deriv = deriv.derivative()
-        if j % 2 == 1:
-            sign = -sign
-    for _ in range((m - 1) // 2):
-        # (r^-1 d_r) r^(2i) = 2i r^(2i-2); (d_r r^-1) r^(2i+1) = 2i r^(2i-1)
-        alpha = {(pu, pv - 2): c * pv for (pu, pv), c in alpha.items() if pv}
-        beta = {(pu, pv - 2): c * (pv - 1) for (pu, pv), c in beta.items() if pv > 1}
-    df = double_factorial(m - 1)
-    return (RhoExpr({(pu, pv, 0): c * df for (pu, pv), c in alpha.items()}),
-            RhoExpr({(pu, pv, 0): c * df for (pu, pv), c in beta.items()}))
+@pytest.mark.parametrize("m", [1, 3, 5, 7])
+def test_radial_components_on_laurent_data_match_laplacian_route(m):
+    # both routes are exact on Laurent data and share only the split
+    form, lap = radial_route_components(m, intrinsic_split(LAURENT)), laplacian_power_route(m, LAURENT)
+    assert form.A == lap.A and form.B == lap.B
+    assert form.singular_origin
+    assert not radial_route_components(m, intrinsic_split(LaurentPoly.monomial(2))).singular_origin
+    x0, r = Fraction(3, 2), Fraction(1, 4)
+    assert form.value_parts(x0, r) == lap.value_parts(x0, r)
+    assert all(isinstance(v, Fraction) for v in form.value_parts(x0, r))
 
 
 @pytest.mark.parametrize("m", [1, 3, 5, 7])
-@pytest.mark.parametrize("order", [None, 9])
-def test_radial_components_on_laurent_data_match_tables(m, order):
-    f0 = LaurentPoly({-3: Fraction(2), -1: Fraction(1, 3), 0: Fraction(-5), 2: Fraction(7, 2)})
-    pair = intrinsic_split(f0, order)
-    form = radial_route_components(m, pair)
-    A, B = _radial_components_on_tables(m, f0, 16 if order is None else order)
-    assert form.A == A and form.B == B
-    assert form.singular_origin and not pair.exact
-    x0, r = Fraction(3, 2), Fraction(1, 4)
-    assert form.value_parts(x0, r) == (A.evaluate(x0, r), B.evaluate(x0, r))
-    assert all(isinstance(v, Fraction) for v in form.value_parts(x0, r))
+def test_radial_components_negative_controls(m):
+    lap = laplacian_power_route(m, LAURENT)
+    unconjugated = radial_route_components(m, unconjugated_split(LAURENT))
+    assert (unconjugated.A, unconjugated.B) != (lap.A, lap.B)
+    # one radial step too many
+    form = radial_route_components(m, intrinsic_split(LAURENT))
+    assert form.A.diff_r().div_r() != lap.A and form.B.div_r().diff_r() != lap.B
 
 
 def test_radial_components_parity_enforced():
     bad = intrinsic_split(LaurentPoly.monomial(2))
-    swapped = type(bad)(alpha=bad.beta, beta=bad.alpha, exact=True, order=bad.order)
+    swapped = type(bad)(alpha=bad.beta, beta=bad.alpha)
     with pytest.raises(ValueError):
         radial_route_components(3, swapped)
 

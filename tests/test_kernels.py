@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from monogenics.axial import AxialClosedForm, DomainError, RhoExpr, paravector_power_closed
+from monogenics.axial import AxialClosedForm, DomainError, RhoExpr
 from monogenics.clifford import CliffordElement, Paravector
 from monogenics.constants import constants, sphere_area
-from monogenics.extensions import appell_Q, gck_extension
+from monogenics.extensions import appell_Q, gck_extension, intrinsic_split
 from monogenics.kernels import (
     _max_residual,
     cauchy_kernel,
@@ -63,22 +63,31 @@ def test_rhoexpr_derivatives():
     assert got == want
 
 
+def closed_power(m, n):
+    """x^n as the closed axial form of the intrinsic split of x0^n."""
+    pair = intrinsic_split(LaurentPoly.monomial(n))
+    return AxialClosedForm(m, pair.alpha, pair.beta, singular_origin=n < 0)
+
+
 def test_paravector_power_closed_matches_poly():
+    from monogenics.poly import paravector_power
+
     for m in (2, 3):
         for n in range(0, 5):
-            form = paravector_power_closed(m, n)
-            from monogenics.poly import paravector_power
-
-            assert form.to_polynomial() == paravector_power(m, n)
+            assert closed_power(m, n).to_polynomial() == paravector_power(m, n)
 
 
 def test_paravector_power_closed_negative():
+    # x^-1 = conj(x)/|x|^2, at a float point and exactly at a rational one
     m = 3
-    form = paravector_power_closed(m, -1)
+    form = closed_power(m, -1)
     x0, xv = 0.7, (0.2, -0.1, 0.4)
     n2 = x0**2 + sum(c * c for c in xv)
     want = Paravector(x0, xv).conj().to_element().scale(1.0 / n2)
     assert (form.evaluate(x0, list(xv)).to_numeric() - want).norm_inf() < 1e-14
+    x0, xv = Fraction(1, 2), (Fraction(2, 7), Fraction(-3, 7), Fraction(6, 7))
+    want = Paravector(x0, xv).conj().to_element().scale(Fraction(4, 5))
+    assert form.evaluate(x0, list(xv)) == want
 
 
 def test_cauchy_kernel_restriction_and_planar_case():

@@ -69,6 +69,15 @@ def test_verify_monomials_report_is_pinned(tmp_path, name, argv):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("suite", ["gck", "fueter"])
+def test_verify_exact_suite_report_is_pinned(tmp_path, suite):
+    # the negative-order residuals of both suites are float sums of exact series
+    name = f"verify_{suite}.json"
+    out = tmp_path / name
+    assert main(["verify", suite, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def test_fueter_export_constant_example():
     payload = export_payload("fueter_power", 3, power=2)
     assert payload["branch_tag"] == "monomial"
