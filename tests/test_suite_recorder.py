@@ -2,9 +2,11 @@
 
 import json
 import math
+import sys
 
 import pytest
 
+import monogenics
 from monogenics import cst, kernels, radon, suites
 from monogenics.cli import main
 from monogenics.clifford import CliffordElement
@@ -18,9 +20,7 @@ NAN = float("nan")
 
 def _one_case(tol=None, values=()):
     s = _Suite("t", {})
-    with s.case("c", "identity", ["op"], tol=tol) as check:
-        for v in values:
-            check(v)
+    s.case("c", "identity", ["op"], [(v,) for v in values], lambda v: v, tol=tol)
     case, = s.report.cases
     return case
 
@@ -62,19 +62,19 @@ def test_exact_residual_counts_the_false_checks():
 def test_check_refuses_the_wrong_kind_of_value(tol, value):
     # a residual in an exact case, or a bool in a numeric one, would be judged
     # backwards (0.0 reads as a failure, True as a residual of 1)
-    with pytest.raises(TypeError):
+    want = "a bool" if tol is None else "a residual"
+    with pytest.raises(TypeError, match=f"case 'c' checks {want}, got {value!r}"):
         _one_case(tol, [value])
 
 
-def test_cases_open_at_once_keep_entry_order():
+def test_cases_keep_their_call_order_and_verdicts():
     s = _Suite("t", {})
-    with s.case("first", "", [], tol=1.0) as first, s.case("second", "", []) as second:
-        second(True)
-        first(0.5)
-    with s.case("third", "", []) as third:
-        third(False)
+    s.case("first", "", [], [(0.5,)], lambda r: r, tol=1.0)
+    s.case("second", "", [], [(True, True)], lambda *oks: oks)
+    s.case("third", "", [], [(False,)], lambda ok: ok)
     assert [c.case_id for c in s.report.cases] == ["first", "second", "third"]
     assert [c.passed for c in s.report.cases] == [True, True, False]
+    assert [c.checked for c in s.report.cases] == [1, 2, 1]
 
 
 def test_verify_radon_m1_fails_on_its_empty_cases(tmp_path):
@@ -185,3 +185,51 @@ def test_algebra_suite_calls_the_registry_conjugations(monkeypatch):
         monkeypatch.setattr(suites, name, counted)
     assert suites.suite_algebra(3, 20, 42).passed
     assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize("suite", [*suites.SUITES, "all"])
+def test_each_case_calls_every_op_it_declares(monkeypatch, suite):
+    # Every OP_REGISTRY function is wrapped in every module that binds it, and
+    # each call is credited to the case running at the time.  Work a suite does
+    # outside its cases, such as the one list of monomial reports that both
+    # order cases read, is credited to each case after it.  For "all" only its
+    # own two cases run.
+    monogenics.axial_cst  # binds the numeric layer's names in the package before wrapping
+    ops = {op for names in suites.OP_REGISTRY.values() for op in names}
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "monogenics"]
+    originals = {op: fn for mod in modules for op, fn in vars(mod).items()
+                 if op in ops and getattr(fn, "__module__", None) == mod.__name__}
+    assert originals.keys() == ops
+    outside: set = set()
+    running = [outside]
+
+    def counted(op, fn):
+        def wrapper(*args, **kwargs):
+            running[-1].add(op)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for op, fn in originals.items():
+        wrapped = counted(op, fn)
+        for mod in modules:
+            for name, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, name, wrapped)
+    called = {}
+    case = suites._Suite.case
+
+    def credited_case(self, case_id, *args, **kwargs):
+        running.append(set(outside))
+        try:
+            case(self, case_id, *args, **kwargs)
+        finally:
+            called[case_id] = running.pop()
+
+    monkeypatch.setattr(suites._Suite, "case", credited_case)
+    if suite == "all":
+        monkeypatch.setattr(suites, "_run_table_suite",
+                            lambda name, params, capped: suites.VerificationReport(name, {}, []))
+    report = suites.run_suite(suite)
+    assert [c.case_id for c in report.cases] == list(called)
+    uncalled = [(c.case_id, op) for c in report.cases for op in c.ops if op not in called[c.case_id]]
+    assert not uncalled
