@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .clifford import CliffordElement, axial_element
 from .laurent import LaurentPoly
 from .poly import CliffordPolynomial
-from .scalars import PiScalar, canon, is_zero_scalar, sqrt_exact_or_float
+from .scalars import canon, is_zero_scalar, sqrt_exact_or_float
 
 
 class DomainError(ValueError):
@@ -143,7 +143,7 @@ class RhoExpr:
                     v = v * _ipow(rho, e // 2)
                 else:
                     v = v * math.sqrt(float(rho)) ** e if rho != 0 else 0
-            term = _scalar_times(c, canon(v))
+            term = c * canon(v)   # a PiScalar coefficient demotes to a float or complex point
             out = term if out is None else out + term
         return out if out is not None else Fraction(0)
 
@@ -166,14 +166,6 @@ def _ipow(base, n: int):
     if n == 0:
         return 1
     return base**n if n > 0 else 1 / (base ** (-n))
-
-
-def _scalar_times(c, v):
-    # exact coefficients meet numeric points only through explicit conversion
-    if isinstance(c, PiScalar) and isinstance(v, (float, complex)):
-        z = c.to_complex()
-        return (z.real if z.imag == 0.0 else z) * v
-    return c * v
 
 
 @dataclass

@@ -28,7 +28,7 @@ from .constants import constants
 from .extensions import gck_denominator
 from .gausspoly import GaussPoly
 from .scalars import to_complex
-from .sphere import NodeRule, ProductGaussRule, _even_odd, _shift_matrix
+from .sphere import NodeRule, _even_odd, _shift_matrix
 
 
 # (x0, r) points at which cst-check and the cst suite compare the routes
@@ -167,11 +167,8 @@ def axial_cst(f: GaussPoly, m: int, x0: float, xv, order: int | None = None,
     return _axial_from_smooth(f.heat(), m, x0, xv, order, tol)
 
 
-def axial_cst_radon_route(f: GaussPoly, m: int, x0: float, xv,
-                          rule: NodeRule | None = None) -> CliffordElement:
+def axial_cst_radon_route(f: GaussPoly, m: int, x0: float, xv, rule: NodeRule) -> CliffordElement:
     """The same transform through the dual Radon transform of the slice route."""
-    if rule is None:
-        rule = ProductGaussRule(m, 24)
     return _radon_of_entire(f.heat(), m, x0, xv, rule)
 
 
@@ -195,8 +192,7 @@ def _gamma(m: int) -> complex:
     return to_complex(constants(m).gamma)
 
 
-def fueter_cst_routes(f: GaussPoly, m: int, x0: float, xv,
-                      rule: NodeRule | None = None,
+def fueter_cst_routes(f: GaussPoly, m: int, x0: float, xv, rule: NodeRule,
                       tol: float = 1e-10) -> dict[str, CliffordElement]:
     """All three routes to the slice-to-axial CST at one point.
 
@@ -204,8 +200,6 @@ def fueter_cst_routes(f: GaussPoly, m: int, x0: float, xv,
     commutation of the derivative with the heat flow; the radon route goes
     through the slice transform.
     """
-    if rule is None:
-        rule = ProductGaussRule(m, 24)
     gamma = _gamma(m)
     d_then_heat = f.derivatives(m - 1)[-1].heat()
     return {
