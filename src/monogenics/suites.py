@@ -1,12 +1,14 @@
 """Verification suites: each runs a battery of identity checks at desk scale
 and returns a report whose canonical JSON is byte-stable across runs.
 
-Every case is judged in one place, ``_Suite.case``.  An exact case counts its
-failed comparisons and passes iff that count is zero; a numeric case keeps
-its worst residual and passes iff that sits inside its declared tolerance.
-A case that compared nothing, or whose residual is NaN, fails.  Numeric
-tolerances are either fixed by the identity being checked or derived from a
-certified truncation bound, never tuned after the fact.
+Each case is one call of ``_Suite.case`` with its data (id, identity,
+declared operations, points) and one comparison, which looks the library up
+through module globals at call time.  ``_Suite.case`` judges every case: an
+exact case counts its failed comparisons and passes iff that count is zero; a
+numeric case keeps its worst residual and passes iff that sits inside its
+declared tolerance.  A case that compared nothing, or whose residual is NaN,
+fails.  Numeric tolerances are either fixed by the identity being checked or
+derived from a certified truncation bound, never tuned after the fact.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .clifford import (CliffordElement, Paravector, axial_element, clifford_conjugate,
                        hermitian_conjugate, nan_max)
@@ -129,12 +131,11 @@ class _Suite:
              compare: Callable[..., object], *, tol: float | None = None,
              params: dict | None = None) -> None:
         """Run one case and append its result: at each of ``points``, which
-        may be a lazy generator, ``compare(*point)`` returns one check value
-        or a tuple of them.  Without ``tol`` the case is exact: each value is
-        a bool and the residual counts the ``False`` ones.  With ``tol`` each
-        value is a residual and the case keeps the largest, NaN included.  The
-        case passes iff it checked something and its residual is at most
-        ``tol`` (zero when exact)."""
+        may be lazy, ``compare(*point)`` returns a check value or a tuple of
+        them.  Without ``tol`` the case is exact: each value is a bool and the
+        residual counts the ``False`` ones.  With ``tol`` each is a residual
+        and the case keeps the largest, NaN included.  It passes iff it checked
+        something and its residual is at most ``tol`` (zero when exact)."""
         exact = tol is None
         result = CaseResult(case_id, identity, params or {}, exact, 0.0,
                             0.0 if exact else float(tol), False, ops)
@@ -179,13 +180,13 @@ def suite_algebra(m_max: int, count: int, seed: int) -> VerificationReport:
     rng = random.Random(seed)
     few = max(200, count // 10)
 
-    def dims(n):  # n values of m, each drawn just before the point it is drawn for
+    def random_dims(n):  # n values of m, each drawn just before its own point
         return (rng.randint(1, m_max) for _ in range(n))
 
     s.case("assoc_distrib_conj_random",
            "(ab)c = a(bc); a(b+c) = ab+ac; conj(ab) = conj(b)conj(a)",
            ["geometric_product", "clifford_conjugate"],
-           (tuple(_rand_element(rng, m) for _ in range(3)) for m in dims(count)),
+           (tuple(_rand_element(rng, m) for _ in range(3)) for m in random_dims(count)),
            lambda a, b, c: ((a * b) * c == a * (b * c), a * (b + c) == a * b + a * c,
                             clifford_conjugate(a * b) == clifford_conjugate(b) * clifford_conjugate(a)),
            params={"count": count})
@@ -201,10 +202,10 @@ def suite_algebra(m_max: int, count: int, seed: int) -> VerificationReport:
     s.case("paravector_norm_anticommutator", "x conj(x) = |x|^2; uv+vu = -2<u,v>",
            ["geometric_product", "clifford_conjugate"],
            ((Paravector(_rand_fraction(rng), tuple(_rand_fraction(rng) for _ in range(m))),
-             vector(m), vector(m)) for m in dims(few)), norm_anticommutator)
+             vector(m), vector(m)) for m in random_dims(few)), norm_anticommutator)
 
     s.case("hermitian_involution", "(a^)^ = a; (ab)^ = b^ a^", ["hermitian_conjugate"],
-           ((_rand_element(rng, m, True), _rand_element(rng, m, True)) for m in dims(few)),
+           ((_rand_element(rng, m, True), _rand_element(rng, m, True)) for m in random_dims(few)),
            lambda a, b: (hermitian_conjugate(hermitian_conjugate(a)) == a,
                          hermitian_conjugate(a * b) == hermitian_conjugate(b) * hermitian_conjugate(a)))
 
@@ -212,8 +213,8 @@ def suite_algebra(m_max: int, count: int, seed: int) -> VerificationReport:
         exact_prod = (a * b).to_numeric()
         return (exact_prod - a.to_numeric() * b.to_numeric()).norm_inf() / max(exact_prod.norm_inf(), 1.0)
     s.case("float_backend_agreement", "exact and float products agree to relative 1e-12",
-           ["geometric_product"], ((_rand_element(rng, m), _rand_element(rng, m)) for m in dims(few)),
-           float_gap, tol=1e-12)
+           ["geometric_product"],
+           ((_rand_element(rng, m), _rand_element(rng, m)) for m in random_dims(few)), float_gap, tol=1e-12)
 
     def closed_forms(m):
         c = constants(m)
