@@ -195,7 +195,8 @@ class CliffordElement:
         return CliffordElement(self.m, {mask: -c for mask, c in self.coeffs.items()})
 
     def scale(self, s) -> "CliffordElement":
-        return CliffordElement(self.m, {mask: c * s for mask, c in self.coeffs.items()})
+        return CliffordElement._trusted(self.m, {mask: v for mask, c in self.coeffs.items()
+                                                 if not is_zero_scalar(v := canon(c * s))})
 
     def __mul__(self, other) -> "CliffordElement":
         if isinstance(other, CliffordElement):
@@ -294,9 +295,15 @@ def axial_element(m: int, a, w: Sequence, b) -> CliffordElement:
     """The element a + w b, with w = sum_j w_j e_j given by its m components.
 
     a and b may be scalars or elements; w is a sequence or an array, and an
-    element b multiplies it from the right.
+    element b multiplies it from the right.  Scalar a and b make one element
+    in one pass, with the coefficients, blade order and types of the sum.
     """
-    return a + CliffordElement.vector(m, w) * b
+    if not (isinstance(a, _SCALARS) and isinstance(b, _SCALARS)):
+        return a + CliffordElement.vector(m, w) * b
+    if len(w) != m:
+        raise ValueError("need m components")
+    return CliffordElement(m, {0: a, **{1 << j: c * b for j, c in enumerate(map(canon, w))
+                                       if not is_zero_scalar(c)}})
 
 
 def clifford_conjugate(a: CliffordElement) -> CliffordElement:

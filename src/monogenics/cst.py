@@ -10,6 +10,7 @@ slice transform, the unitarity Gram and the quadrature route, the rule's
 plane-wave mean of it over the signed radii t = <x,w>.  The series reads
 its terms off one Taylor expansion at x0 (``GaussPoly.taylor``) up to an
 order certified from the exact function; the split shifts p by binomials.
+Kept, not rebuilt per call: float forms, series weights, a rule's half.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ def _slice_split(F: GaussPoly, x0, t):
     so alpha = K e^(a t^2) (A cos(t kappa) - t B sin(t kappa)) and beta =
     K e^(a t^2) (A sin(t kappa) + t B cos(t kappa)), for complex b, p and pref
     too: one real exp, cos and sin per point on real data."""
-    data = np.array([to_complex(c) for c in (F.b, F.pref, *F.coeffs)])
+    f = F.to_numeric()   # the float form, kept in F's memo
+    data = np.array([f.b, f.pref, *f.coeffs], dtype=complex)
     b, pref, *coeffs = data if data.imag.any() else data.real   # real data stays real
     a, bx = float(F.a), b * x0
     # q_k times pref and the phase of e^(b x0); the modulus goes in the exp
@@ -101,8 +103,7 @@ def slice_cst_fourier(f: GaussPoly, x0: float, r: float) -> SliceValue:
                            [cosh(p r) + i w sinh(p r)] ft(p) dp
     """
     ft = f.fourier()
-    # e^{-p^2/2} is in w
-    p, w = _legendre_grid(FOURIER_NODES, -FOURIER_CUTOFF, FOURIER_CUTOFF, 0.5)
+    p, w = _legendre_grid(FOURIER_NODES, -FOURIER_CUTOFF, FOURIER_CUTOFF, 0.5)   # e^{-p^2/2} in w
     vals = ft.evaluate(p.astype(complex))
     common = np.exp(1j * p * x0) * vals / math.sqrt(2 * math.pi)
     alpha = np.sum(w * common * np.cosh(p * r))
@@ -141,24 +142,29 @@ def _axial_from_smooth(g: GaussPoly, m: int, x0: float, xv, order: int | None,
     r2 = float(sum(c * c for c in xv))
     r = math.sqrt(r2)
     R = max(2.0 * r, r + 1.0)
-    M = g.magnitude_bound(x0, R)
+    M, ratio = g.magnitude_bound(x0, R), r / R
     if order is None:
-        ratio = r / R
         order = 8
         while M * ratio ** (order + 1) / (1 - ratio) > tol and order < 400:
             order += 4
-    tail = M * (r / R) ** (order + 1) / (1 - r / R)
+    tail = M * ratio ** (order + 1) / (1 - ratio)
     if tail > tol:
         raise TruncationError(
             f"certified remainder {tail:.3e} above tolerance {tol:.3e} at order {order}"
         )
-    # j!/(c_1 ... c_j) as a running product of ratios <= 1, so nothing overflows
-    weights = np.cumprod([1.0] + [j / gck_denominator(m, j) for j in range(1, order + 1)])
-    terms = g.taylor(x0, order) * weights
+    terms = g.taylor(x0, order) * _series_weights(m, order)
     powers = (-r2) ** np.arange(order // 2 + 1)   # (-r^2)^i
-    value_s = complex(np.sum(terms[0::2] * powers))
-    value_v = complex(np.sum(terms[1::2] * powers[:(order + 1) // 2]))
+    value_s = complex(np.add.reduce(terms[0::2] * powers))   # np.sum's sums, no wrapper
+    value_v = complex(np.add.reduce(terms[1::2] * powers[:(order + 1) // 2]))
     return axial_element(m, value_s, xv, value_v)
+
+
+@functools.lru_cache(maxsize=64)
+def _series_weights(m: int, order: int) -> np.ndarray:
+    """j!/(c_1 ... c_j), j <= order, a running product of ratios <= 1 (no overflow), read-only."""
+    weights = np.cumprod([1.0] + [j / gck_denominator(m, j) for j in range(1, order + 1)])
+    weights.flags.writeable = False
+    return weights
 
 
 def axial_cst(f: GaussPoly, m: int, x0: float, xv, order: int | None = None,

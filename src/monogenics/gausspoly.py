@@ -17,10 +17,13 @@ and the line integral stay exact.  A nonzero linear term b or numeric
 coefficients demote the result to complex arithmetic.
 
 A ``GaussPoly`` is immutable and keeps what it derives in a private memo
-that lives and dies with it: ``heat()``, ``derivative()``, and the slice
-splits and the line integrals of conj(f) g of ``cst.unitarity_gram`` are
-built on the first call on that object and the same result is returned on
-every later one.
+that lives and dies with it: ``heat()``, ``derivative()``, the float form
+``to_numeric()`` of an exact function (``to_complex`` of b, pref and each
+coefficient, nothing more), and the slice splits and the line integrals of
+conj(f) g of ``cst.unitarity_gram`` are built on the first call on that
+object and the same result is returned on every later one.  Of what a
+function derives, the series and quadrature routes of ``cst`` share only
+its float form and ``heat()``.
 """
 
 from __future__ import annotations
@@ -78,10 +81,9 @@ class GaussPoly:
         return len(self.coeffs) - 1
 
     def to_numeric(self) -> "GaussPoly":
-        if not self.is_exact():
-            return self
-        return GaussPoly(self.a, to_complex(self.b), [to_complex(c) for c in self.coeffs],
-                         to_complex(self.pref))
+        return self._cached("numeric", lambda: GaussPoly(
+            self.a, to_complex(self.b), [to_complex(c) for c in self.coeffs],
+            to_complex(self.pref))) if self.is_exact() else self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussPoly):
@@ -137,8 +139,7 @@ class GaussPoly:
         from repeated synthetic division, and one truncated convolution
         multiplies the two: O(order * deg p) work, no derivative is built.
         """
-        f = self.to_numeric()
-        a = float(f.a)
+        f, a = self.to_numeric(), float(self.a)
         c = complex(f.b) - 2.0 * a * x0
         e = [1.0 + 0j, c][:order + 1]
         for n in range(1, order):
@@ -163,12 +164,12 @@ class GaussPoly:
 
     def magnitude_bound(self, center: float, radius: float) -> float:
         """Certified bound of |f| on the disk |z - center| <= radius."""
-        rho = abs(center) + radius
-        poly = sum(abs(to_complex(c)) * rho**k for k, c in enumerate(self.coeffs))
+        f, rho = self.to_numeric(), abs(center) + radius
+        poly = sum(abs(complex(c)) * rho**k for k, c in enumerate(f.coeffs))
         # Re z^2 >= center^2 - 2|center| radius - radius^2 on the disk
         expo = (float(self.a) * (2 * abs(center) * radius + radius**2 - center**2)
-                + abs(to_complex(self.b)) * rho)
-        return abs(to_complex(self.pref)) * poly * math.exp(expo)
+                + abs(complex(f.b)) * rho)
+        return abs(complex(f.pref)) * poly * math.exp(expo)
 
     # -- Gaussian averages: heat flow, line integral, Fourier transform --------
 

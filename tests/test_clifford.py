@@ -236,6 +236,42 @@ def test_axial_element_matches_reference(m, kind):
             assert axial_element(m, a, np.array(w), b_el) == axial_element(m, a, w, b_el)
 
 
+def _blades(e: CliffordElement) -> list:
+    """Each coefficient with its blade, in the element's order, by type and repr
+    (which tells NaN from NaN and -0.0 from 0.0)."""
+    return [(mask, type(c), repr(c)) for mask, c in e.coeffs.items()]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_axial_element_builds_the_sum_in_one_pass(m):
+    # scalar a and b build one element; it must equal the generic sum in
+    # coefficient, blade order and type, zero and NaN parts included
+    nan = float("nan")
+    scalars = [0, 3, Fraction(0), Fraction(-2, 7), PiScalar(), PiScalar.of(Fraction(1, 3)),
+               PiScalar({1: (Fraction(1, 2), Fraction(-1, 5))}), 0.0, -0.0, 1.5, nan,
+               0j, complex(0.0, -0.0), 2 - 0.5j, complex(nan, 1.0)]
+    rng = random.Random(7 * m)
+    for _ in range(60):
+        w = [rng.choice(scalars) for _ in range(m)]
+        for a in scalars:
+            b = rng.choice(scalars)
+            want = a + CliffordElement.vector(m, w) * b
+            got = axial_element(m, a, w, b)
+            assert _blades(got) == _blades(want)
+            assert _blades(axial_element(m, a, np.array(w, dtype=object), b)) == _blades(want)
+            # scale builds in one pass too, as the constructor would
+            s = rng.choice(scalars)
+            scaled = CliffordElement(m, {mask: c * s for mask, c in got.coeffs.items()})
+            assert _blades(got.scale(s)) == _blades(scaled)
+    # an element a or b still takes the generic path
+    e1, e12 = CliffordElement.generator(m, 1), CliffordElement(m, {(1 << m) - 1: Fraction(2)})
+    w = [Fraction(j + 1, 3) for j in range(m)]
+    for a, b in ((e12, Fraction(1, 2)), (Fraction(1, 2), e12), (e1, e12), (2.5, e1)):
+        assert _blades(axial_element(m, a, w, b)) == _blades(a + CliffordElement.vector(m, w) * b)
+    with pytest.raises(ValueError):
+        axial_element(m, 1.0, [0.5] * (m + 1), 2.0)
+
+
 def test_axial_element_example():
     # 1/2 + (3/5 e1 + 4/5 e3) e1e2 = 1/2 - 3/5 e2 + 4/5 e1e2e3, as e1e1 = -1 and e3e1e2 = e1e2e3
     m = 3

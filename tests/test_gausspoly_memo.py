@@ -15,12 +15,16 @@ from monogenics.cst import (
     _gram_split,
     _legendre_grid,
     _slice_split,
+    axial_cst,
+    axial_cst_radon_route,
     fueter_cst_routes,
+    slice_cst,
+    slice_cst_fourier,
     unitarity_check,
     unitarity_gram,
 )
 from monogenics.gausspoly import GaussPoly, hermite_function
-from monogenics.scalars import PiScalar
+from monogenics.scalars import PiScalar, to_complex
 from monogenics.sphere import ProductGaussRule
 
 
@@ -174,3 +178,42 @@ def test_line_integral_of_an_equal_new_function_has_its_own_entry(monkeypatch):
     kept = [entry for key, entry in f._memo.items() if key[0] == "line"]
     assert sorted(map(id, (g, equal))) == sorted(id(k) for k, _ in kept)
     assert all(key[1] == id(entry[0]) for key, entry in f._memo.items() if key[0] == "line")
+
+
+def _route_values(f, m, rule):
+    """What every CST route gives for f at two points, each value with its
+    blade or part and its type."""
+    out = []
+    for x0, r in ((0.7, 0.5), (-0.6, 0.4)):
+        xv = [r / m ** 0.5] * m
+        for e in (axial_cst(f, m, x0, xv), axial_cst_radon_route(f, m, x0, xv, rule),
+                  *fueter_cst_routes(f, m, x0, xv, rule).values()):
+            out.append([(mask, type(c), c) for mask, c in e.coeffs.items()])
+        for v in (slice_cst(f, x0, r), slice_cst_fourier(f, x0, r)):
+            out.append([(type(v.alpha), v.alpha), (type(v.beta), v.beta)])
+    res = unitarity_check(f, f, m)
+    out.append([(type(x), x) for x in (res.lhs, res.rhs, res.rhs_coarse, res.residual,
+                                       res.residual_coarse)])
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_kept_state_changes_no_route_value(name, m):
+    # the float form, the series weights, the rule's half and the Gram splits
+    # are kept after the first call: a second call on the same object must
+    # give what a fresh equal object gives, value for value and type for type
+    rule = ProductGaussRule(m, 12)
+    f = BUILDERS[name]()
+    first = _route_values(f, m, rule)
+    assert _route_values(f, m, rule) == first == _route_values(BUILDERS[name](), m, rule)
+    for g in (f, f.heat(), f.derivative().heat()):
+        numeric = g.to_numeric()
+        if g.is_exact():
+            # the kept float form: to_complex of each field, the width untouched
+            assert numeric is g.to_numeric() and numeric is not g and not numeric.is_exact()
+            assert _fields(numeric) == (g.a, to_complex(g.b), to_complex(g.pref),
+                                        [to_complex(c) for c in g.coeffs])
+            assert _types(numeric) == (type(g.a), complex, complex, [complex] * len(g.coeffs))
+        else:
+            assert numeric is g
