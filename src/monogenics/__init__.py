@@ -33,10 +33,10 @@ __all__ = [
     "fueter_on_power", "funk_hecke_constants", "gausspoly", "gck_bessel_form", "gck_extension",
     "geometric_product", "heat_semigroup", "hermite_function", "hermitian_conjugate",
     "intrinsic_split", "is_monogenic", "kelvin_inversion", "kernels", "laplacian_power_route",
-    "laurent", "monogenic_monomial", "monomial_plane_wave_check", "paravector_power",
-    "plane_wave_gck_check", "poly", "radial_route_components", "radon", "run_suite", "scalars",
-    "slice_cst", "slice_cst_fourier", "slice_extension", "sphere", "sphere_area", "suites",
-    "unitarity_check", "unitarity_gram", "verify_monomial_identities",
+    "laurent", "monogenic_monomial", "monomial_plane_wave_check", "monomial_sphere_integral",
+    "paravector_power", "plane_wave_gck_check", "poly", "radial_route_components", "radon",
+    "run_suite", "scalars", "slice_cst", "slice_cst_fourier", "slice_extension", "sphere",
+    "sphere_area", "suites", "unitarity_check", "unitarity_gram", "verify_monomial_identities",
 ]
 __version__ = "0.1.0"
 # the numeric layer's names: those of __all__ that the exact core above leaves unbound
