@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import types
 
 import pytest
 
@@ -75,6 +76,27 @@ def test_cases_keep_their_call_order_and_verdicts():
     assert [c.case_id for c in s.report.cases] == ["first", "second", "third"]
     assert [c.passed for c in s.report.cases] == [True, True, False]
     assert [c.checked for c in s.report.cases] == [1, 2, 1]
+
+
+def test_timing_charges_each_case_only_for_its_own_calls(monkeypatch):
+    # a clock that moves only by the work done: set-up before the first case
+    # and work between cases (such as suite_monomials' shared list of
+    # reports) must not be charged to the case after them; lazy points are
+    clock = [0.0]
+    monkeypatch.setattr(suites, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+
+    def work(seconds):
+        clock[0] += seconds
+        return True
+
+    s = _Suite("t", {})
+    work(5.0)
+    s.case("first", "", [], [(1.0,)], work)
+    work(7.0)
+    s.case("second", "", [], [(2.0,)], work)
+    work(11.0)
+    s.case("lazy", "", [], ((0.5,) for _ in range(2) if work(3.0)), work)
+    assert [c.elapsed_ms for c in s.report.cases] == [1000.0, 2000.0, 7000.0]
 
 
 def test_verify_radon_m1_fails_on_its_empty_cases(tmp_path):
