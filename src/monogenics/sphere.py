@@ -6,7 +6,7 @@ plane-wave route reduces through ``plane_wave_mean``: it hands the route's
 alpha + w beta of the split's closed form, in reals on real data, by the
 weighted sums of ``NodeRule`` or one blocked reduction for Monte Carlo.
 The product rule stores [H; -H], H one node of each antipodal pair; alpha
-being even in t and beta odd, its plane-wave mean sums H, kept with doubled weights.
+being even in t and beta odd, its plane-wave mean sums H alone over sigma/2.
 
 The package loads this numeric module, and numpy, on first use.  Weighted
 sums run in ``np.einsum``'s own loops, not BLAS, so no thread count changes
@@ -95,7 +95,7 @@ class NodeRule:
         self.weights = weights
         self.label = label
         self._sigma = float(weights.sum()) if sigma is None else sigma
-        self._wave = (self.nodes.T, weights)   # the columns and weights a plane wave sums
+        self._wave = (self.nodes.T, weights, self._sigma)   # a plane wave's columns, weights, total
 
     def sigma(self) -> float:
         return self._sigma
@@ -127,9 +127,8 @@ class NodeRule:
         Returns the means of alpha, (k,), and of w beta, (k, m), and the
         largest standard error, None for a weighted-sum rule.
         """
-        cols, weights = self._wave
+        cols, weights, sig = self._wave
         alpha, beta = split(np.einsum("jn,j->n", cols, np.asarray(xv, dtype=float))[:, None])
-        sig = self.sigma()
         return (_node_sum("kn,n->k", alpha.T, weights) / sig,
                 _node_sum("kn,jn->kj", beta.T * weights, cols) / sig, None)
 
@@ -151,8 +150,8 @@ class ProductGaussRule(NodeRule):
     (1-u^2)^((d-3)/2), equally spaced points on the base circle, two points
     for S^0.  Only one node of each antipodal pair is built, the half H:
     the nodes are [H; -H] and the weights [wH; wH], so every antipode is
-    exact and odd monomials cancel to rounding.  A plane wave sums H alone,
-    with the doubled weights 2 wH, both kept once.
+    exact and odd monomials cancel to rounding.  A plane wave sums views of
+    H and wH over sigma/2, kept once: the bits of 2 wH over sigma, no copy.
     """
 
     kind = "gauss"
@@ -160,7 +159,7 @@ class ProductGaussRule(NodeRule):
     def __init__(self, m: int, level: int = 16):
         half, w = _half_product_rule(m, level)
         super().__init__(m, np.concatenate([half, -half]), np.concatenate([w, w]), f"gauss:{level}")
-        self._wave = (self.nodes.T[:, :len(w)], 2.0 * w)
+        self._wave = (self.nodes.T[:, :len(w)], self.weights[:len(w)], self._sigma / 2)
 
 
 def product_rule_size(m: int, level: int) -> int:
