@@ -31,6 +31,7 @@ from monogenics.sphere import (
     _even_odd,
     _gauss_gegenbauer,
     _node_moments,
+    _node_sum,
     _pairwise,
     _wave_moments,
 )
@@ -740,6 +741,24 @@ def test_product_rule_plane_wave_mean_equals_the_sum_over_every_node(m, level):
         assert se is None and a.shape == want_a.shape and v.shape == want_v.shape
         assert np.abs(a - want_a).max() <= 1e-14 * size
         assert np.abs(v - want_v).max() <= 1e-14 * size
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("level", [7, 24])
+def test_product_rule_plane_wave_mean_has_the_bits_of_the_doubled_half(m, level):
+    # the rule keeps views of H's columns and weights and divides by sigma/2;
+    # doubling is exact, so each mean has the bits of 2 wH over sigma
+    rule = ProductGaussRule(m, level)
+    h = len(rule.weights) // 2
+    cols, doubled = rule.nodes.T[:, :h], 2.0 * rule.weights[:h]
+    xv = (0.45, -0.3, 0.2, 0.25)[:m]
+    for split in _paired_rule_splits(m):
+        alpha, beta = split(np.einsum("jn,j->n", cols, np.asarray(xv, dtype=float))[:, None])
+        want_a = _node_sum("kn,n->k", alpha.T, doubled) / rule.sigma()
+        want_v = _node_sum("kn,jn->kj", beta.T * doubled, cols) / rule.sigma()
+        a, v, se = rule.plane_wave_mean(xv, split)
+        assert se is None and a.dtype == want_a.dtype and v.dtype == want_v.dtype
+        assert a.tobytes() == want_a.tobytes() and v.tobytes() == want_v.tobytes()
 
 
 def _even_odd_from_zero(q, t):
