@@ -345,6 +345,13 @@ def appell_weight(m: int, k: int, j: int) -> Fraction:
     )
 
 
+def _appell_weights(m: int, k: int) -> list[Fraction]:
+    """T_j = ``appell_weight(m, k, j)`` for j = 0..k, from T_0 by the ratio
+    T_(j+1)/T_j = ((m-1)/2 + j)(k - j) / (((m+1)/2 + k - j - 1)(j + 1))."""
+    t = appell_weight(m, k, 0)
+    return [t] + [t := t * Fraction((m - 1 + 2 * j) * (k - j), (m - 1 + 2 * (k - j)) * (j + 1)) for j in range(k)]
+
+
 def appell_sum(m: int, k: int) -> CliffordPolynomial:
     """Explicit expansion sum_j T_j^k x^(k-j) conj(x)^j.
 
@@ -354,11 +361,13 @@ def appell_sum(m: int, k: int) -> CliffordPolynomial:
     left Cauchy-Riemann operator.
 
     Evaluated in Horner form in conj(x): starting from T_k, each step
-    multiplies the sum by conj(x) and adds T_j x^(k-j), with x^(k-j) read
-    from the per-process powers of ``paravector_power``.
+    multiplies the sum by conj(x) and adds T_j x^(k-j).  The weights come
+    from T_0 and their exact ratio (``_appell_weights``), and x^(k-j) from
+    the per-process powers of ``paravector_power``.
     """
     xbar = CliffordPolynomial.variable(m, 0) - CliffordPolynomial.vector_variable(m)
-    out = CliffordPolynomial.one(m).scale(appell_weight(m, k, k))
+    *weights, top = _appell_weights(m, k)
+    out = CliffordPolynomial.one(m).scale(top)
     for j in range(k - 1, -1, -1):
-        out = out * xbar + paravector_power(m, k - j).scale(appell_weight(m, k, j))
+        out = out * xbar + paravector_power(m, k - j).scale(weights[j])
     return out

@@ -104,12 +104,13 @@ class IdentityReport:
     exact: bool
 
 
-def _max_residual(closed: AxialClosedForm, series: AxialSeries, scale, points) -> float:
+def _max_residual(closed: AxialClosedForm | list, series: AxialSeries, scale, points) -> float:
     """Largest gap between a closed form, its half-axis sign included, and
-    ``scale`` times an axial series over the points."""
-    return nan_max((closed.evaluate(x0, xv).to_numeric()
-                    - series.evaluate(x0, xv).to_numeric().scale(to_complex(scale))).norm_inf()
-                   for x0, xv in points)
+    ``scale`` times an axial series over the points; a list is the form's
+    numeric values there, for two series compared against one form."""
+    values = closed if isinstance(closed, list) else [closed.evaluate(x0, xv).to_numeric() for x0, xv in points]
+    return nan_max((v - series.evaluate(x0, xv).to_numeric().scale(to_complex(scale))).norm_inf()
+                   for v, (x0, xv) in zip(values, points))
 
 
 def verify_monomial_identities(m: int, k: int, order: int = 20, ratio: float = 0.4) -> list[IdentityReport]:
@@ -117,8 +118,8 @@ def verify_monomial_identities(m: int, k: int, order: int = 20, ratio: float = 0
 
     The polynomial identities are compared exactly; the negative-order ones
     numerically at |x|/|x0| = ratio via the order-``order`` truncated series,
-    on both signs of x0.  P^(-k) is built once: P^(k-1) is its Kelvin image,
-    as ``monogenic_monomial(m, k - 1)`` defines it.
+    on both signs of x0.  P^(-k) is built and evaluated once: P^(k-1) is its
+    Kelvin image, as ``monogenic_monomial(m, k - 1)`` defines it.
     """
     if m < 2:
         raise ValueError("family needs m >= 2")
@@ -131,14 +132,15 @@ def verify_monomial_identities(m: int, k: int, order: int = 20, ratio: float = 0
     # negative order, restriction form: sgn^(m-1) * P^(-k) vs const * GCK[x0^(1-k-m)]
     p_minus = monogenic_monomial(m, -k)
     p_neg = replace(p_minus, sign_power=m - 1)
+    neg_values = [p_neg.evaluate(x0, xv).to_numeric() for x0, xv in points]
     series = gck_extension(LaurentPoly.monomial(1 - k - m), m, order)
-    res = _max_residual(p_neg, series, const, points)
+    res = _max_residual(neg_values, series, const, points)
     reports.append(IdentityReport("neg_order_restriction", m, k, res, False))
 
     # negative order, derivative form: const' * sgn(-x0)^(m-1) * GCK[d^(m-1) x0^(-k)]
     series_d = gck_extension(LaurentPoly.monomial(-k).derivative(m - 1), m, order)
     const_d = cst.lam * Fraction((-1) ** (m - 1), math.factorial(m - 1))
-    res = _max_residual(p_neg, series_d, const_d, points)
+    res = _max_residual(neg_values, series_d, const_d, points)
     reports.append(IdentityReport("neg_order_derivative", m, k, res, False))
 
     # nonnegative order, restriction form: P^(k-1) = const * GCK[x0^(k-1)] exactly

@@ -14,11 +14,11 @@ complex or mixed) keeps canonical scalars over den = 1.  Each operation has
 one body for both, on the values' own ``*`` and ``+``: a product adds two
 keys (less twice the blades' common bits, which turns their sum into their
 xor), after repacking its operands at double the width where a field could
-carry; a derivative subtracts a unit of one field; and ``terms`` unpacks
-each key and builds each element once, on first read.  A product or a
-first-order operator takes the signs from ``clifford.BLADE_TABLE`` into one
-row of key moves per blade of its left operand, so its inner loop only adds
-keys and multiplies.  ``paravector_power`` builds each (x0 + x)^k once.
+carry; a derivative subtracts a unit of one field; and ``terms``, on first
+read, unpacks the keys in one pass and builds each element once.  A product
+or a first-order operator takes the signs from ``clifford.BLADE_TABLE`` into
+one row of key moves per blade of its left operand, so its inner loop only
+adds keys and multiplies.  ``paravector_power`` builds each (x0 + x)^k once.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import add, or_
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .clifford import BLADE_TABLE, COEFF_OPERANDS, CliffordElement, nan_max
 from .scalars import canon, is_zero_scalar
@@ -99,13 +99,16 @@ class CliffordPolynomial:
 
     @property
     def terms(self) -> dict[Exponents, CliffordElement]:
-        """exponents -> coefficient; unpacked from the keys on first read."""
+        """exponents -> coefficient, unpacked from the keys in one pass on first read."""
         if self._terms is None:
-            m, rows = self.m, {}
-            for key, c in _scalars(*self._ints).items():
-                rows.setdefault(key >> m, {})[key & ((1 << m) - 1)] = c
-            self._terms = {_exponents(m, e, self._width): CliffordElement._trusted(m, blades)
-                           for e, blades in rows.items()}
+            m, width, rows = self.m, self._width, {}
+            low, size, get, new = (1 << m) - 1, m + 1, rows.get, CliffordElement._trusted
+            for key, c in _scalars(*self._ints):
+                if (row := get(e := key >> m)) is None:
+                    row = rows[e] = {}
+                row[key & low] = c
+            self._terms = {tuple(e.to_bytes(size, "little")) if width == WIDTH else _exponents(m, e, width):
+                           new(m, blades) for e, blades in rows.items()}
         return self._terms
 
     # -- constructors -------------------------------------------------
@@ -172,10 +175,10 @@ class CliffordPolynomial:
         den, flat = self._ints
         s = canon(s)
         if type(s) is Fraction and _rational(flat):
-            den, s = den * s.denominator, s.numerator
+            den, s, items = den * s.denominator, s.numerator, flat.items()
         else:
-            den, flat = 1, _scalars(den, flat)
-        return CliffordPolynomial._packed(self.m, self._width, den, {key: c * s for key, c in flat.items()})
+            den, items = 1, _scalars(den, flat)
+        return CliffordPolynomial._packed(self.m, self._width, den, {key: c * s for key, c in items})
 
     def __mul__(self, other) -> "CliffordPolynomial":
         if not isinstance(other, CliffordPolynomial):
@@ -261,13 +264,12 @@ def _rational(flat: dict[int, object]) -> bool:
     return type(next(iter(flat.values()), 0)) is int
 
 
-def _scalars(den: int, flat: dict[int, object]) -> dict[int, object]:
-    """The values as canonical scalars; a numerator over den becomes a Fraction
-    once per distinct numerator (few distinct, as a rule)."""
+def _scalars(den: int, flat: dict[int, object]) -> Iterable[tuple[int, object]]:
+    """The ``(key, value)`` pairs, values as canonical scalars; a numerator over
+    den becomes a Fraction once per distinct numerator (few distinct, as a rule)."""
     if not _rational(flat):
-        return flat
-    values = {n: Fraction(n, den) for n in set(flat.values())}
-    return {key: values[n] for key, n in flat.items()}
+        return flat.items()
+    return zip(flat, map({n: Fraction(n, den) for n in set(flat.values())}.__getitem__, flat.values()))
 
 
 def _as_ints(flat: dict[int, object]) -> tuple[int, dict[int, object]]:
@@ -337,7 +339,7 @@ def _aligned(p: CliffordPolynomial, q: CliffordPolynomial, width: int = WIDTH) -
     width = max(p._width, q._width, width)
     a, b = p._ints, q._ints
     if _rational(a[1]) != _rational(b[1]):
-        a, b = (1, _scalars(*a)), (1, _scalars(*b))
+        a, b = (1, dict(_scalars(*a))), (1, dict(_scalars(*b)))
     return (a[0], _repacked(p.m, a[1], p._width, width)), (b[0], _repacked(q.m, b[1], q._width, width)), width
 
 

@@ -30,7 +30,7 @@ from .extensions import (appell_Q, appell_sum, gck_bessel_form, gck_extension, i
                          slice_extension)
 from .fueter import (fueter_kernel_range, fueter_on_laurent, fueter_on_power,
                      laplacian_power_route, radial_route_components)
-from .kernels import (_max_residual, cauchy_kernel, kelvin_inversion, monogenic_monomial,
+from .kernels import (_max_residual, cauchy_kernel, kelvin_inversion, monogenic_monomial, monomial_constant,
                       verify_monomial_identities)
 from .laurent import LaurentPoly
 from .poly import CliffordPolynomial, OperatorTag, apply_operator, is_monogenic, paravector_power
@@ -343,23 +343,20 @@ def _monomial_truncation_order(m: int, k: int, ratio: float, target: float = 1e-
     """Smallest truncation order whose certified series tail, scaled by the
     proportionality constant of the identity, sits under target.  Raises
     ValueError when no order below 200 does."""
-    from .kernels import monomial_constant
-
     q = k + m - 1
     const = abs(float(monomial_constant(m, k)))
-    order = 12
-    while order < 200:
-        # explicit continuation of the term sequence plus a geometric cap
-        t, tail = 1.0, 0.0
-        for j in range(1, order + 60):
-            t = t * (q + j - 1) / (j if j % 2 == 0 else m + j - 1) * ratio
-            if j > order:
-                tail += t
+    ts = [1.0]      # the term sequence t_0, t_1, ..., extended as the orders need it
+    for order in range(12, 200, 6):
+        for j in range(len(ts), order + 60):
+            ts.append(ts[j - 1] * (q + j - 1) / (j if j % 2 == 0 else m + j - 1) * ratio)
+        # explicit continuation t_(order+1) .. t_(order+59) plus a geometric cap
+        tail = 0.0
+        for t in ts[order + 1:]:
+            tail += t
         nxt = min((q + order + 59) / (order + 60) * ratio, 0.95)
         tail += t * nxt / (1 - nxt)
         if const * tail < target:
             return order
-        order += 6
     raise ValueError(f"no truncation order below 200 certifies {target:g} "
                      f"at m={m}, k={k}, ratio={ratio}")
 

@@ -9,6 +9,7 @@ from monogenics.axial import RhoExpr
 from monogenics.clifford import CliffordElement
 from monogenics.extensions import (
     IntrinsicPair,
+    _appell_weights,
     appell_Q,
     appell_sum,
     appell_weight,
@@ -285,6 +286,14 @@ def test_appell_weights_sum_to_one():
     for m in range(1, 7):
         for k in range(0, 11):
             assert sum(appell_weight(m, k, j) for j in range(k + 1)) == 1
+
+
+def test_appell_weights_from_their_ratio_equal_the_per_j_formula():
+    for m in range(2, 9):
+        for k in range(13):
+            weights = _appell_weights(m, k)
+            assert weights == [appell_weight(m, k, j) for j in range(k + 1)], (m, k)
+            assert all(type(w) is Fraction for w in weights)
 
 
 def test_appell_basics():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from monogenics.clifford import CliffordElement, geometric_product
-from monogenics.extensions import gck_extension
+from monogenics.extensions import appell_Q, appell_sum, gck_extension, slice_extension
 from monogenics.laurent import LaurentPoly
 from monogenics.poly import FIELD, WIDTH, CliffordPolynomial, OperatorTag, apply_operator, is_monogenic
 from monogenics.radon import dual_radon
@@ -308,3 +308,58 @@ def test_dual_radon_of_float_data_past_a_float_sized_denominator():
     for exps, el in got.items():
         (mask, c), = el.coeffs.items()
         assert type(c) is float and c == pytest.approx(float(want[exps].coeffs[mask]), rel=1e-14)
+
+
+def two_pass_unpack(p):
+    """exponents -> blade -> value of a packed polynomial, as plain dicts, read
+    in two passes: every value made a scalar first (one Fraction per distinct
+    numerator), then each key filed under its monomial with ``setdefault``,
+    then each exponent tuple cut from the fields of its key."""
+    m, width, (den, flat) = p.m, p._width, p._ints
+    if type(next(iter(flat.values()), 0)) is int:
+        values = {n: Fraction(n, den) for n in set(flat.values())}
+        flat = {key: values[n] for key, n in flat.items()}
+    rows = {}
+    for key, c in flat.items():
+        rows.setdefault(key >> m, {})[key & ((1 << m) - 1)] = c
+    size, out = width >> 3, {}
+    for e, blades in rows.items():
+        raw = e.to_bytes((m + 1) * size, "little")
+        out[tuple(int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size))] = blades
+    return out
+
+
+def assert_unpacks_as_two_passes(p):
+    assert p._terms is None             # made on the packed keys
+    want, got = two_pass_unpack(p), p.terms
+    assert list(got) == list(want)      # monomial order
+    for el, blades in zip(got.values(), want.values()):
+        assert type(el) is CliffordElement and el.m == p.m
+        assert list(el.coeffs.items()) == list(blades.items())      # blade order
+        assert [type(c) for c in el.coeffs.values()] == [type(c) for c in blades.values()]
+    assert p.terms is got               # a second read returns the same object
+
+
+@pytest.mark.parametrize("m", range(4, 7))
+def test_one_pass_terms_reads_bridge_and_appell_results_as_two_passes(m):
+    f0 = LaurentPoly({5: Fraction(-3), 0: Fraction(7)})
+    for p in (dual_radon(slice_extension(f0, m).to_polynomial()), gck_extension(f0, m).to_polynomial(),
+              appell_sum(m, 6), appell_Q(m, 6)):
+        assert_unpacks_as_two_passes(p)
+
+
+@pytest.mark.parametrize("kind", ["fraction", "pi", "float", "complex", "mixed"])
+def test_one_pass_terms_reads_wide_multi_blade_data_as_two_passes(kind):
+    m = 3
+    rng = random.Random(70 + len(kind))
+    special = list(SPECIAL.values()) if kind == "mixed" else [SPECIAL[kind]] if kind in SPECIAL else []
+    draw = lambda: rng.choice([rand_fraction(rng), *special]) * rng.randint(1, 5)  # noqa: E731
+    zero = CliffordPolynomial.zero(m)
+    p = rand_poly(rng, m, draw, nterms=8)
+    wide = p + CliffordPolynomial(m, {(300, 2, 0, 1): CliffordElement(m, {0b011: draw(), 0b100: draw()})})
+    assert max(map(len, (c.coeffs for c in p.terms.values()))) > 1
+    assert p._width == WIDTH and wide._width == 2 * WIDTH
+    kinds = {type(c) for el in wide.terms.values() for c in el.coeffs.values()}
+    assert kinds == {Fraction, *map(type, special)}
+    for q in (p + zero, wide + zero, wide * CliffordPolynomial.variable(m, 2), zero + zero):
+        assert_unpacks_as_two_passes(q)

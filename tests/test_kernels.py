@@ -250,6 +250,27 @@ def test_verify_monomial_identities_grid(m, k):
     assert by_name["neg_order_derivative"].residual < 1e-8
 
 
+def test_negative_identities_share_one_evaluation_of_the_form_per_point(monkeypatch):
+    m, k, order = 3, 2, 30
+    evaluate, calls = AxialClosedForm.evaluate, []
+
+    def counted(self, x0, xv):
+        calls.append((x0, xv))
+        return evaluate(self, x0, xv)
+
+    monkeypatch.setattr(AxialClosedForm, "evaluate", counted)
+    by_name = {r.identity: r.residual for r in verify_monomial_identities(m, k, order=order)}
+    points = list(calls)
+    assert [x0 for x0, _ in points] == [1.0, -1.0]
+    # the shared values give the residuals the closed form itself gives
+    P = replace(monogenic_monomial(m, -k), sign_power=m - 1)
+    series = gck_extension(LaurentPoly.monomial(1 - k - m), m, order)
+    series_d = gck_extension(LaurentPoly.monomial(-k).derivative(m - 1), m, order)
+    const_d = constants(m).lam * Fraction((-1) ** (m - 1), math.factorial(m - 1))
+    assert by_name["neg_order_restriction"] == _max_residual(P, series, monomial_constant(m, k), points)
+    assert by_name["neg_order_derivative"] == _max_residual(P, series_d, const_d, points)
+
+
 def test_monomial_identity_instances():
     # degree-2 axis data: lam_3/2! * GCK[6 x0] equals P^(1) for (m,k) = (3,2)
     m, k = 3, 2

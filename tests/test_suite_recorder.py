@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import types
+from itertools import product
 
 import pytest
 
@@ -192,6 +193,37 @@ def test_truncation_order_refuses_to_certify_what_it_cannot():
         _monomial_truncation_order(5, 4, 0.8)
     orders = {_monomial_truncation_order(m, k, 0.4) for m in range(2, 7) for k in range(1, 5)}
     assert min(orders) >= 30 and max(orders) <= 48
+
+
+def per_order_truncation(m, k, ratio, target=1e-9):
+    """The truncation order as a loop that runs the term sequence from t_0
+    again for each candidate order; None where no order below 200 does."""
+    q = k + m - 1
+    const = abs(float(kernels.monomial_constant(m, k)))
+    order = 12
+    while order < 200:
+        t, tail = 1.0, 0.0
+        for j in range(1, order + 60):
+            t = t * (q + j - 1) / (j if j % 2 == 0 else m + j - 1) * ratio
+            if j > order:
+                tail += t
+        nxt = min((q + order + 59) / (order + 60) * ratio, 0.95)
+        tail += t * nxt / (1 - nxt)
+        if const * tail < target:
+            return order
+        order += 6
+    return None
+
+
+@pytest.mark.parametrize("ratio", [0.3, 0.4, 0.5])
+def test_truncation_order_matches_the_per_order_loop(ratio):
+    for m, k, target in product(range(2, 7), range(1, 7), (1e-6, 1e-9, 1e-12)):
+        want = per_order_truncation(m, k, ratio, target)
+        if want is None:
+            with pytest.raises(ValueError, match="no truncation order"):
+                _monomial_truncation_order(m, k, ratio, target)
+        else:
+            assert _monomial_truncation_order(m, k, ratio, target) == want, (m, k, target)
 
 
 def test_algebra_suite_calls_the_registry_conjugations(monkeypatch):
